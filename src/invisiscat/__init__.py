@@ -19,7 +19,6 @@ from . import (
     radial,
     scenes,
     source,
-    specfun,
     transmission,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "radial",
     "scenes",
     "source",
-    "specfun",
     "transmission",
 ]
 

@@ -34,11 +34,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc
 
 from .gridquad import cap_lid_nodes, cap_window_columns
 from .holder import PrecondViolated
-from .quadrature import ParaboloidCap, integrate
-from .specfun import gamma_fn, lower_incomplete_gamma, sphere_measure
+from .quadrature import ParaboloidCap, integrate, sphere_measure
 
 __all__ = [
     "CgoVector",
@@ -110,7 +110,7 @@ def cgo_over_parabola(rho, K: float, n: int | None = None) -> complex:
 def _tail_constant(n: int) -> float:
     return (
         max(1.0, 2.0 ** ((n + 1) / 2.0 - 2.0))
-        * max(gamma_fn((n + 1) / 2.0), 1.0)
+        * max(math.gamma((n + 1) / 2.0), 1.0)
         * sphere_measure(n - 2)
         / (n - 1)
     )
@@ -140,12 +140,14 @@ def cgo_sliced(tau: float, K_minus: float, K_plus: float, h: float, n: int) -> f
     if tau <= 0 or h <= 0:
         raise ValueError("tau and h must be positive")
     geom = K_minus ** (-(n - 1) / 2.0) - K_plus ** (-(n - 1) / 2.0)
+    a = (n + 1) / 2.0
+    # Lower incomplete gamma(tau h, a) = Gamma(a) P(a, tau h).
     return (
         sphere_measure(n - 2)
         / (n - 1)
         * geom
-        * tau ** (-(n + 1) / 2.0)
-        * lower_incomplete_gamma(tau * h, (n + 1) / 2.0)
+        * tau ** (-a)
+        * (math.gamma(a) * float(gammainc(a, tau * h)))
     )
 
 

@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import bessel_jy_grid, hankel1_grid
+from scipy.special import hankel1, jv, yv
 
 __all__ = [
     "far_field_constant",
@@ -52,7 +51,7 @@ def green_kernel(n: int, k: float, r: np.ndarray) -> np.ndarray:
     """Outgoing free-space kernel G_k(|x - y|) on positive distances."""
     r = np.asarray(r, dtype=float)
     if n == 2:
-        return -0.25j * hankel1_grid(0, k * r)
+        return -0.25j * hankel1(0, k * r)
     if n == 3:
         return -np.exp(1j * k * r) / (4.0 * math.pi * r)
     raise ValueError("kernels support n in {2, 3}")
@@ -66,9 +65,8 @@ def green_disk_integral(n: int, k: float, a: float) -> complex:
     n=3: -int_0^a r e^{ikr} dr.
     """
     if n == 2:
-        j1, y1 = bessel_jy_grid(1, np.array([k * a]))
-        int_j = a * float(j1[0]) / k
-        int_y = a * float(y1[0]) / k + 2.0 / (math.pi * k * k)
+        int_j = a * float(jv(1, k * a)) / k
+        int_y = a * float(yv(1, k * a)) / k + 2.0 / (math.pi * k * k)
         return -0.25j * 2.0 * math.pi * (int_j + 1j * int_y)
     if n == 3:
         ika = 1j * k * a

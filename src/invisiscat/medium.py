@@ -173,11 +173,13 @@ def solve_ls(
     if contraction <= 0.5:
         u = u_inc.copy()
         for _ in range(max_iter):
-            res = float(np.linalg.norm(apply_A(u) - u_inc)) / scale
+            # One convolution serves both the residual and the update.
+            w = k2 * conv.apply(v_eff * u)
+            res = float(np.linalg.norm(u + w - u_inc)) / scale
             residuals.append(res)
             if res <= tol:
                 return LsSolution(grid, u, u_inc, v_eff, residuals, "picard")
-            u = u_inc - k2 * conv.apply(v_eff * u)
+            u = u_inc - w
         # Stagnated Picard falls through to GMRES below.
     op = scipy.sparse.linalg.LinearOperator(
         (grid.points.shape[0],) * 2, matvec=apply_A, dtype=complex

@@ -34,8 +34,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .specfun import gamma_fn, sphere_measure
-
 __all__ = [
     "Ball",
     "Box",
@@ -45,7 +43,19 @@ __all__ = [
     "BudgetExceeded",
     "integrate",
     "integrate_full",
+    "sphere_measure",
 ]
+
+
+def sphere_measure(d: int) -> float:
+    """Surface measure of the unit sphere S^d embedded in R^(d+1).
+
+    sigma(S^d) = 2 pi^((d+1)/2) / Gamma((d+1)/2); sigma(S^0) = 2 counts
+    the two endpoints of an interval.
+    """
+    if d < 0:
+        raise ValueError(f"sphere_measure requires d >= 0, got {d}")
+    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
 class BudgetExceeded(RuntimeError):
@@ -214,7 +224,7 @@ def _paraboloid_tail_bound(tau: float, K: float, h: float, n: int) -> float:
     # C_n (1 + (tau h)^((n-1)/2)) / (tau^((n+1)/2) K^((n-1)/2)) exp(-tau h).
     cn = (
         max(1.0, 2.0 ** ((n + 1) / 2.0 - 2.0))
-        * max(gamma_fn((n + 1) / 2.0), 1.0)
+        * max(math.gamma((n + 1) / 2.0), 1.0)
         * sphere_measure(n - 2)
         / (n - 1)
     )

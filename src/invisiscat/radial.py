@@ -13,9 +13,9 @@ far field in the convention u^s ~ e^{ikr} r^{-1/2} u_inf is
 
     u_inf(phi) = sqrt(2/(pi k)) e^{-i pi/4} sum_m c_m (-i)^m e^{i m phi}.
 
-This series shares no code path with the Lippmann-Schwinger grid
-solver, which makes it the independent cross-check for medium
-scattering.
+This series shares nothing with the Lippmann-Schwinger grid solver
+but ``scipy.special``, which makes it the independent cross-check for
+medium scattering.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import bessel_j, bessel_j_grid, bessel_jp, bessel_jy_grid, hankel1, hankel1p
+from scipy.special import h1vp, hankel1, jv, jvp
 
 __all__ = [
     "mie_mode_coefficients",
@@ -45,12 +44,12 @@ def mie_mode_coefficients(k: float, R: float, v0: float, m: int):
     if 1.0 + v0 <= 0 or v0 == 0:
         raise ValueError("need refractive index 1 + v0 > 0 and v0 != 0")
     k1 = k * math.sqrt(1.0 + v0)
-    jm_in = bessel_j(m, k1 * R)
-    jmp_in = bessel_jp(m, k1 * R)
-    jm = bessel_j(m, k * R)
-    jmp = bessel_jp(m, k * R)
+    jm_in = jv(m, k1 * R)
+    jmp_in = jvp(m, k1 * R)
+    jm = jv(m, k * R)
+    jmp = jvp(m, k * R)
     hm = hankel1(m, k * R)
-    hmp = hankel1p(m, k * R)
+    hmp = h1vp(m, k * R)
     # [[J_m(k1R), -H_m(kR)], [k1 J'_m(k1R), -k H'_m(kR)]] (a, c) = rhs
     det = jm_in * (-k * hmp) - (-hm) * (k1 * jmp_in)
     rhs0, rhs1 = jm, k * jmp
@@ -110,14 +109,6 @@ def mie_total_field(
         a, c = mie_mode_coefficients(k, R, v0, m)
         g = 1j**m
         ang = np.cos(m * phi) * (2.0 if m > 0 else 1.0)
-        if np.any(interior):
-            jvals = bessel_j_grid(m, np.maximum(k1 * r[interior], 1e-300))
-            if m == 0:
-                jvals = np.where(r[interior] == 0.0, 1.0, jvals)
-            else:
-                jvals = np.where(r[interior] == 0.0, 0.0, jvals)
-            out[interior] += g * a * jvals * ang[interior]
-        if np.any(exterior):
-            jv, yv = bessel_jy_grid(m, k * r[exterior])
-            out[exterior] += g * c * (jv + 1j * yv) * ang[exterior]
+        out[interior] += g * a * jv(m, k1 * r[interior]) * ang[interior]
+        out[exterior] += g * c * hankel1(m, k * r[exterior]) * ang[exterior]
     return out

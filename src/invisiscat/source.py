@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import jv
 
 from .holder import boundary_sup, holder_norm, sample_on_grid
 from .kernels import far_field_constant, green_kernel, make_support_grid
-from .specfun import bessel_j
 
 __all__ = [
     "QuadratureFailure",
@@ -232,6 +232,24 @@ def solve_field(
     return out
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f between lo and hi, where f changes sign, to the last bit.
+
+    Halves the bracket, keeping the sign change, until no float lies
+    strictly between lo and hi; an exact zero of f becomes the upper end.
+    """
+    f_lo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+
+
 def radiationless_radius(k: float, n: int, branch_index: int = 1) -> float:
     """Radius r_0 = j_(n/2, m) / k of the m-th radiationless constant ball.
 
@@ -242,21 +260,14 @@ def radiationless_radius(k: float, n: int, branch_index: int = 1) -> float:
     nu = n / 2.0
     found = 0
     x_prev = 1e-6
-    f_prev = bessel_j(nu, x_prev)
+    f_prev = jv(nu, x_prev)
     x = 0.05
     while x < 1000.0:
-        f = bessel_j(nu, x)
+        f = jv(nu, x)
         if f_prev * f < 0:
             found += 1
             if found == branch_index:
-                lo, hi = x_prev, x
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if bessel_j(nu, lo) * bessel_j(nu, mid) <= 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                return 0.5 * (lo + hi) / k
+                return _bisect(lambda t: jv(nu, t), x_prev, x) / k
         x_prev, f_prev = x, f
         x += 0.05
     raise RuntimeError("zero scan exhausted")

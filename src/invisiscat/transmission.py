@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import jv, jvp, spherical_jn
 
 from .cgo import curvature_estimate_rhs
 from .geometry import CappedComponent
 from .gridquad import cap_window_columns
 from .holder import SampledFunction, holder_norm
 from .manufactured import LensBump
-from .specfun import bessel_j, bessel_jp, spherical_jn, spherical_jnp
+from .source import _bisect
 
 __all__ = [
     "NoneFound",
@@ -80,13 +81,17 @@ class RadialITP:
 
 def _radial_fns(n: int, m: int):
     if n == 2:
-        return (lambda x: bessel_j(m, x)), (lambda x: bessel_jp(m, x))
-    return (lambda x: spherical_jn(m, x)), (lambda x: spherical_jnp(m, x))
+        return (lambda x: jv(m, x)), (lambda x: jvp(m, x))
+    return (lambda x: spherical_jn(m, x)), (lambda x: spherical_jn(m, x, derivative=True))
 
 
-def itp_determinant(itp: RadialITP, k: float, mode: int | None = None) -> float:
-    """Matching determinant d_m(k); zeros are transmission eigenvalues."""
-    if k <= 0:
+def itp_determinant(itp: RadialITP, k, mode: int | None = None):
+    """Matching determinant d_m(k) at a wavenumber or an array of them.
+
+    Zeros are transmission eigenvalues.
+    """
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0):
         raise ValueError("wavenumber must be positive")
     m = itp.mode if mode is None else mode
     jm, jmp = _radial_fns(itp.n, m)
@@ -128,16 +133,16 @@ def _assemble_pair(itp: RadialITP, k: float, m: int) -> EigenPair:
     c_u, c_w = c_u / scale, c_w / scale
 
     def w_fn(r):
-        return c_w * np.array([jm(k * float(s)) for s in np.atleast_1d(r)])
+        return c_w * jm(k * np.atleast_1d(r))
 
     def u_fn(r):
-        return c_u * np.array([jm(k1 * float(s)) for s in np.atleast_1d(r)])
+        return c_u * jm(k1 * np.atleast_1d(r))
 
     def wp_fn(r):
-        return c_w * k * np.array([jmp(k * float(s)) for s in np.atleast_1d(r)])
+        return c_w * k * jmp(k * np.atleast_1d(r))
 
     def up_fn(r):
-        return c_u * k1 * np.array([jmp(k1 * float(s)) for s in np.atleast_1d(r)])
+        return c_u * k1 * jmp(k1 * np.atleast_1d(r))
 
     return EigenPair(k_eig=k, mode=m, itp=itp, w=w_fn, u=u_fn, w_deriv=wp_fn, u_deriv=up_fn)
 
@@ -147,7 +152,6 @@ def find_eigenvalues(
     k_max: float,
     modes=None,
     scan_steps: int = 2048,
-    bisect_iters: int = 200,
 ):
     """All determinant roots below k_max per mode, by sign scan + bisection."""
     if k_max <= 0:
@@ -157,19 +161,11 @@ def find_eigenvalues(
     pairs = []
     for m in modes:
         ks = np.linspace(k_max / scan_steps, k_max, scan_steps)
-        vals = np.array([itp_determinant(itp, float(k), m) for k in ks])
+        vals = itp_determinant(itp, ks, m)
         sign_change = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
         for i in sign_change:
-            lo, hi = float(ks[i]), float(ks[i + 1])
-            f_lo = itp_determinant(itp, lo, m)
-            for _ in range(bisect_iters):
-                mid = 0.5 * (lo + hi)
-                f_mid = itp_determinant(itp, mid, m)
-                if f_lo * f_mid <= 0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-            pairs.append(_assemble_pair(itp, 0.5 * (lo + hi), m))
+            k_eig = _bisect(lambda k: itp_determinant(itp, k, m), float(ks[i]), float(ks[i + 1]))
+            pairs.append(_assemble_pair(itp, k_eig, m))
     if not pairs:
         raise NoneFound(f"no transmission eigenvalue below k_max = {k_max}")
     pairs.sort(key=lambda p: (p.k_eig, p.mode))

@@ -194,10 +194,10 @@ class TestSliced:
         inner()
 
     def test_reference_case(self):
-        from invisiscat.specfun import lower_incomplete_gamma
+        from scipy.special import gamma, gammainc
 
         got = cgo_sliced(1.0, 1.0, 2.0, 1.0, 2)
-        want = 2.0 * (1.0 - 1.0 / math.sqrt(2.0)) * lower_incomplete_gamma(1.0, 1.5)
+        want = 2.0 * (1.0 - 1.0 / math.sqrt(2.0)) * gamma(1.5) * gammainc(1.5, 1.0)
         assert abs(got - want) < 1e-14
 
     def test_oracle_reference_case(self):
@@ -210,7 +210,9 @@ class TestSliced:
         assert abs(got - orc) < 1e-9 * abs(got)
 
     def test_monotone_limit_to_gamma(self):
-        from invisiscat.specfun import gamma_fn, sphere_measure
+        from math import gamma as gamma_fn
+
+        from invisiscat.quadrature import sphere_measure
 
         vals = [cgo_sliced(tau, 1.0, 3.0, 50.0 / tau, 2) for tau in (1.0, 1.0)]
         assert vals[0] == vals[1]

@@ -203,7 +203,7 @@ class TestScatteredFarField:
 
 class TestHerglotz:
     def test_constant_density_is_bessel_mode(self):
-        from invisiscat.specfun import bessel_j
+        from scipy.special import jv as bessel_j
 
         wave = HerglotzWave(lambda th: np.full(th.shape[0], 1.0 / (2 * math.pi)))
         pts = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, -1.0]])

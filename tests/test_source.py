@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv as bessel_j
 
 from invisiscat.geometry import BallComponent, Domain
 from invisiscat.kernels import far_field_constant
@@ -15,7 +16,6 @@ from invisiscat.source import (
     solve_field,
     visibility_ratio,
 )
-from invisiscat.specfun import bessel_j
 
 
 def ball_scene(radius, k=1.0, phi=1.0, center=(0.0, 0.0)):

@@ -5,6 +5,7 @@ import pytest
 
 from invisiscat.geometry import BallComponent, CappedComponent, Domain, make_curvature_cap
 from invisiscat.medium import HerglotzWave, MediumScene, scattered_far_field, solve_ls
+from invisiscat.source import _bisect
 from invisiscat.transmission import (
     EigenPair,
     NoneFound,
@@ -59,6 +60,43 @@ class TestDeterminant:
         itp = RadialITP(R=1.0, v0=15.0)
         with pytest.raises(NoneFound):
             find_eigenvalues(itp, 0.2)
+
+    def test_roots_bisected_to_adjacent_floats(self):
+        # n = 3, mode 0 has a triple zero at k = pi, where j_0(k) and
+        # j_0(4k) vanish together.  Near it the determinant rounds to
+        # exact zeros on a plateau, so a solver that stops at the first
+        # exact zero lands outside the 1e-9 bracket.
+        itp = RadialITP(R=1.0, v0=15.0, n=3)
+        k_max, modes, steps = 4.0, [0, 1, 2], 2048
+        pairs = find_eigenvalues(itp, k_max, modes=modes)
+        assert any(p.mode == 0 and abs(p.k_eig - np.pi) < 1e-8 * np.pi for p in pairs)
+        for p in pairs:
+            lo, hi = itp_determinant(itp, [p.k_eig * (1 - 1e-9), p.k_eig * (1 + 1e-9)], p.mode)
+            assert lo * hi <= 0.0, (p.mode, p.k_eig)
+
+        def fixed_step_bisection(f, lo, hi):
+            f_lo = f(lo)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                f_mid = f(mid)
+                if f_lo * f_mid <= 0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            return 0.5 * (lo + hi)
+
+        ks = np.linspace(k_max / steps, k_max, steps)
+        want = []
+        for m in modes:
+            vals = itp_determinant(itp, ks, m)
+            assert np.array_equal(vals, [itp_determinant(itp, float(k), m) for k in ks])
+            det = lambda k, m=m: itp_determinant(itp, k, m)
+            for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+                lo, hi = float(ks[i]), float(ks[i + 1])
+                root = _bisect(det, lo, hi)
+                assert root == fixed_step_bisection(det, lo, hi)
+                want.append((root, m))
+        assert sorted(want) == [(p.k_eig, p.mode) for p in pairs]
 
 
 class TestEigenPairs:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -113,6 +114,9 @@ def cmd_teig(args) -> int:
         )
     except (SceneError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not (math.isfinite(args.kmax) and args.kmax > 0):
+        print(f"error: --kmax must be finite and positive, got {args.kmax!r}", file=sys.stderr)
         return EXIT_CONFIG
     modes = [int(m) for m in args.modes.split(",")] if args.modes else [0]
     try:

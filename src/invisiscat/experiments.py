@@ -330,7 +330,7 @@ def run_medium_visibility(
             pts, w = dom.quad_nodes(32)
             area = float(np.sum(w))
         contraction = k * k * c0 * abs(v0 if kind != "control" else 0.0)
-        sol = solve_ls(scene, tol=1e-10, c0_estimate=c0)
+        sol = solve_ls(scene, tol=1e-10)
         ff = scattered_far_field(scene, sol, n_dirs).sup_norm()
         comparator = scatter_visibility_ratio(scene, alpha)
         envelope = (

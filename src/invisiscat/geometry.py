@@ -67,46 +67,15 @@ def compute_cn(n: int) -> float:
         # Single variable: t^3/3! maximized at t = 1.
         return 1.0 / 6.0
     if n == 3:
-        # Two variables: (x^3+y^3)/6 + (x^2 y + x y^2)/2 on the circle.
-        def val(theta):
-            x, y = np.cos(theta), np.sin(theta)
-            return (x**3 + y**3) / 6.0 + (x**2 * y + x * y**2) / 2.0
-
-        theta = np.linspace(0.0, 2.0 * math.pi, 20001)
-        coarse = val(theta)
-        i = int(np.argmax(coarse))
-        lo, hi = theta[max(i - 1, 0)], theta[min(i + 1, theta.size - 1)]
-        # Golden-section refinement.
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        for _ in range(200):
-            if val(c) > val(d):
-                b, d = d, c
-                c = b - gr * (b - a)
-            else:
-                a, c = c, d
-                d = a + gr * (b - a)
-        return float(val(0.5 * (a + b)))
+        # Two variables: the sum is (x+y)^3/6, largest on the diagonal.
+        return math.sqrt(2.0) / 3.0
     raise ValueError("dimensions 2 and 3 supported")
 
 
-def _cubic_third_deriv_sup(n: int) -> float:
-    """max over third partials of sup over directions of |D^3 |x'|^3|."""
-    if n == 2:
-        return 6.0  # d^3/dt^3 |t|^3 = 6 sign(t)
-    # r^3 with r = sqrt(x^2+y^2): evaluate the four distinct third
-    # partials on a direction grid.
-    theta = np.linspace(0.0, 2.0 * math.pi, 4001)
-    x, y = np.cos(theta), np.sin(theta)
-    r = np.ones_like(x)
-    d_xxx = 9.0 * x / r - 3.0 * x**3 / r**3
-    d_xxy = 3.0 * y / r - 3.0 * x**2 * y / r**3
-    d_xyy = 3.0 * x / r - 3.0 * x * y**2 / r**3
-    d_yyy = 9.0 * y / r - 3.0 * y**3 / r**3
-    return float(
-        max(np.max(np.abs(d)) for d in (d_xxx, d_xxy, d_xyy, d_yyy))
-    )
+# Sup over unit directions of the third partials of |x'|^3, 6 for both n.
+# n = 2: d^3/dt^3 |t|^3 = 6 sign t.  n = 3: d_xxx = 9c - 3c^3 (c = cos theta)
+# peaks at 6 where c = 1, d_yyy likewise; |d_xxy| = 3|sin|^3, |d_xyy| = 3|c|^3.
+_CUBIC_THIRD_DERIV_SUP = 6.0
 
 
 @dataclass
@@ -132,7 +101,7 @@ class CurvatureCap:
         self.b = math.sqrt(self.M) / self.K
         self.h = 1.0 / self.K
         cn = compute_cn(self.n)
-        f = abs(self.c3) * _cubic_third_deriv_sup(self.n)
+        f = abs(self.c3) * _CUBIC_THIRD_DERIV_SUP
         spread = cn * f * self.b
         self.K_minus = self.K - spread
         self.K_plus = self.K + spread
@@ -193,7 +162,7 @@ def make_curvature_cap(
     if K < math.e:
         raise ValueError("curvature parameter must satisfy K >= e")
     cn = compute_cn(n)
-    f = abs(cubic_coeff) * _cubic_third_deriv_sup(n)
+    f = abs(cubic_coeff) * _CUBIC_THIRD_DERIV_SUP
     budget = min(
         (M - 1.0) * K * K / (cn * M**1.5),
         L * K ** (2.0 - delta) / (2.0 * cn * math.sqrt(M)),
@@ -748,7 +717,12 @@ class CappedComponent(Component):
 
 @dataclass
 class Domain:
-    """Scatterer support: disjoint components with shared helpers."""
+    """Scatterer support: disjoint components with shared helpers.
+
+    The components must be disjoint: ``quad_nodes`` joins their nodes, so
+    an overlap would be integrated twice, while ``inside`` takes the set
+    union.  ``scenes.load_domain`` rejects overlapping unions.
+    """
 
     components: list
     well_separated: bool = False

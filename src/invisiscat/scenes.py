@@ -28,6 +28,7 @@ Expression grammar (recursive descent, no eval):
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -265,6 +266,12 @@ def load_domain(spec: dict, dim: int) -> Domain:
         comps = [_component(c, dim) for c in spec.get("components", [])]
         if not comps:
             raise SceneError("union domain needs at least one component")
+        # Quadrature joins the components' nodes, so overlap would count twice.
+        for i, comp in enumerate(comps):
+            pts, _ = comp.quad_nodes()
+            for j, other in enumerate(comps):
+                if j != i and np.any(other.inside(pts)):
+                    raise SceneError(f"union components {i} and {j} overlap")
         return Domain(comps, well_separated=bool(spec.get("well_separated", False)))
     return Domain([_component(spec, dim)])
 
@@ -355,10 +362,17 @@ def _incident(spec: dict):
     raise SceneError(f"unknown incident kind {kind!r}")
 
 
+def _wavenumber(cfg: dict) -> float:
+    k = float(cfg["wavenumber"])
+    if not (math.isfinite(k) and k > 0):
+        raise SceneError(f"wavenumber must be finite and positive, got {k!r}")
+    return k
+
+
 def load_source_scene(cfg: dict) -> SourceScene:
     try:
         dim = int(cfg["dimension"])
-        k = float(cfg["wavenumber"])
+        k = _wavenumber(cfg)
         domain = load_domain(cfg["domain"], dim)
         phi = _field_fn(cfg["intensity"], dim)
     except KeyError as exc:
@@ -369,7 +383,7 @@ def load_source_scene(cfg: dict) -> SourceScene:
 def load_medium_scene(cfg: dict) -> MediumScene:
     try:
         dim = int(cfg["dimension"])
-        k = float(cfg["wavenumber"])
+        k = _wavenumber(cfg)
         domain = load_domain(cfg["domain"], dim)
         phi = _field_fn(cfg["contrast"], dim)
         incident = _incident(cfg.get("incident", {"kind": "plane_wave", "direction": [1.0] + [0.0] * (dim - 1)}))

@@ -194,7 +194,7 @@ class TestCriterion5LippmannSchwinger:
         scene = MediumScene(
             Domain([BallComponent([0.0, 0.0], R)]), v0, k, PlaneWave([1.0, 0.0])
         )
-        sol = solve_ls(scene, tol=1e-11, c0_estimate=c0)
+        sol = solve_ls(scene, tol=1e-11)
         ratios = sol.convergence_ratios()
         geo_ok = threshold <= 0.5 and np.all(ratios[:-1] <= threshold * 1.1)
         strong = MediumScene(

@@ -93,6 +93,44 @@ class TestSourceCommand:
         assert len(lines) == 1 + 64
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("k", [-1.0, float("nan")])
+    def test_source_wavenumber_exit_2(self, tmp_path, capsys, k):
+        cfg = {
+            "dimension": 2,
+            "wavenumber": k,
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 0.7},
+            "intensity": {"kind": "constant", "value": 1.0},
+        }
+        scene = tmp_path / "k.json"
+        scene.write_text(json.dumps(cfg))
+        assert main(["source", str(scene)]) == EXIT_CONFIG
+        assert "wavenumber" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [-0.5, float("nan")])
+    def test_medium_wavenumber_exit_2(self, tmp_path, capsys, k):
+        cfg = {
+            "dimension": 2,
+            "wavenumber": k,
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "contrast": {"kind": "constant", "value": 0.1},
+        }
+        scene = tmp_path / "k.json"
+        scene.write_text(json.dumps(cfg))
+        assert main(["medium", str(scene)]) == EXIT_CONFIG
+        assert "wavenumber" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kmax", ["-1", "nan"])
+    def test_teig_kmax_exit_2(self, tmp_path, capsys, kmax):
+        cfg = tmp_path / "itp.json"
+        cfg.write_text(json.dumps({"radius": 1.0, "contrast": 15.0}))
+        out = tmp_path / "eigs.csv"
+        code = main(["teig", str(cfg), "--kmax", kmax, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--kmax" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMediumCommand:
     def test_far_field_output(self, tmp_path):
         cfg = {

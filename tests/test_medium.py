@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from invisiscat import medium
 from invisiscat.geometry import BallComponent, Domain
 from invisiscat.kernels import far_field_constant
 from invisiscat.medium import (
@@ -27,7 +28,7 @@ def disk_scene(v0=0.1, k=0.5, R=1.0, theta=0.0):
 class TestSolveLs:
     def test_zero_contrast_one_iteration(self):
         scene = disk_scene(v0=0.0)
-        sol = solve_ls(scene, c0_estimate=1.0)
+        sol = solve_ls(scene)
         assert sol.method == "picard"
         assert len(sol.residuals) == 1
         assert np.allclose(sol.u, sol.u_incident)
@@ -36,7 +37,7 @@ class TestSolveLs:
         k, v0 = 0.5, 0.1
         c0 = estimate_c0(k, 1.0, 2, n_probe=4, resolution=40)
         scene = disk_scene(v0=v0, k=k)
-        sol = solve_ls(scene, tol=1e-11, c0_estimate=c0)
+        sol = solve_ls(scene, tol=1e-11)
         ratios = sol.convergence_ratios()
         bound = k * k * c0 * v0
         assert bound <= 0.5
@@ -72,6 +73,36 @@ class TestSolveLs:
         )
         with pytest.raises(ValueError):
             solve_ls(scene)
+
+
+class TestObservedSwitch:
+    """Picard or GMRES is chosen from the logged residuals alone.
+
+    ``estimate_c0`` raises in every test here, so each solve also shows
+    that neither route needs it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def refuse_estimate_c0(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ls must not call estimate_c0")
+
+        monkeypatch.setattr(medium, "estimate_c0", refuse)
+
+    def test_expanding_picard_switches_to_gmres(self):
+        tol = 1e-10
+        sol = solve_ls(disk_scene(v0=15.0, k=1.0), tol=tol, spacing=2.2 / 64)
+        assert sol.method == "gmres"
+        assert len(sol.residuals) == 3  # two Picard steps, then GMRES
+        first, second, final = sol.residuals
+        assert second > 0.5 * first
+        assert final <= 10.0 * tol
+
+    def test_halving_residuals_stay_picard(self):
+        sol = solve_ls(disk_scene(v0=0.1, k=0.5))
+        assert sol.method == "picard"
+        assert len(sol.residuals) > 1
+        assert np.all(sol.convergence_ratios() <= 0.5)
 
 
 class TestEstimateC0:
@@ -135,7 +166,7 @@ class TestEstimateC0:
 class TestScatteredFarField:
     def test_zero_contrast_zero_far_field(self):
         scene = disk_scene(v0=0.0)
-        sol = solve_ls(scene, c0_estimate=1.0)
+        sol = solve_ls(scene)
         ff = scattered_far_field(scene, sol, 32)
         assert ff.sup_norm() < 1e-14
 

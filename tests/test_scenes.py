@@ -108,6 +108,18 @@ class TestDomainLoading:
         assert np.array_equal(dom.inside(pts), dom2.inside(pts))
 
 
+    def test_overlapping_union_rejected(self):
+        def union(*centers):
+            balls = [{"kind": "ball", "center": c, "radius": 1.0} for c in centers]
+            return {"kind": "union", "components": balls}
+
+        for centers in (([0, 0], [0, 0]), ([0, 0], [1.99, 0]), ([0, 0], [0.2, 0])):
+            with pytest.raises(SceneError, match="overlap"):
+                load_domain(union(*centers), 2)
+        # Tangent balls share only a boundary point.
+        assert len(load_domain(union([0, 0], [2, 0]), 2).components) == 2
+
+
 class TestSceneLoading:
     def test_source_scene_expression_intensity(self):
         cfg = {

@@ -10,6 +10,17 @@ FFT; the singular self-cell is replaced by the exact integral of the
 kernel over the area/volume-equivalent disk or ball, an O(h^2)-accurate
 Nystroem correction.
 
+A grid with N_d nodes on axis d needs the offsets -(N_d - 1) .. N_d - 1,
+so the circulant embedding has length ``scipy.fft.next_fast_len(2 N_d - 1)``
+per axis, a length with no prime factor above 11.  The kernel depends on
+|offset| only: it is evaluated on the nonnegative offsets (one orthant,
+N_d per axis) and mirrored into the wrapped negative-offset slots.
+
+The grid is a tensor product of its axes, so exp(z . x) = prod_d
+exp(z_d x_d) on it, and plane-wave sums over the nodes (incident fields,
+far-field moments) reduce to per-axis factor matrices and one matrix
+product (``SupportGrid.plane_wave_sum`` and ``plane_wave_moments``).
+
 Far fields use the stationary-phase constant
 
     C_{n,k} = (-i / sqrt(8 pi k)) (k/(2 pi))^((n-2)/2) e^{-(n-1) i pi/4},
@@ -26,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.special import hankel1, jv, yv
 
 __all__ = [
@@ -111,12 +123,16 @@ def _disk_square_overlap(cx, cy, R, x0, x1, y0, y1, sub=24):
 class SupportGrid:
     """Regular grid over a bounding box with per-cell coverage weights."""
 
-    points: np.ndarray
+    points: np.ndarray  # the nodes of ``axes``' tensor product, last axis fastest
     shape: tuple
     spacing: float
-    origin: np.ndarray
+    axes: tuple  # node coordinates along each axis
     coverage: np.ndarray  # fraction of each cell inside the support
     inside: np.ndarray  # boolean: cell center inside
+
+    @property
+    def origin(self) -> np.ndarray:
+        return np.array([ax[0] for ax in self.axes])
 
     @property
     def weights(self) -> np.ndarray:
@@ -124,6 +140,35 @@ class SupportGrid:
 
     def grid_values(self, flat: np.ndarray) -> np.ndarray:
         return flat.reshape(self.shape)
+
+    def _factors(self, z: np.ndarray) -> list:
+        """exp(z[q, d] x_d) along each axis d, as (N_d, Q) matrices."""
+        if z.shape[1] != len(self.axes):
+            raise ValueError(f"{z.shape[1]}-d exponents on a {len(self.axes)}-d grid")
+        return [np.exp(np.multiply.outer(ax, z[:, d])) for d, ax in enumerate(self.axes)]
+
+    def plane_wave_sum(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """sum_q c_q exp(z_q . x) at every node x, in ``points`` order.
+
+        ``z`` is a (Q, n) array of complex exponents and ``c`` holds Q
+        coefficients.
+        """
+        *lead, last = self._factors(z)
+        return ((_row_kron(lead) * c) @ last.T).ravel()
+
+    def plane_wave_moments(self, z: np.ndarray, density: np.ndarray) -> np.ndarray:
+        """sum_x exp(z_q . x) density(x) over the nodes, for each row z_q of z."""
+        *lead, last = self._factors(z)
+        partial = density.reshape(-1, last.shape[0]) @ last
+        return np.sum(_row_kron(lead) * partial, axis=0)
+
+
+def _row_kron(factors: list) -> np.ndarray:
+    """Column-wise Kronecker product: row (i, j, ...) holds f0[i] * f1[j] * ..."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1])
+    return out
 
 
 def _coverage_ball(comp, centers: np.ndarray, h: float) -> np.ndarray:
@@ -200,7 +245,7 @@ def make_support_grid(domain, spacing: float, pad: float = 0.0) -> SupportGrid:
         points=pts,
         shape=tuple(n_ax),
         spacing=spacing,
-        origin=np.array([a[0] for a in axes]),
+        axes=tuple(axes),
         coverage=coverage,
         inside=domain.inside(pts),
     )
@@ -214,20 +259,23 @@ class GridConvolver:
         self.k = k
         n = len(grid.shape)
         h = grid.spacing
-        shape = grid.shape
-        big = [2 * s for s in shape]
-        offs = []
-        for s in shape:
-            ax = np.concatenate([np.arange(s), np.arange(-s, 0)]) * h
-            offs.append(ax)
-        mesh = np.meshgrid(*offs, indexing="ij")
+        self._fft_shape = tuple(scipy.fft.next_fast_len(2 * s - 1) for s in grid.shape)
+        mesh = np.meshgrid(*[np.arange(s) * h for s in grid.shape], indexing="ij", sparse=True)
         r = np.sqrt(sum(m * m for m in mesh))
-        kernel = np.zeros(big, dtype=complex)
-        mask = r > 0
-        kernel[mask] = green_kernel(n, k, r[mask]) * h**n
-        kernel[(0,) * n] = green_cell_integral(n, k, h)
-        self._kernel_hat = np.fft.fftn(kernel)
-        self._big = big
+        r[(0,) * n] = 1.0  # placeholder for the self-cell, overwritten below
+        table = np.zeros(self._fft_shape, dtype=complex)
+        orthant = tuple(slice(0, s) for s in grid.shape)
+        table[orthant] = green_kernel(n, k, r) * h**n
+        table[(0,) * n] = green_cell_integral(n, k, h)
+        # Offset -j wraps to slot L - j and shares the kernel value of +j.
+        for d, (s, L) in enumerate(zip(grid.shape, self._fft_shape)):
+            src = [slice(None)] * n
+            dst = [slice(None)] * n
+            src[d] = slice(s - 1, 0, -1)
+            dst[d] = slice(L - s + 1, L)
+            table[tuple(dst)] = table[tuple(src)]
+        self._kernel_hat = scipy.fft.fftn(table, overwrite_x=True)
+        self._orthant = orthant
 
     def apply(self, density_flat: np.ndarray) -> np.ndarray:
         """(Delta + k^2)^{-1} density, sampled on the grid nodes.
@@ -236,8 +284,5 @@ class GridConvolver:
         measure h^n is folded into the kernel table.
         """
         arr = density_flat.reshape(self.grid.shape)
-        buf = np.zeros(self._big, dtype=complex)
-        buf[tuple(slice(0, s) for s in self.grid.shape)] = arr
-        out = np.fft.ifftn(np.fft.fftn(buf) * self._kernel_hat)
-        out = out[tuple(slice(0, s) for s in self.grid.shape)]
-        return out.ravel()
+        spec = scipy.fft.fftn(arr, s=self._fft_shape) * self._kernel_hat
+        return scipy.fft.ifftn(spec, overwrite_x=True)[self._orthant].ravel()

@@ -16,7 +16,10 @@ lower bound of the resolvent norm C0 on a ball) is for reports only;
 the solver never calls it.
 
 The scattered far field is u^s_inf = -k^2 C_{n,k} F(V u)(k xhat),
-evaluated by the same oscillatory quadrature as for active sources.
+evaluated by the grid's cell quadrature.  Every incident wave is a sum
+of exponentials sum_q c_q exp(z_q . x) (``terms``), so both the incident
+field on the grid and the far-field moments use the grid's separable
+plane-wave sums.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse.linalg
 
-from .kernels import GridConvolver, far_field_constant, make_support_grid
+from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
 from .source import FarField, sphere_directions
 
 __all__ = [
@@ -65,6 +68,10 @@ class PlaneWave:
     def value(self, pts: np.ndarray, k: float) -> np.ndarray:
         return np.exp(1j * k * (pts @ self.direction))
 
+    def terms(self, k: float, n: int):
+        """Exponents z (Q, n) and coefficients c (Q,) of sum_q c_q e^{z_q . x}."""
+        return 1j * k * self.direction[None, :], np.ones(1)
+
 
 @dataclass
 class HerglotzWave:
@@ -74,11 +81,13 @@ class HerglotzWave:
     n_quad: int = 256
 
     def value(self, pts: np.ndarray, k: float) -> np.ndarray:
-        n = pts.shape[1]
+        z, c = self.terms(k, pts.shape[1])
+        return np.exp(pts @ z.T) @ c
+
+    def terms(self, k: float, n: int):
         dirs, w, angles = sphere_directions(n, self.n_quad)
         g = np.asarray(self.density(angles.squeeze(-1) if n == 2 else angles))
-        phases = np.exp(1j * k * (pts @ dirs.T))
-        return phases @ (w * g)
+        return 1j * k * dirs, w * g
 
 
 @dataclass
@@ -89,6 +98,9 @@ class CgoIncident:
 
     def value(self, pts: np.ndarray, k: float) -> np.ndarray:
         return np.exp(pts @ np.asarray(self.rho, dtype=complex))
+
+    def terms(self, k: float, n: int):
+        return np.asarray(self.rho, dtype=complex)[None, :], np.ones(1)
 
 
 @dataclass
@@ -116,7 +128,10 @@ class MediumScene:
             raise ValueError("contrast must satisfy Im V >= 0")
         return vals
 
-    def incident_values(self, pts: np.ndarray) -> np.ndarray:
+    def incident_values(self, pts: np.ndarray | SupportGrid) -> np.ndarray:
+        """u^i at an (m, n) array of points, or at every node of a support grid."""
+        if isinstance(pts, SupportGrid):
+            return pts.plane_wave_sum(*self.incident.terms(self.k, self.n))
         return np.asarray(self.incident.value(pts, self.k), dtype=complex)
 
 
@@ -159,9 +174,11 @@ def solve_ls(
     grid = make_support_grid(scene.domain, spacing, pad=spacing)
     conv = GridConvolver(grid, scene.k)
     v_eff = scene.contrast(grid.points) * grid.coverage
-    u_inc = scene.incident_values(grid.points)
+    u_inc = scene.incident_values(grid)
     k2 = scene.k**2
     scale = float(np.linalg.norm(u_inc))
+    if scale == 0.0:
+        return LsSolution(grid, u_inc.copy(), u_inc, v_eff, [0.0], "picard")  # u = 0 exactly
 
     def apply_A(u):
         return u + k2 * conv.apply(v_eff * u)
@@ -248,8 +265,8 @@ def scattered_far_field(scene: MediumScene, sol: LsSolution, n_dirs: int = 64) -
     dirs, w_dirs, angles = sphere_directions(scene.n, n_dirs)
     h_n = sol.grid.spacing**scene.n
     density = sol.contrast_eff * sol.u * h_n
-    phase = np.exp(-1j * scene.k * (dirs @ sol.grid.points.T))
-    vals = -scene.k**2 * far_field_constant(scene.n, scene.k) * (phase @ density)
+    moments = sol.grid.plane_wave_moments(-1j * scene.k * dirs, density)
+    vals = -scene.k**2 * far_field_constant(scene.n, scene.k) * moments
     return FarField(directions=dirs, values=vals, k=scene.k, weights=w_dirs, angles=angles)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,19 +215,42 @@ def read_json(path):
         raise SceneError(f"cannot read scene file {path}: {exc}") from exc
 
 
+def _point(spec: dict, key: str, dim: int) -> np.ndarray:
+    try:
+        p = np.asarray(spec[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SceneError(f"{key} must be a list of numbers: {exc}") from exc
+    if p.shape != (dim,) or not np.all(np.isfinite(p)):
+        raise SceneError(f"{key} must hold {dim} finite numbers, got {spec[key]!r}")
+    return p
+
+
+def _length(spec: dict, key: str) -> float:
+    try:
+        r = float(spec[key])
+    except (TypeError, ValueError) as exc:
+        raise SceneError(f"{key} must be a number: {exc}") from exc
+    if not (math.isfinite(r) and r > 0):
+        raise SceneError(f"{key} must be finite and positive, got {spec[key]!r}")
+    return r
+
+
 def _component(spec: dict, dim: int):
     kind = spec.get("kind")
     try:
         if kind == "ball":
-            return BallComponent(spec["center"], spec["radius"], dim=dim)
+            return BallComponent(_point(spec, "center", dim), _length(spec, "radius"), dim=dim)
         if kind == "annulus":
             return AnnulusComponent(
-                spec["center"], spec["r_inner"], spec["r_outer"], dim=dim
+                _point(spec, "center", dim),
+                _length(spec, "r_inner"),
+                _length(spec, "r_outer"),
+                dim=dim,
             )
         if kind == "box":
-            return BoxComponent(spec["lo"], spec["hi"])
+            return BoxComponent(_point(spec, "lo", dim), _point(spec, "hi", dim))
         if kind == "star":
-            r0 = spec["r0"]
+            r0 = _length(spec, "r0")
             cos_c = spec.get("cos_coeffs", [])
             sin_c = spec.get("sin_coeffs", [])
 
@@ -238,7 +262,8 @@ def _component(spec: dict, dim: int):
                     out = out + r0 * c * np.sin(j * th)
                 return out
 
-            return StarComponent(spec.get("center", [0.0] * dim), radial)
+            center = _point(spec, "center", dim) if "center" in spec else np.zeros(dim)
+            return StarComponent(center, radial, dim=dim)
         if kind == "capped":
             cap = make_curvature_cap(
                 spec["K"],
@@ -252,10 +277,12 @@ def _component(spec: dict, dim: int):
                 cap,
                 bulk_width=spec.get("bulk_width", 0.35),
                 bulk_height=spec.get("bulk_height", 0.5),
-                apex=spec.get("apex"),
+                apex=None if spec.get("apex") is None else _point(spec, "apex", dim),
             )
     except KeyError as exc:
         raise SceneError(f"domain spec missing field {exc}") from exc
+    except ValueError as exc:  # the components' own checks, SceneError included
+        raise SceneError(f"bad {kind} component: {exc}") from exc
     raise SceneError(f"unknown domain kind {kind!r}")
 
 
@@ -328,10 +355,18 @@ def _field_fn(spec: dict, dim: int):
     if kind == "expression":
         return parse_expression(spec["expr"], [f"x{i+1}" for i in range(dim)])
     if kind == "grid":
-        data = np.load(spec["path"])
-        origin = np.asarray(data["origin"], dtype=float)
-        spacing = float(data["spacing"])
-        values = np.asarray(data["values"])
+        path = spec["path"]
+        try:
+            with np.load(path) as data:
+                origin = np.asarray(data["origin"], dtype=float)
+                spacing = float(data["spacing"])
+                values = np.asarray(data["values"])
+        except (OSError, TypeError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            raise SceneError(f"cannot read grid file {path}: {exc!r}") from exc
+        if origin.shape != (dim,) or values.ndim != dim:
+            raise SceneError(f"grid file {path} does not hold a {dim}-d grid")
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise SceneError(f"grid file {path}: spacing must be finite and positive")
 
         def fn(pts):
             idx = np.round((np.atleast_2d(pts) - origin) / spacing).astype(int)
@@ -344,18 +379,22 @@ def _field_fn(spec: dict, dim: int):
     raise SceneError(f"unknown field kind {kind!r}")
 
 
-def _incident(spec: dict):
+def _incident(spec: dict, dim: int):
     kind = spec.get("kind")
     if kind == "plane_wave":
-        return PlaneWave(np.asarray(spec["direction"], dtype=float))
+        return PlaneWave(_point(spec, "direction", dim))
     if kind == "herglotz":
-        return HerglotzWave(
-            parse_angle_expression(spec["density"]), n_quad=spec.get("n_quad", 256)
-        )
+        n_quad = spec.get("n_quad", 256)
+        if not (isinstance(n_quad, int) and n_quad >= 1):
+            raise SceneError(f"n_quad must be a positive integer, got {n_quad!r}")
+        return HerglotzWave(parse_angle_expression(spec["density"]), n_quad=n_quad)
     if kind == "cgo":
         tau = float(spec["tau"])
-        n = int(spec.get("dimension", 2))
-        rho = np.zeros(n, dtype=complex)
+        if not math.isfinite(tau):
+            raise SceneError(f"tau must be finite, got {tau!r}")
+        if int(spec.get("dimension", dim)) != dim:
+            raise SceneError("cgo incident dimension differs from the scene's")
+        rho = np.zeros(dim, dtype=complex)
         rho[0] = 1j * tau
         rho[-1] = -tau
         return CgoIncident(rho)
@@ -377,6 +416,8 @@ def load_source_scene(cfg: dict) -> SourceScene:
         phi = _field_fn(cfg["intensity"], dim)
     except KeyError as exc:
         raise SceneError(f"scene missing field {exc}") from exc
+    except ValueError as exc:  # SceneError, or a malformed number
+        raise SceneError(str(exc)) from exc
     return SourceScene(domain, phi, k, dim)
 
 
@@ -386,7 +427,13 @@ def load_medium_scene(cfg: dict) -> MediumScene:
         k = _wavenumber(cfg)
         domain = load_domain(cfg["domain"], dim)
         phi = _field_fn(cfg["contrast"], dim)
-        incident = _incident(cfg.get("incident", {"kind": "plane_wave", "direction": [1.0] + [0.0] * (dim - 1)}))
+        default = {"kind": "plane_wave", "direction": [1.0] + [0.0] * (dim - 1)}
+        incident = _incident(cfg.get("incident", default), dim)
+        scene = MediumScene(domain, phi, k, incident, dim)
+        # Im V >= 0 on the nodes where default_spacing samples the contrast.
+        scene.contrast(domain.quad_nodes(16)[0])
     except KeyError as exc:
         raise SceneError(f"scene missing field {exc}") from exc
-    return MediumScene(domain, phi, k, incident, dim)
+    except ValueError as exc:  # SceneError, a malformed number or a constructor's check
+        raise SceneError(str(exc)) from exc
+    return scene

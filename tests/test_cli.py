@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from invisiscat.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
@@ -146,6 +147,58 @@ class TestMediumCommand:
         code = main(["medium", str(scene), "--farfield", str(out), "--dirs", "16"])
         assert code == EXIT_OK
         assert out.exists()
+
+    def test_zero_incident_exit_0(self, tmp_path, capsys):
+        scene = tmp_path / "zero.json"
+        scene.write_text(json.dumps(_medium_cfg(incident={"kind": "herglotz", "density": "0"})))
+        assert main(["medium", str(scene), "--dirs", "16"]) == EXIT_OK
+        assert "scattered far-field sup norm: 0.0 " in capsys.readouterr().out
+
+
+def _medium_cfg(**changes):
+    cfg = {
+        "dimension": 2,
+        "wavenumber": 0.5,
+        "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        "contrast": {"kind": "constant", "value": 0.1},
+    }
+    cfg.update(changes)
+    return cfg
+
+
+def _npz_without_values(tmp_path):
+    path = tmp_path / "partial.npz"
+    np.savez(path, origin=np.zeros(2), spacing=0.1)
+    return str(path)
+
+
+class TestBadMediumScenes:
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            lambda tmp: {"dimension": 3},  # the ball's centre stays 2-d
+            lambda tmp: {"contrast": {"kind": "constant", "value": [1.0, -0.5]}},
+            lambda tmp: {"contrast": {"kind": "grid", "path": str(tmp / "missing.npz")}},
+            lambda tmp: {"contrast": {"kind": "grid", "path": _npz_without_values(tmp)}},
+            lambda tmp: {"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": -0.5}},
+            lambda tmp: {"domain": {"kind": "star", "r0": -0.5}},
+            lambda tmp: {"contrast": {"kind": "constant", "value": "abc"}},
+            lambda tmp: {"incident": {"kind": "plane_wave", "direction": [1.0, 0.0, 1.0]}},
+            lambda tmp: {"incident": {"kind": "plane_wave", "direction": [0.0, 0.0]}},
+            lambda tmp: {"incident": {"kind": "herglotz", "density": "1", "n_quad": 0}},
+            lambda tmp: {"incident": {"kind": "cgo", "tau": "nan"}},
+        ],
+        ids=["centre_dimension", "negative_imag_contrast", "missing_npz", "npz_without_values",
+             "negative_radius", "negative_star_radius", "malformed_constant", "direction_dimension",
+             "zero_direction", "no_herglotz_directions", "nan_cgo_tau"],
+    )
+    def test_exit_2_without_traceback(self, tmp_path, capsys, changes):
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps(_medium_cfg(**changes(tmp_path))))
+        assert main(["medium", str(scene), "--dirs", "16"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error: ")
 
 
 class TestTeigCommand:

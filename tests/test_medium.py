@@ -7,7 +7,13 @@ import pytest
 
 from invisiscat import medium
 from invisiscat.geometry import BallComponent, Domain
-from invisiscat.kernels import far_field_constant
+from invisiscat.kernels import (
+    GridConvolver,
+    far_field_constant,
+    green_cell_integral,
+    green_kernel,
+    make_support_grid,
+)
 from invisiscat.medium import (
     HerglotzWave,
     MediumScene,
@@ -66,6 +72,16 @@ class TestSolveLs:
         err_s = np.max(np.abs(us_grid - us_mie)) / np.max(np.abs(us_mie))
         assert err_s < 1e-4
 
+    def test_zero_incident_exact_zero(self):
+        dom = Domain([BallComponent([0.0, 0.0], 1.0)])
+        wave = HerglotzWave(lambda th: np.zeros(th.shape[0]))
+        scene = MediumScene(dom, 1.0, 0.5, wave)
+        sol = solve_ls(scene)
+        assert sol.method == "picard"
+        assert sol.residuals == [0.0]
+        assert not np.any(sol.u)
+        assert scattered_far_field(scene, sol, 16).sup_norm() == 0.0
+
     def test_imaginary_contrast_sign_rejected(self):
         dom = Domain([BallComponent([0.0, 0.0], 1.0)])
         scene = MediumScene(
@@ -105,6 +121,99 @@ class TestObservedSwitch:
         assert np.all(sol.convergence_ratios() <= 0.5)
 
 
+def two_disk_grid():
+    """A non-square 2-D grid: two disjoint disks side by side.
+
+    30 x 15 nodes embed at 60 x 30, so each axis has a zero slot between
+    the positive offsets and the wrapped negative ones.
+    """
+    dom = Domain([BallComponent([-0.5, 0.0], 0.4), BallComponent([0.5, 0.0], 0.4)])
+    grid = make_support_grid(dom, 0.065)
+    assert grid.shape == (30, 15)
+    return dom, grid
+
+
+def cube_grid():
+    """An 8^3 grid around a ball."""
+    dom = Domain([BallComponent([0.0, 0.0, 0.0], 0.55, dim=3)])
+    grid = make_support_grid(dom, 0.2)
+    assert grid.shape == (8, 8, 8)
+    return dom, grid
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestGridConvolverOracle:
+    """FFT convolution against the direct O(N^2) Nystroem sum."""
+
+    @pytest.mark.parametrize("make_grid", [two_disk_grid, cube_grid])
+    def test_matches_direct_sum(self, make_grid):
+        _, grid = make_grid()
+        n, h, k = len(grid.shape), grid.spacing, 1.7
+        pts = grid.points
+        r = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+        off = ~np.eye(len(pts), dtype=bool)
+        matrix = np.zeros(r.shape, dtype=complex)
+        matrix[off] = green_kernel(n, k, r[off]) * h**n
+        np.fill_diagonal(matrix, green_cell_integral(n, k, h))
+        rng = np.random.default_rng(5)
+        density = rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))
+        got = GridConvolver(grid, k).apply(density)
+        assert rel_err(got, matrix @ density) < 1e-12
+
+
+class TestSeparableSums:
+    """Plane-wave sums on the grid's axes against the dense exp(pts @ z.T)."""
+
+    @pytest.mark.parametrize("make_grid", [two_disk_grid, cube_grid])
+    def test_sum_and_moments_match_dense(self, make_grid):
+        _, grid = make_grid()
+        rng = np.random.default_rng(11)
+        q, n = 9, len(grid.shape)
+        z = 0.3 * rng.normal(size=(q, n)) + 3j * rng.normal(size=(q, n))
+        c = rng.normal(size=q) + 1j * rng.normal(size=q)
+        rho = rng.normal(size=grid.points.shape[0]) + 1j * rng.normal(size=grid.points.shape[0])
+        dense = np.exp(grid.points @ z.T)
+        assert rel_err(grid.plane_wave_sum(z, c), dense @ c) < 1e-13
+        assert rel_err(grid.plane_wave_moments(z, rho), rho @ dense) < 1e-13
+
+    def test_exponent_dimension_checked(self):
+        _, grid = two_disk_grid()
+        with pytest.raises(ValueError):
+            grid.plane_wave_sum(np.ones((1, 3)), np.ones(1))
+
+    @pytest.mark.parametrize("make_grid", [two_disk_grid, cube_grid])
+    def test_incident_on_grid_matches_pointwise(self, make_grid):
+        dom, grid = make_grid()
+        n = len(grid.shape)
+        density = (lambda t: np.cos(2.0 * t) + 0.5j) if n == 2 else (lambda a: np.cos(a[:, 1]))
+        rho = np.zeros(n, dtype=complex)
+        rho[0], rho[-1] = 1.5j, -1.5
+        for incident in (
+            HerglotzWave(density, n_quad=64),
+            PlaneWave(np.arange(1.0, n + 1.0)),
+            medium.CgoIncident(rho),
+        ):
+            scene = MediumScene(dom, 0.2, 1.3, incident, n)
+            got = scene.incident_values(grid)
+            assert rel_err(got, incident.value(grid.points, scene.k)) < 1e-13
+
+    @pytest.mark.parametrize("make_grid", [two_disk_grid, cube_grid])
+    def test_far_field_matches_dense(self, make_grid):
+        dom, grid = make_grid()
+        n, k = len(grid.shape), 1.1
+        direction = np.eye(n)[0]
+        scene = MediumScene(dom, 0.3, k, PlaneWave(direction), n)
+        sol = solve_ls(scene, spacing=grid.spacing)
+        ff = scattered_far_field(scene, sol, 40)
+        density = sol.contrast_eff * sol.u * sol.grid.spacing**n
+        phase = np.exp(-1j * k * (ff.directions @ sol.grid.points.T))
+        want = -(k**2) * far_field_constant(n, k) * (phase @ density)
+        assert rel_err(ff.values, want) < 1e-13
+
+
 class TestEstimateC0:
     def test_grid_consistency(self):
         a = estimate_c0(0.5, 1.0, 2, n_probe=4, resolution=32)
@@ -120,8 +229,6 @@ class TestEstimateC0:
         # Ordering only: for the L2-maximizing probe, the discrete H2
         # quotient of the image dominates the L2 quotient, so the L2
         # operator norm sits below the L2 -> H2 mapping norm.
-        from invisiscat.kernels import GridConvolver, make_support_grid
-
         k, R = 0.5, 1.0
         dom = Domain([BallComponent([0.0, 0.0], R)])
         grid = make_support_grid(dom, 2.0 * R / 40)

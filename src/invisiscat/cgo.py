@@ -83,7 +83,9 @@ class CgoVector:
         return self.rho.size
 
     def field(self, pts: np.ndarray) -> np.ndarray:
-        return np.exp(pts @ self.rho)
+        # Two real products: a complex one (zgemv) wakes a second BLAS
+        # thread and costs several times more per cubature call.
+        return np.exp(pts @ self.rho.real + 1j * (pts @ self.rho.imag))
 
 
 def cgo_over_parabola(rho, K: float, n: int | None = None) -> complex:

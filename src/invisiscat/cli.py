@@ -141,6 +141,12 @@ def cmd_cgo_verify(args) -> int:
     from .cgo import CgoVector, cgo_over_parabola, cgo_sliced
     from .quadrature import AnnularParaboloid, BudgetExceeded, ParaboloidCap, integrate
 
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_CONFIG
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     failures = 0

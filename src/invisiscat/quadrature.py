@@ -6,13 +6,20 @@ shares no code with the formulas it checks.
 
 Regions are described by one or more smooth charts mapping a coordinate
 box onto the physical set with a Jacobian; integration is an adaptive
-tensor Gauss-Kronrod (G7, K15) cubature on the charts.  Subdivision is
-driven by a priority queue on the per-box error estimate |K15 - G7|,
-splitting along the axis with the largest internal variation.  All
-orderings are deterministic, so repeated runs give bit-identical
-results.
+tensor Gauss-Kronrod (G7, K15) cubature on the charts (the subregion
+scheme of Berntsen, Espelid & Genz, DCUHRE, ACM TOMS 17, 1991).
+Subdivision is driven by a priority queue on the per-box error estimate
+|K15 - G7|: the worst box is bisected along the axis with the largest
+internal variation, and both halves are evaluated together, in one
+mapping call and one integrand call.  A chart's map takes one coordinate
+array per axis, broadcast to (boxes, 15, ..., 15), so per-axis functions
+run on 15 nodes per axis rather than on all 15^d points.  All orderings
+are deterministic, so repeated runs give bit-identical results.
 
-The paraboloid regions are bodies bounded below by x_n = K |x'|^2:
+The paraboloid regions are bodies bounded below by x_n = K |x'|^2.  Their
+charts use v = sqrt(x_n) as the height coordinate: the slice radii
+v / sqrt(K) are then linear in v, where in x_n they carry a square-root
+singularity at the apex that refinement would keep bisecting toward.
 
 * ``ParaboloidCap(K, h)``      {x : K|x'|^2 < x_n < h}, optionally with
   a floor {x_n > floor} and optionally unbounded (h = inf), in which
@@ -112,19 +119,18 @@ _W7 = np.zeros(15)
 _W7[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
-def _tensor_rule(dim: int):
-    grids = np.meshgrid(*([_NODES] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w15 = np.ones(pts.shape[0])
-    w7 = np.ones(pts.shape[0])
+def _tensor_weights(dim: int):
+    """K15 and G7 product weights on the 15^dim nodes, first axis slowest."""
+    idx = np.meshgrid(*([np.arange(15)] * dim), indexing="ij")
+    w15 = np.ones(15**dim)
+    w7 = np.ones(15**dim)
     for d in range(dim):
-        idx = np.meshgrid(*([np.arange(15)] * dim), indexing="ij")[d].ravel()
-        w15 *= _W15[idx]
-        w7 *= _W7[idx]
-    return pts, w15, w7
+        w15 *= _W15[idx[d].ravel()]
+        w7 *= _W7[idx[d].ravel()]
+    return w15, w7
 
 
-_RULES = {d: _tensor_rule(d) for d in (1, 2, 3)}
+_WEIGHTS = {d: _tensor_weights(d) for d in (1, 2, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +138,21 @@ _RULES = {d: _tensor_rule(d) for d in (1, 2, 3)}
 # ---------------------------------------------------------------------------
 
 
+def _stack(*coords):
+    """Broadcast per-axis coordinate arrays and stack them on a last axis."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
 @dataclass
 class Chart:
     """Coordinate box [lo, hi] with a map onto physical points.
 
-    ``mapping(u)`` takes an (m, d) array of box coordinates and returns
-    (physical points (m, n), jacobian (m,)).
+    ``mapping(u_1, ..., u_d)`` takes one array of box coordinates per
+    axis; the arrays broadcast against each other to a common shape S.
+    It returns (physical points of shape S + (n,), Jacobian broadcastable
+    to S).  The cubature passes axis j with shape (B, 1, .., 15, .., 1),
+    so a map evaluates its per-axis functions (sqrt, sin, cos, a rim
+    root-find) on 15 nodes per axis and box, not on all 15^d points.
     """
 
     lo: np.ndarray
@@ -163,8 +178,8 @@ class Box(Region):
         self.dim = len(self.lo)
 
     def charts(self):
-        def mapping(u):
-            return u.copy(), np.ones(u.shape[0])
+        def mapping(*u):
+            return _stack(*u), 1.0
 
         return [Chart(self.lo, self.hi, mapping)]
 
@@ -184,11 +199,8 @@ class Ball(Region):
         c = self.center
         if self.dim == 2:
 
-            def mapping(u):
-                r, th = u[:, 0], u[:, 1]
-                pts = np.stack(
-                    [c[0] + r * np.cos(th), c[1] + r * np.sin(th)], axis=-1
-                )
+            def mapping(r, th):
+                pts = _stack(c[0] + r * np.cos(th), c[1] + r * np.sin(th))
                 return pts, r
 
             return [
@@ -196,16 +208,12 @@ class Ball(Region):
             ]
         if self.dim == 3:
 
-            def mapping(u):
-                r, th, ph = u[:, 0], u[:, 1], u[:, 2]
+            def mapping(r, th, ph):
                 sp = np.sin(ph)
-                pts = np.stack(
-                    [
-                        c[0] + r * sp * np.cos(th),
-                        c[1] + r * sp * np.sin(th),
-                        c[2] + r * np.cos(ph),
-                    ],
-                    axis=-1,
+                pts = _stack(
+                    c[0] + r * sp * np.cos(th),
+                    c[1] + r * sp * np.sin(th),
+                    c[2] + r * np.cos(ph),
                 )
                 return pts, r * r * sp
 
@@ -269,32 +277,29 @@ class ParaboloidCap(Region):
         return x_max
 
     def charts(self, tol: float = 1e-10):
-        top = self.truncation_height(tol)
-        K = self.K
+        # Height x_n = v^2, so the slice radius v / sqrt(K) is smooth in v.
+        v_lo, v_hi = math.sqrt(self.floor), math.sqrt(self.truncation_height(tol))
+        rk = math.sqrt(self.K)
         if self.dim == 2:
 
-            def mapping(u):
-                t, s = u[:, 0], u[:, 1]
-                w = np.sqrt(t / K)
-                pts = np.stack([s * w, t], axis=-1)
-                return pts, w
+            def mapping(v, s):
+                w = v / rk
+                return _stack(s * w, v * v), 2.0 * v * w
 
             return [
-                Chart(np.array([self.floor, -1.0]), np.array([top, 1.0]), mapping)
+                Chart(np.array([v_lo, -1.0]), np.array([v_hi, 1.0]), mapping)
             ]
         if self.dim == 3:
 
-            def mapping(u):
-                t, s, th = u[:, 0], u[:, 1], u[:, 2]
-                w = np.sqrt(t / K)
+            def mapping(v, s, th):
+                w = v / rk
                 r = s * w
-                pts = np.stack([r * np.cos(th), r * np.sin(th), t], axis=-1)
-                return pts, w * r
+                return _stack(r * np.cos(th), r * np.sin(th), v * v), 2.0 * v * w * r
 
             return [
                 Chart(
-                    np.array([self.floor, 0.0, -math.pi]),
-                    np.array([top, 1.0, math.pi]),
+                    np.array([v_lo, 0.0, -math.pi]),
+                    np.array([v_hi, 1.0, math.pi]),
                     mapping,
                 )
             ]
@@ -321,40 +326,38 @@ class AnnularParaboloid(Region):
             raise ValueError("height must be positive")
 
     def charts(self):
-        km, kp, h = self.K_minus, self.K_plus, self.h
+        km, kp = self.K_minus, self.K_plus
         if km == kp:
             return []
+        # Height x_n = v^2, so the annulus radii v / sqrt(K_+-) are smooth in v.
+        rkm, rkp, v_hi = math.sqrt(km), math.sqrt(kp), math.sqrt(self.h)
         if self.dim == 2:
 
             def make(side):
-                def mapping(u):
-                    t, s = u[:, 0], u[:, 1]
-                    a = np.sqrt(t / kp)
-                    bb = np.sqrt(t / km)
-                    r = a + s * (bb - a)
-                    pts = np.stack([side * r, t], axis=-1)
-                    return pts, bb - a
+                def mapping(v, s):
+                    a = v / rkp
+                    width = v / rkm - a
+                    return _stack(side * (a + s * width), v * v), 2.0 * v * width
 
                 return mapping
 
             return [
-                Chart(np.array([0.0, 0.0]), np.array([h, 1.0]), make(+1.0)),
-                Chart(np.array([0.0, 0.0]), np.array([h, 1.0]), make(-1.0)),
+                Chart(np.array([0.0, 0.0]), np.array([v_hi, 1.0]), make(+1.0)),
+                Chart(np.array([0.0, 0.0]), np.array([v_hi, 1.0]), make(-1.0)),
             ]
         if self.dim == 3:
 
-            def mapping(u):
-                t, s, th = u[:, 0], u[:, 1], u[:, 2]
-                a = np.sqrt(t / kp)
-                bb = np.sqrt(t / km)
-                r = a + s * (bb - a)
-                pts = np.stack([r * np.cos(th), r * np.sin(th), t], axis=-1)
-                return pts, (bb - a) * r
+            def mapping(v, s, th):
+                a = v / rkp
+                width = v / rkm - a
+                r = a + s * width
+                pts = _stack(r * np.cos(th), r * np.sin(th), v * v)
+                return pts, 2.0 * v * width * r
 
             return [
                 Chart(
                     np.array([0.0, 0.0, -math.pi]),
-                    np.array([h, 1.0, math.pi]),
+                    np.array([v_hi, 1.0, math.pi]),
                     mapping,
                 )
             ]
@@ -403,15 +406,13 @@ class GraphCap(Region):
         if self.dim == 2:
 
             def make(side):
-                def mapping(u):
-                    s, t = u[:, 0], u[:, 1]
-                    direction = np.full((u.shape[0], 1), side)
-                    rstar = self._rim_radius(direction)
+                rstar = float(self._rim_radius(np.array([[side]]))[0])
+
+                def mapping(s, t):
                     x1 = side * s * rstar
-                    w = om(x1[:, None])
+                    w = om(x1.reshape(-1, 1)).reshape(x1.shape)
                     xn = w + t * (h - w)
-                    pts = np.stack([x1, xn], axis=-1)
-                    return pts, rstar * np.maximum(h - w, 0.0)
+                    return _stack(x1, xn), rstar * np.maximum(h - w, 0.0)
 
                 return mapping
 
@@ -421,16 +422,14 @@ class GraphCap(Region):
             ]
         if self.dim == 3:
 
-            def mapping(u):
-                s, th, t = u[:, 0], u[:, 1], u[:, 2]
+            def mapping(s, th, t):
                 direction = np.stack([np.cos(th), np.sin(th)], axis=-1)
-                rstar = self._rim_radius(direction)
+                rstar = self._rim_radius(direction.reshape(-1, 2)).reshape(th.shape)
                 r = s * rstar
-                xp = direction * r[:, None]
-                w = om(xp)
+                x1, x2 = r * direction[..., 0], r * direction[..., 1]
+                w = om(_stack(x1, x2).reshape(-1, 2)).reshape(r.shape)
                 xn = w + t * (h - w)
-                pts = np.concatenate([xp, xn[:, None]], axis=-1)
-                return pts, rstar * r * np.maximum(h - w, 0.0)
+                return _stack(x1, x2, xn), rstar * r * np.maximum(h - w, 0.0)
 
             return [
                 Chart(
@@ -459,26 +458,38 @@ class _BoxEntry:
     split_dim: int = field(compare=False)
 
 
-def _eval_box(f, chart: Chart, lo: np.ndarray, hi: np.ndarray, dim: int):
-    pts_ref, w15, w7 = _RULES[dim]
+def _eval_boxes(f, chart: Chart, lo: np.ndarray, hi: np.ndarray):
+    """K15 values, |K15 - G7| errors and split axes of boxes (B, d).
+
+    All B boxes share one mapping call and one integrand call.  The split
+    axis of a box is the one with the largest internal variation of the
+    sampled values (sum of absolute second differences).
+    """
+    nb, dim = lo.shape
+    w15, w7 = _WEIGHTS[dim]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    u = mid + pts_ref * half
-    phys, jac = chart.mapping(u)
-    vals = np.asarray(f(phys), dtype=complex) * jac
-    scale = float(np.prod(half))
-    i15 = complex(np.sum(vals * w15)) * scale
-    i7 = complex(np.sum(vals * w7)) * scale
-    err = abs(i15 - i7)
-    # Pick the split axis by internal variation of the sampled values.
-    shape = (15,) * dim
-    grid = vals.reshape(shape)
-    best, best_var = 0, -1.0
+    axes = []
     for d in range(dim):
-        var = float(np.sum(np.abs(np.diff(grid, n=2, axis=d))))
-        if var > best_var:
-            best, best_var = d, var
-    return i15, err, best
+        shape = [nb] + [1] * dim
+        shape[d + 1] = 15
+        axes.append((mid[:, d, None] + _NODES * half[:, d, None]).reshape(shape))
+    phys, jac = chart.mapping(*axes)
+    grid = (nb,) + (15,) * dim
+    vals = np.asarray(f(phys.reshape(-1, phys.shape[-1])), dtype=complex)
+    vals = vals.reshape(grid) * jac
+    flat = vals.reshape(nb, -1)
+    scale = np.prod(half, axis=1)
+    i15 = np.sum(flat * w15, axis=1) * scale
+    i7 = np.sum(flat * w7, axis=1) * scale
+    var = np.stack(
+        [
+            np.sum(np.abs(np.diff(vals, n=2, axis=d + 1)).reshape(nb, -1), axis=1)
+            for d in range(dim)
+        ],
+        axis=1,
+    )
+    return i15, np.abs(i15 - i7), np.argmax(var, axis=1)
 
 
 def integrate_full(
@@ -501,13 +512,25 @@ def integrate_full(
     heap: list[_BoxEntry] = []
     counter = 0
     evals = 0
+
+    def push(chart, lo, hi):
+        """Evaluate boxes (B, d) of one chart and queue them; return them."""
+        nonlocal counter, evals
+        vals, errs, axes = _eval_boxes(f, chart, lo, hi)
+        evals += lo.shape[0] * 15**dim
+        entries = []
+        for b in range(lo.shape[0]):
+            err = float(errs[b])
+            entry = _BoxEntry(
+                -err, counter, lo[b], hi[b], chart, complex(vals[b]), err, int(axes[b])
+            )
+            heapq.heappush(heap, entry)
+            entries.append(entry)
+            counter += 1
+        return entries
+
     for chart in charts:
-        val, err, sd = _eval_box(f, chart, chart.lo, chart.hi, dim)
-        evals += 15**dim
-        heapq.heappush(
-            heap, _BoxEntry(-err, counter, chart.lo, chart.hi, chart, val, err, sd)
-        )
-        counter += 1
+        push(chart, chart.lo[None, :], chart.hi[None, :])
     if not heap:
         return 0.0 + 0.0j, 0.0, 0
 
@@ -535,23 +558,14 @@ def integrate_full(
         worst = heapq.heappop(heap)
         value -= worst.value
         err_total -= worst.err
+        # Both halves of the worst box along its split axis, one call.
         d = worst.split_dim
-        mid = 0.5 * (worst.lo[d] + worst.hi[d])
-        for piece in range(2):
-            lo = worst.lo.copy()
-            hi = worst.hi.copy()
-            if piece == 0:
-                hi[d] = mid
-            else:
-                lo[d] = mid
-            val, err, sd = _eval_box(f, worst.chart, lo, hi, dim)
-            evals += 15**dim
-            value += val
-            err_total += err
-            heapq.heappush(
-                heap, _BoxEntry(-err, counter, lo, hi, worst.chart, val, err, sd)
-            )
-            counter += 1
+        lo = np.stack([worst.lo, worst.lo])
+        hi = np.stack([worst.hi, worst.hi])
+        hi[0, d] = lo[1, d] = 0.5 * (worst.lo[d] + worst.hi[d])
+        for entry in push(worst.chart, lo, hi):
+            value += entry.value
+            err_total += entry.err
         refresh += 1
 
 

@@ -230,6 +230,14 @@ class TestCgoVerifyCommand:
         code = main(["cgo-verify", "--n", "2", "--samples", "3", "--tol", "1e-16"])
         assert code == EXIT_ASSERTION
 
+    @pytest.mark.parametrize(
+        "option, value", [("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"), ("--samples", "-1")]
+    )
+    def test_bad_argument_exit_2(self, capsys, option, value):
+        assert main(["cgo-verify", "--n", "2", option, value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+
 
 class TestNumericalFailureExit:
     def test_oversized_field_grid_exit_3(self, tmp_path):

@@ -1,5 +1,6 @@
 """Experiment suites under the frozen calibration."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,19 @@ class TestInfrastructure:
             key = suite if suite in cal else None
             assert key is not None or suite == "curvature_uniqueness"
         assert "smallness_source" in cal
+
+    def test_calibrate_reproduces_frozen_file(self, tmp_path):
+        # Regenerating the constants must give the frozen file, which stays
+        # untouched: calibrate() writes only where it is told to.
+        frozen = ex.load_calibration()
+        path = tmp_path / "c.json"
+        cal = ex.calibrate(path)
+        assert json.loads(path.read_text()) == cal
+        assert cal.keys() == frozen.keys()
+        for suite, consts in frozen.items():
+            assert cal[suite].keys() == consts.keys()
+            for name, want in consts.items():
+                assert math.isclose(cal[suite][name], want, rel_tol=1e-12), (suite, name)
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("INVISISCAT_THREADS", "2")

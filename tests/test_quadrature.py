@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from invisiscat.cgo import cgo_sliced
 from invisiscat.quadrature import (
     AnnularParaboloid,
     Ball,
@@ -30,6 +31,10 @@ class TestElementaryVolumes:
 
     def test_box_volume(self):
         val = integrate(ONE, Box([0, 0], [2, 3]), tol=1e-12)
+        assert abs(val - 6.0) < 1e-11
+
+    def test_box_volume_3d(self):
+        val = integrate(ONE, Box([0, -1, 0.5], [2, 2, 1.5]), tol=1e-12)
         assert abs(val - 6.0) < 1e-11
 
     def test_annular_paraboloid_exact(self):
@@ -137,8 +142,24 @@ class TestProperties:
         def f(pts):
             return np.cos(4e4 * pts[:, 0]) * np.cos(3e4 * pts[:, 1])
 
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             integrate(f, Box([0, 0], [1, 1]), tol=1e-12, budget=20000)
+        exc = info.value
+        assert exc.evals <= 20000 and exc.evals % 15**2 == 0
+        assert math.isfinite(abs(exc.value)) and math.isfinite(exc.error)
+
+    def test_shell_refinement_gain(self):
+        # The shell chart's height coordinate is v with x_n = v^2, so the
+        # slice radii are linear in v and a few boxes reach round-off.
+        tau = 2.0
+        val, _, evals = integrate_full(
+            lambda p: np.exp(-tau * p[:, -1]),
+            AnnularParaboloid(1.0, 2.0, 1.0, dim=2),
+            tol=1e-9,
+        )
+        want = cgo_sliced(tau, 1.0, 2.0, 1.0, 2)
+        assert abs(val - want) <= 1e-12 * want
+        assert evals <= 2000
 
     def test_determinism(self):
         f = lambda p: np.exp(1j * 7.0 * p[:, 0]) * np.exp(-p[:, 1])
@@ -146,3 +167,96 @@ class TestProperties:
         v1, e1, n1 = integrate_full(f, region, tol=1e-10)
         v2, e2, n2 = integrate_full(f, region, tol=1e-10)
         assert v1 == v2 and e1 == e2 and n1 == n2
+
+
+def _cubic_graph(K, c3):
+    def omega(xp):
+        r2 = np.sum(xp * xp, axis=1)
+        return K * r2 + c3 * r2**1.5
+
+    return omega
+
+
+def _inside_paraboloid_cap(cap, tol):
+    top = cap.truncation_height(tol)
+
+    def inside(x):
+        xn, r2 = x[:, -1], np.sum(x[:, :-1] ** 2, axis=1)
+        return (cap.K * r2 <= xn * (1 + 1e-12)) & (xn >= cap.floor) & (xn <= top)
+
+    return inside
+
+
+def _inside_shell(shell):
+    def inside(x):
+        xn, r2 = x[:, -1], np.sum(x[:, :-1] ** 2, axis=1)
+        slack = 1e-12 * xn
+        return (
+            (shell.K_minus * r2 <= xn + slack)
+            & (shell.K_plus * r2 >= xn - slack)
+            & (xn <= shell.h)
+        )
+
+    return inside
+
+
+def _inside_graph_cap(g):
+    def inside(x):
+        xp, xn = x[:, :-1], x[:, -1]
+        rad = np.sqrt(np.sum(xp * xp, axis=1))
+        return (rad <= g.b) & (g.omega(xp) <= xn + 1e-12) & (xn <= g.h * (1 + 1e-12))
+
+    return inside
+
+
+def _chart_cases():
+    cases = []
+    for dim in (2, 3):
+        box = Box([0.0] * (dim - 1) + [-1.0], [2.0] * (dim - 1) + [3.0])
+        cases.append(
+            (f"box{dim}", box.charts(),
+             lambda x, b=box: np.all((x >= b.lo) & (x <= b.hi), axis=1))
+        )
+        ball = Ball([0.3] * dim, 1.2, dim=dim)
+        cases.append(
+            (f"ball{dim}", ball.charts(),
+             lambda x, b=ball: np.linalg.norm(x - b.center, axis=1) <= b.radius * (1 + 1e-12))
+        )
+        for name, cap in [
+            ("bounded", ParaboloidCap(2.0, 0.7, dim=dim)),
+            ("floored", ParaboloidCap(2.0, 1.5, floor=0.3, dim=dim)),
+            ("unbounded", ParaboloidCap(2.0, dim=dim, decay_rate=3.0)),
+        ]:
+            cases.append((f"cap_{name}{dim}", cap.charts(1e-9), _inside_paraboloid_cap(cap, 1e-9)))
+        shell = AnnularParaboloid(1.5, 4.0, 0.8, dim=dim)
+        cases.append((f"shell{dim}", shell.charts(), _inside_shell(shell)))
+        K, c3 = 3.0, 0.5
+        graph = GraphCap(_cubic_graph(K, c3), 0.6, 0.4, dim=dim, K_bracket=(K, K + c3 * 0.6))
+        cases.append((f"graph{dim}", graph.charts(), _inside_graph_cap(graph)))
+    return [
+        pytest.param(chart, inside, id=f"{name}_chart{i}")
+        for name, charts, inside in cases
+        for i, chart in enumerate(charts)
+    ]
+
+
+class TestChartJacobians:
+    @pytest.mark.parametrize("chart, inside", _chart_cases())
+    def test_jacobian_is_map_determinant(self, chart, inside):
+        rng = np.random.default_rng(7)
+        dim = chart.lo.size
+        span = chart.hi - chart.lo
+        u = chart.lo + span * rng.uniform(0.05, 0.95, size=(64, dim))
+        pts, jac = chart.mapping(*u.T)
+        jac = np.broadcast_to(jac, u.shape[:1])
+        assert pts.shape == (64, dim)
+        assert np.all(inside(pts))
+        deriv = np.empty((64, dim, dim))
+        for j in range(dim):
+            eps = 1e-6 * span[j]
+            up, um = u.copy(), u.copy()
+            up[:, j] += eps
+            um[:, j] -= eps
+            deriv[:, :, j] = (chart.mapping(*up.T)[0] - chart.mapping(*um.T)[0]) / (2 * eps)
+        det = np.abs(np.linalg.det(deriv))
+        np.testing.assert_allclose(jac, det, rtol=1e-6)

@@ -204,7 +204,7 @@ def identity_split_terms(
     tau = rho.tau
 
     # Preconditions: w and its normal derivative vanish on the graph piece.
-    rim = cap.rim_radius()
+    rim = cap.rim_radius
     if n == 2:
         t = np.linspace(-rim, rim, 200)[:, None]
         xp = t

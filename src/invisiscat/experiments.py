@@ -195,7 +195,7 @@ def run_smallness_source(
 
 def _capped_component(K: float, delta: float) -> CappedComponent:
     cap = make_curvature_cap(K, 0.1 * K, L=1.0, M=2.0, delta=delta)
-    width = max(0.35, 1.25 * cap.rim_radius())
+    width = max(0.35, 1.25 * cap.rim_radius)
     return CappedComponent(cap, bulk_width=width, bulk_height=0.5)
 
 
@@ -503,7 +503,6 @@ def run_schiffer_counting(
     def one(item):
         label, centers = item
         if centers is None:
-            mism = ff_true.l2_norm() / max(ff_true.l2_norm(), 1e-300)
             return {"candidate": label, "components": 0, "mismatch": 1.0}
         ok = all(
             (cx - dx) ** 2 + (cy - dy) ** 2 > (2 * radius) ** 2
@@ -652,25 +651,17 @@ def calibrate(path=None) -> dict:
         }
     }
     # Curvature dual constant: max apex-ratio / envelope over the sweep.
-    alpha_c, delta_c = 0.75, 0.75
-    worst = 0.0
-    worst_dual_ff = 0.0
-    for K in (math.e, 10.0, 100.0, 1000.0):
-        comp = _capped_component(K, delta_c)
-        bump = LensBump(comp.cap)
-        spacing = comp.cap.h / 48.0
-        wpts, _ = cap_window_columns(comp.cap, spacing)
-        phi_samples = SampledFunction(
-            points=wpts, values=bump.phi(wpts, 1.0).astype(complex), spacing=spacing
-        )
-        norm_phi = holder_norm(phi_samples, alpha_c)
-        apex = abs(complex(bump.phi(np.zeros((1, 2)), 1.0)[0]))
-        ratio = apex / max(1.0, norm_phi)
-        psi = curvature_estimate_rhs(K, alpha_c, delta_c, 1.0, 2.0, 2, 1.0)
-        worst = max(worst, ratio / psi)
-        worst_dual_ff = max(
-            worst_dual_ff, _lens_source_far_field_sup(comp, bump, 1.0, 64)
-        )
+    res = run_curvature_source(
+        calibration={
+            "curvature_source": {
+                "C_manufactured": math.inf,
+                "far_field_floor": 0.0,
+                "dual_far_field_ceiling": math.inf,
+            }
+        }
+    )
+    worst = max(row["dual_apex_ratio"] / row["envelope"] for row in res.rows)
+    worst_dual_ff = max(row["dual_far_field_sup"] for row in res.rows)
     cal["curvature_source"] = {
         "C_manufactured": worst * 1.05,
         "far_field_floor": 1e-6,

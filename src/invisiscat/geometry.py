@@ -22,6 +22,7 @@ accurate volume quadrature nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.ndimage
 
-from .quadrature import GraphCap
+from .quadrature import GraphCap, _bisect
 
 __all__ = [
     "InadmissiblePerturbation",
@@ -133,16 +134,17 @@ class CurvatureCap:
             K_bracket=(self.K_minus, self.K_plus),
         )
 
+    @functools.cached_property
     def rim_radius(self) -> float:
-        """Radius where omega reaches h (radial graph, so direction-free)."""
-        lo, hi = 0.0, self.b
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.omega(np.array([[mid] + [0.0] * (self.n - 2)]))[0]) >= self.h:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        """Radius where omega reaches h (radial graph, so direction-free).
+
+        The bracket's lower end has omega - h = -h < 0, so the bisection
+        moves the upper end exactly where omega(mid) >= h.
+        """
+        pad = [0.0] * (self.n - 2)
+        return _bisect(
+            lambda r: float(self.omega(np.array([[r] + pad]))[0]) - self.h, 0.0, self.b
+        )
 
 
 def make_curvature_cap(
@@ -335,6 +337,8 @@ class AnnulusComponent(Component):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
+        if self.dim != 2:
+            raise ValueError("annulus components are 2-d")
         if not (0 < self.r_inner < self.r_outer):
             raise ValueError("need 0 < r_inner < r_outer")
 
@@ -349,8 +353,6 @@ class AnnulusComponent(Component):
         return 2.0 * self.r_outer
 
     def boundary_mesh(self, count=1024):
-        if self.dim != 2:
-            raise ValueError("annulus component is 2-d")
         half = count // 2
         th = np.linspace(0.0, 2.0 * math.pi, half, endpoint=False)
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -381,7 +383,7 @@ class AnnulusComponent(Component):
 
 @dataclass
 class BoxComponent(Component):
-    """Axis-aligned box support (2-d)."""
+    """Axis-aligned box support; boundary meshes are 2-d only."""
 
     lo: Sequence[float]
     hi: Sequence[float]
@@ -436,11 +438,11 @@ class BoxComponent(Component):
         return pts, nrm, w
 
     def quad_nodes(self, target=32):
-        xs, wx = _gauss_legendre(target, self.lo[0], self.hi[0])
-        ys, wy = _gauss_legendre(target, self.lo[1], self.hi[1])
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        return pts, np.outer(wx, wy).ravel()
+        """Tensor Gauss-Legendre rule with ``target`` nodes per axis."""
+        xs, ws = zip(*(_gauss_legendre(target, a, b) for a, b in zip(self.lo, self.hi)))
+        mesh = np.meshgrid(*xs, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        return pts, functools.reduce(np.multiply.outer, ws).ravel()
 
 
 @dataclass
@@ -531,7 +533,7 @@ class CappedComponent(Component):
         if self.apex is None:
             self.apex = np.zeros(self.dim)
         self.apex = np.asarray(self.apex, dtype=float)
-        if self.bulk_width <= self.cap.rim_radius():
+        if self.bulk_width <= self.cap.rim_radius:
             raise ValueError("bulk must cover the cap rim")
 
     def _local(self, pts):
@@ -562,7 +564,7 @@ class CappedComponent(Component):
         """Vertical extent (lo, hi) of the body above tangential points."""
         w = self.cap.omega(xp)
         r = np.sqrt(np.sum(xp * xp, axis=1))
-        rim = self.cap.rim_radius()
+        rim = self.cap.rim_radius
         lo = np.where(r < rim, w, self.cap.h)
         hi = np.full(xp.shape[0], self.cap.h + self.bulk_height)
         empty = r >= self.bulk_width
@@ -570,7 +572,7 @@ class CappedComponent(Component):
 
     def boundary_mesh(self, count=1024):
         if self.dim == 2:
-            rim = self.cap.rim_radius()
+            rim = self.cap.rim_radius
             h, hw, hh = self.cap.h, self.bulk_width, self.bulk_height
             n_graph = count // 2
             n_rest = count - n_graph
@@ -610,7 +612,7 @@ class CappedComponent(Component):
             w = np.concatenate([w_g, w_shelf, w_walls, w_lid])
             return pts, nrm, w
         # 3-d: graph patch + shelf annulus + wall + lid, polar layout.
-        rim = self.cap.rim_radius()
+        rim = self.cap.rim_radius
         h, hw, hh = self.cap.h, self.bulk_width, self.bulk_height
         m = max(12, int(math.sqrt(count / 4)))
         nth = 2 * m
@@ -668,7 +670,7 @@ class CappedComponent(Component):
         column height; the tangential error is then clean O(h^2).
         """
         hw = self.bulk_width
-        rim = self.cap.rim_radius()
+        rim = self.cap.rim_radius
         n_col = 4 * target
         n_gl = 12
         gl_x, gl_w = np.polynomial.legendre.leggauss(n_gl)

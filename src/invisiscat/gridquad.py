@@ -65,7 +65,7 @@ def cap_window_columns(cap, spacing: float, n_axial: int = 8):
     Tangential midpoint cells (columns end at the rim where omega = h)
     with Gauss-Legendre nodes along each column; O(h^2) overall.
     """
-    rim = cap.rim_radius()
+    rim = cap.rim_radius
     xp, darea = _tangential_cells(rim, spacing, cap.n)
     lo = cap.omega(xp)
     hi = np.full(xp.shape[0], cap.h)
@@ -81,7 +81,7 @@ def cap_window_columns(cap, spacing: float, n_axial: int = 8):
 
 def cap_lid_nodes(cap, spacing: float):
     """Quadrature on the flat lid V = {omega < h} x {h} with its area weights."""
-    rim = cap.rim_radius()
+    rim = cap.rim_radius
     xp, darea = _tangential_cells(rim, spacing, cap.n)
     pts = np.concatenate([xp, np.full((xp.shape[0], 1), cap.h)], axis=-1)
     return pts, darea

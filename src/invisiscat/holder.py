@@ -17,6 +17,7 @@ import numpy as np
 import scipy.spatial
 
 from .gridquad import cap_lid_nodes, cap_window_columns, simpson_box
+from .kernels import _coverage_subsample
 
 __all__ = [
     "PrecondViolated",
@@ -62,31 +63,20 @@ class SampledFunction:
 def sample_on_grid(domain, fn, spacing: float) -> SampledFunction:
     """Sample a callable on the regular grid nodes inside a domain.
 
-    Cut-cell quadrature weights use a 6x6 subsample coverage fraction.
+    The quadrature weight of a node is its cell measure times the cell's
+    coverage on the 6^n subsample of ``kernels._coverage_subsample``, so
+    cut cells get fractional weight.
     """
     lo, hi = domain.bounding_box(pad=0.5 * spacing)
     axes = [np.arange(lo[d] + spacing / 2, hi[d], spacing) for d in range(domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    inside = domain.inside(pts)
-    pts_in = pts[inside]
-    cell = spacing ** domain.dim
-    # Coverage: cells whose 6^d subsample is only partially inside get
-    # fractional weight.
-    sub = (np.arange(6) + 0.5) / 6.0 - 0.5
-    offsets = np.stack(
-        [m.ravel() for m in np.meshgrid(*([sub] * domain.dim), indexing="ij")],
-        axis=-1,
-    ) * spacing
-    frac = np.zeros(pts_in.shape[0])
-    for off in offsets:
-        frac += domain.inside(pts_in + off)
-    weights = cell * frac / offsets.shape[0]
+    pts_in = pts[domain.inside(pts)]
     return SampledFunction(
         points=pts_in,
         values=np.asarray(fn(pts_in)),
         spacing=spacing,
-        weights=weights,
+        weights=spacing**domain.dim * _coverage_subsample(domain, pts_in, spacing, sub=6),
         fn=fn,
     )
 
@@ -162,7 +152,7 @@ def mean_zero_check(f, domain, target: int = 48) -> float:
 
 @dataclass
 class BoxWindow:
-    """Axis-aligned box with Simpson volume rule and per-face meshes."""
+    """Axis-aligned box with Simpson volume rule."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -173,34 +163,6 @@ class BoxWindow:
 
     def volume_nodes(self, spacing):
         return simpson_box(self.lo, self.hi, spacing)
-
-    def boundary_faces(self, spacing):
-        """Yield (points, outward_normal, weights) per face."""
-        d = self.lo.size
-        for axis in range(d):
-            for sgn, level in ((-1.0, self.lo[axis]), (+1.0, self.hi[axis])):
-                other = [a for a in range(d) if a != axis]
-                axes = []
-                for a in other:
-                    n = max(2, int(math.ceil((self.hi[a] - self.lo[a]) / spacing)))
-                    axes.append(np.linspace(self.lo[a] + 0.5 * (self.hi[a] - self.lo[a]) / n,
-                                            self.hi[a] - 0.5 * (self.hi[a] - self.lo[a]) / n, n))
-                if other:
-                    mesh = np.meshgrid(*axes, indexing="ij")
-                    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-                    m = flat.shape[0]
-                else:
-                    flat = np.zeros((1, 0))
-                    m = 1
-                pts = np.zeros((m, d))
-                pts[:, axis] = level
-                for col, a in enumerate(other):
-                    pts[:, a] = flat[:, col]
-                area = np.prod([self.hi[a] - self.lo[a] for a in other]) if other else 1.0
-                w = np.full(m, area / m)
-                normal = np.zeros(d)
-                normal[axis] = sgn
-                yield pts, normal, w
 
 
 @dataclass

@@ -65,6 +65,24 @@ def sphere_measure(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f between lo and hi, where f changes sign, to the last bit.
+
+    Halves the bracket, keeping the sign change, until no float lies
+    strictly between lo and hi; an exact zero of f becomes the upper end.
+    """
+    f_lo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+
+
 class BudgetExceeded(RuntimeError):
     """Tolerance unreachable within the evaluation budget."""
 

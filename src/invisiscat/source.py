@@ -24,6 +24,7 @@ from scipy.special import jv
 
 from .holder import boundary_sup, holder_norm, sample_on_grid
 from .kernels import far_field_constant, green_kernel, make_support_grid
+from .quadrature import _bisect
 
 __all__ = [
     "QuadratureFailure",
@@ -230,24 +231,6 @@ def solve_field(
             acc += complex(np.sum(wq * ker * fv))
         out[i] = acc
     return out
-
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f between lo and hi, where f changes sign, to the last bit.
-
-    Halves the bracket, keeping the sign change, until no float lies
-    strictly between lo and hi; an exact zero of f becomes the upper end.
-    """
-    f_lo = f(lo)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        f_mid = f(mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
 
 
 def radiationless_radius(k: float, n: int, branch_index: int = 1) -> float:

@@ -34,7 +34,7 @@ from .geometry import CappedComponent
 from .gridquad import cap_window_columns
 from .holder import SampledFunction, holder_norm
 from .manufactured import LensBump
-from .source import _bisect
+from .quadrature import _bisect
 
 __all__ = [
     "NoneFound",

@@ -94,6 +94,48 @@ class TestSourceCommand:
         assert len(lines) == 1 + 64
 
 
+class TestThreeDimensionalScenes:
+    def test_box_source_matches_sinc_product(self, tmp_path):
+        from invisiscat.kernels import far_field_constant
+
+        k = 1.3
+        cfg = {
+            "dimension": 3,
+            "wavenumber": k,
+            "domain": {"kind": "box", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]},
+            "intensity": {"kind": "constant", "value": 1.0},
+        }
+        scene = tmp_path / "box3.json"
+        scene.write_text(json.dumps(cfg))
+        out = tmp_path / "ff.json"
+        code = main(["source", str(scene), "--farfield-json", str(out), "--dirs", "32"])
+        assert code == EXIT_OK
+        ff = json.loads(out.read_text())
+        th, ph = np.array(ff["angles"]).T
+        dirs = np.stack([np.sin(ph) * np.cos(th), np.sin(ph) * np.sin(th), np.cos(ph)], axis=-1)
+        # int_0^1 exp(-i a y) dy = exp(-i a / 2) sin(a / 2) / (a / 2), with a = k xhat_d.
+        a = k * dirs
+        want = far_field_constant(3, k) * np.prod(np.exp(-0.5j * a) * np.sinc(a / (2 * np.pi)), axis=1)
+        got = np.array(ff["re"]) + 1j * np.array(ff["im"])
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("command", ["source", "medium"])
+    def test_annulus_exit_2_without_traceback(self, tmp_path, capsys, command):
+        cfg = {
+            "dimension": 3,
+            "wavenumber": 1.0,
+            "domain": {"kind": "annulus", "center": [0.0, 0.0, 0.0], "r_inner": 0.5, "r_outer": 1.0},
+            "intensity": {"kind": "constant", "value": 1.0},
+            "contrast": {"kind": "constant", "value": 0.1},
+        }
+        scene = tmp_path / "annulus3.json"
+        scene.write_text(json.dumps(cfg))
+        assert main([command, str(scene), "--dirs", "16"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error: ")
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize("k", [-1.0, float("nan")])
     def test_source_wavenumber_exit_2(self, tmp_path, capsys, k):

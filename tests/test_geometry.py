@@ -68,6 +68,40 @@ class TestMakeCurvatureCap:
             assert cap.h <= cap.K_minus * cap.b**2 * (1 + 1e-12)
 
 
+def fixed_step_rim(cap):
+    """The 200-step bisection the cap rim was once found with, kept as reference."""
+    lo, hi = 0.0, cap.b
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(cap.omega(np.array([[mid] + [0.0] * (cap.n - 2)]))[0]) >= cap.h:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestRimRadius:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_fixed_step_bisection(self, n):
+        caps = [
+            make_curvature_cap(float(K), float(ratio * K), n=n)
+            for K in np.geomspace(math.e, 1e4, 10)
+            for ratio in np.linspace(-0.05, 0.2, 6)
+        ]
+        for cap in caps:
+            assert cap.rim_radius == fixed_step_rim(cap)
+
+    def test_computed_once_per_cap(self):
+        cap = make_curvature_cap(100.0, 10.0, n=3)
+        omega, calls = cap.omega, []
+        cap.omega = lambda xp: calls.append(1) or omega(xp)
+        rim = cap.rim_radius
+        first = len(calls)
+        assert first > 0
+        assert cap.rim_radius == rim
+        assert len(calls) == first
+
+
 class TestNesting:
     def test_pure_paraboloid_no_violation(self):
         cap = make_curvature_cap(5.0, 0.0)

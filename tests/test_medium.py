@@ -164,6 +164,39 @@ class TestGridConvolverOracle:
         assert rel_err(got, matrix @ density) < 1e-12
 
 
+def strip_overlap(cx, cy, R, x0, x1, y0, y1, sub=24):
+    """Area of the disk inside one cell by the 24-strip midpoint rule, one cell at a time."""
+    xs = np.linspace(x0, x1, sub + 1)
+    xm = 0.5 * (xs[:-1] + xs[1:])
+    d2 = R * R - (xm - cx) ** 2
+    s = np.sqrt(np.maximum(d2, 0.0))
+    chord = np.maximum(np.minimum(y1, cy + s) - np.maximum(y0, cy - s), 0.0) * (d2 > 0)
+    return float(np.sum(chord) * ((x1 - x0) / sub))
+
+
+class TestSupportGridCoverage:
+    """Disk coverage against the per-cell strip rule, and the disk's area."""
+
+    @pytest.mark.parametrize("center, R", [((0.0, 0.0), 1.0), ((0.3, -0.17), 0.61)])
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.037])
+    def test_matches_scalar_strip_rule(self, center, R, h):
+        grid = make_support_grid(Domain([BallComponent(list(center), R)]), h)
+        (cx, cy), band = np.asarray(center), 0.75 * h * math.sqrt(2.0)
+        want = np.zeros(len(grid.points))
+        for i, (x, y) in enumerate(grid.points):
+            d = math.sqrt((x - cx) ** 2 + (y - cy) ** 2)
+            if d <= R - band:
+                want[i] = 1.0
+            elif d < R + band:
+                area = strip_overlap(cx, cy, R, x - h / 2, x + h / 2, y - h / 2, y + h / 2)
+                want[i] = area / (h * h)
+        np.testing.assert_array_equal(grid.coverage, np.clip(want, 0.0, 1.0))
+        # The midpoint rule's error comes from the square-root ends of the
+        # chord at x = cx -/+ R, O(sqrt(R) (h/24)^(3/2)) in all.
+        area = np.sum(grid.coverage) * h * h
+        assert abs(area - math.pi * R * R) < math.sqrt(R) * (h / 24) ** 1.5
+
+
 class TestSeparableSums:
     """Plane-wave sums on the grid's axes against the dense exp(pts @ z.T)."""
 

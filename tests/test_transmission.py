@@ -5,7 +5,7 @@ import pytest
 
 from invisiscat.geometry import BallComponent, CappedComponent, Domain, make_curvature_cap
 from invisiscat.medium import HerglotzWave, MediumScene, scattered_far_field, solve_ls
-from invisiscat.source import _bisect
+from invisiscat.quadrature import _bisect
 from invisiscat.transmission import (
     EigenPair,
     NoneFound,

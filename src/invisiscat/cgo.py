@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .gridquad import cap_lid_nodes, cap_window_columns
+from .gridquad import _polar, cap_lid_nodes, cap_window_columns
 from .holder import PrecondViolated
 from .quadrature import ParaboloidCap, integrate, sphere_measure
 
@@ -209,10 +209,7 @@ def identity_split_terms(
         t = np.linspace(-rim, rim, 200)[:, None]
         xp = t
     else:
-        r = np.linspace(0.0, rim, 24)
-        th = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        xp = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=-1)
+        xp = _polar(np.linspace(0.0, rim, 24), np.linspace(0.0, 2 * math.pi, 24, endpoint=False))
     graph_pts = np.concatenate([xp, cap.omega(xp)[:, None]], axis=-1)
     wv = np.asarray(w_field.value(graph_pts))
     gv = np.asarray(w_field.grad(graph_pts))

@@ -36,6 +36,7 @@ from .geometry import (
     Domain,
     StarComponent,
     make_curvature_cap,
+    sphere_directions,
 )
 from .holder import SampledFunction, holder_norm
 from .gridquad import cap_window_columns
@@ -206,8 +207,6 @@ def _lens_source_far_field_sup(comp, bump, k: float, n_dirs: int) -> float:
     column rule (which resolves the graph and lid exactly) is the
     accurate quadrature here.
     """
-    from .source import sphere_directions
-
     dirs, _, _ = sphere_directions(2, n_dirs)
     pts, w = cap_window_columns(comp.cap, comp.cap.h / 96.0)
     vals = bump.phi(pts, k)

@@ -16,8 +16,8 @@ derivatives of the perturbation.
 
 Scatterer supports are unions of components (balls, annuli, star-shaped
 polar graphs, cap-bottomed bodies); every component knows how to test
-membership, sample its boundary with outward normals, and produce
-accurate volume quadrature nodes.
+membership, sample points on its boundary, and produce accurate volume
+quadrature nodes.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.ndimage
 
+from .gridquad import _columns, _polar, _tangential_layout
 from .quadrature import GraphCap, _bisect
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "CappedComponent",
     "Domain",
     "connected_to_infinity",
+    "sphere_directions",
 ]
 
 
@@ -203,10 +205,9 @@ def nesting_check(cap: CurvatureCap, samples: int = 10**4) -> NestingReport:
         xp = t
     else:
         m = int(math.sqrt(samples))
-        r = np.linspace(0.0, cap.b, m)
-        th = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        xp = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=-1)
+        xp = _polar(
+            np.linspace(0.0, cap.b, m), np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+        )
     w = cap.omega(xp)
     r2 = np.sum(xp * xp, axis=1)
     slack = 1e-12 * (1.0 + np.abs(w))
@@ -226,9 +227,59 @@ def nesting_check(cap: CurvatureCap, samples: int = 10**4) -> NestingReport:
 # ---------------------------------------------------------------------------
 
 
+def sphere_directions(n: int, n_dirs: int):
+    """Uniform angular grid on S^(n-1): (directions, weights, angles).
+
+    In 2-d, ``n_dirs`` equispaced angles theta.  In 3-d, a latitude-longitude
+    grid of m midpoint polar rings times 2m azimuths with
+    m = max(4, int(sqrt(n_dirs / 2))) and sin(phi) area weights; the
+    angles are (theta, phi) pairs, theta-major.  The weights sum to the
+    measure of the sphere up to the midpoint rule's error.
+    """
+    if n == 2:
+        th = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        w = np.full(n_dirs, 2.0 * math.pi / n_dirs)
+        return dirs, w, th[:, None]
+    m = max(4, int(math.sqrt(n_dirs / 2)))
+    th = np.linspace(0.0, 2.0 * math.pi, 2 * m, endpoint=False)
+    ph = (np.arange(m) + 0.5) * math.pi / m
+    tt, pp = np.meshgrid(th, ph, indexing="ij")
+    dirs = np.stack(
+        [np.sin(pp) * np.cos(tt), np.sin(pp) * np.sin(tt), np.cos(pp)], axis=-1
+    ).reshape(-1, 3)
+    w = (np.sin(pp) * (math.pi / m) * (2.0 * math.pi / (2 * m))).ravel()
+    angles = np.stack([tt.ravel(), pp.ravel()], axis=-1)
+    return dirs, w, angles
+
+
 def _gauss_legendre(npts: int, a: float, b: float):
     x, w = np.polynomial.legendre.leggauss(npts)
     return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+
+
+def _disk_nodes(r, wr, nth: int):
+    """Polar rule on a disk or planar shell around the origin.
+
+    Radial nodes r with weights wr times ``nth`` equispaced angles;
+    returns (offsets, weights).
+    """
+    th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
+    return _polar(r, th), np.repeat(wr * (2.0 * math.pi / nth) * r, nth)
+
+
+def _ball_nodes(r, wr, n_cos: int, nth: int):
+    """Spherical rule on a 3-d ball around the origin.
+
+    Radial nodes r with weights wr, times ``n_cos`` Gauss-Legendre nodes
+    in cos(phi), times ``nth`` equispaced azimuths; returns (offsets, weights).
+    """
+    c, wc = np.polynomial.legendre.leggauss(n_cos)
+    th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
+    xy = _polar(np.outer(r, np.sqrt(1.0 - c * c)).ravel(), th)
+    z = np.repeat(np.outer(r, c).ravel(), nth)
+    w = (wr[:, None] * wc[None, :] * (2.0 * math.pi / nth)) * r[:, None] ** 2
+    return np.column_stack([xy, z]), np.repeat(w.ravel(), nth)
 
 
 class Component:
@@ -237,8 +288,8 @@ class Component:
     def inside(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def boundary_mesh(self, count: int):
-        """(points, outward normals, surface weights)."""
+    def boundary_points(self, count: int):
+        """About ``count`` points sampled on the boundary, shape (m, dim)."""
         raise NotImplementedError
 
     def quad_nodes(self, target: int):
@@ -271,61 +322,16 @@ class BallComponent(Component):
     def diameter(self):
         return 2.0 * self.radius
 
-    def boundary_mesh(self, count=1024):
-        if self.dim == 2:
-            th = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-            nrm = np.stack([np.cos(th), np.sin(th)], axis=-1)
-            pts = self.center + self.radius * nrm
-            w = np.full(count, 2.0 * math.pi * self.radius / count)
-            return pts, nrm, w
-        # Lat-long mesh with area weights.
-        m = max(8, int(math.sqrt(count / 2)))
-        th = np.linspace(0.0, 2.0 * math.pi, 2 * m, endpoint=False)
-        ph = (np.arange(m) + 0.5) * math.pi / m
-        tt, pp = np.meshgrid(th, ph, indexing="ij")
-        nrm = np.stack(
-            [np.sin(pp) * np.cos(tt), np.sin(pp) * np.sin(tt), np.cos(pp)], axis=-1
-        ).reshape(-1, 3)
-        pts = self.center + self.radius * nrm
-        w = (
-            self.radius**2
-            * np.sin(pp).ravel()
-            * (2.0 * math.pi / (2 * m))
-            * (math.pi / m)
-        )
-        return pts, nrm, w
+    def boundary_points(self, count=1024):
+        return self.center + self.radius * sphere_directions(self.dim, count)[0]
 
     def quad_nodes(self, target=32):
-        if self.dim == 2:
-            r, wr = _gauss_legendre(target, 0.0, self.radius)
-            nth = 2 * target
-            th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
-            wth = 2.0 * math.pi / nth
-            rr, tt = np.meshgrid(r, th, indexing="ij")
-            pts = self.center + np.stack(
-                [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=-1
-            )
-            w = (wr[:, None] * wth * rr).ravel()
-            return pts, w
         r, wr = _gauss_legendre(target, 0.0, self.radius)
-        cth, wc = np.polynomial.legendre.leggauss(target)  # cos(phi) nodes
-        nth = 2 * target
-        th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
-        wth = 2.0 * math.pi / nth
-        rr, cc, tt = np.meshgrid(r, cth, th, indexing="ij")
-        ss = np.sqrt(1.0 - cc * cc)
-        pts = self.center + np.stack(
-            [
-                (rr * ss * np.cos(tt)).ravel(),
-                (rr * ss * np.sin(tt)).ravel(),
-                (rr * cc).ravel(),
-            ],
-            axis=-1,
-        )
-        w = (
-            (wr[:, None, None] * wc[None, :, None] * wth) * rr**2
-        ).ravel()
-        return pts, w
+        if self.dim == 2:
+            pts, w = _disk_nodes(r, wr, 2 * target)
+        else:
+            pts, w = _ball_nodes(r, wr, target, 2 * target)
+        return self.center + pts, w
 
 
 @dataclass
@@ -352,38 +358,19 @@ class AnnulusComponent(Component):
     def diameter(self):
         return 2.0 * self.r_outer
 
-    def boundary_mesh(self, count=1024):
-        half = count // 2
-        th = np.linspace(0.0, 2.0 * math.pi, half, endpoint=False)
-        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        pts = np.concatenate(
-            [self.center + self.r_outer * ring, self.center + self.r_inner * ring]
-        )
-        nrm = np.concatenate([ring, -ring])
-        w = np.concatenate(
-            [
-                np.full(half, 2.0 * math.pi * self.r_outer / half),
-                np.full(half, 2.0 * math.pi * self.r_inner / half),
-            ]
-        )
-        return pts, nrm, w
+    def boundary_points(self, count=1024):
+        ring = sphere_directions(2, count // 2)[0]
+        return np.concatenate([self.center + r * ring for r in (self.r_outer, self.r_inner)])
 
     def quad_nodes(self, target=32):
         r, wr = _gauss_legendre(target, self.r_inner, self.r_outer)
-        nth = 2 * target
-        th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
-        wth = 2.0 * math.pi / nth
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        pts = self.center + np.stack(
-            [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=-1
-        )
-        w = (wr[:, None] * wth * rr).ravel()
-        return pts, w
+        pts, w = _disk_nodes(r, wr, 2 * target)
+        return self.center + pts, w
 
 
 @dataclass
 class BoxComponent(Component):
-    """Axis-aligned box support; boundary meshes are 2-d only."""
+    """Axis-aligned box support; boundary points are 2-d only."""
 
     lo: Sequence[float]
     hi: Sequence[float]
@@ -404,14 +391,14 @@ class BoxComponent(Component):
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def boundary_mesh(self, count=1024):
+    def boundary_points(self, count=1024):
         if self.dim != 2:
-            raise ValueError("box boundary meshes are 2-d")
+            raise ValueError("box boundary points are 2-d")
         (x0, y0), (x1, y1) = self.lo, self.hi
         per = max(count // 4, 16)
         tx = np.linspace(x0, x1, per, endpoint=False) + (x1 - x0) / (2 * per)
         ty = np.linspace(y0, y1, per, endpoint=False) + (y1 - y0) / (2 * per)
-        pts = np.concatenate(
+        return np.concatenate(
             [
                 np.stack([tx, np.full(per, y0)], axis=-1),
                 np.stack([tx, np.full(per, y1)], axis=-1),
@@ -419,23 +406,6 @@ class BoxComponent(Component):
                 np.stack([np.full(per, x1), ty], axis=-1),
             ]
         )
-        nrm = np.concatenate(
-            [
-                np.tile([0.0, -1.0], (per, 1)),
-                np.tile([0.0, 1.0], (per, 1)),
-                np.tile([-1.0, 0.0], (per, 1)),
-                np.tile([1.0, 0.0], (per, 1)),
-            ]
-        )
-        w = np.concatenate(
-            [
-                np.full(per, (x1 - x0) / per),
-                np.full(per, (x1 - x0) / per),
-                np.full(per, (y1 - y0) / per),
-                np.full(per, (y1 - y0) / per),
-            ]
-        )
-        return pts, nrm, w
 
     def quad_nodes(self, target=32):
         """Tensor Gauss-Legendre rule with ``target`` nodes per axis."""
@@ -472,10 +442,13 @@ class StarComponent(Component):
         rm = self._rmax()
         return self.center - rm, self.center + rm
 
-    def diameter(self):
-        th = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+    def _curve(self, count):
+        th = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
         r = self.radial(th)
-        pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+        return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+
+    def diameter(self):
+        pts = self._curve(2048)
         # Star shapes here are mild; a rolled-shift scan is accurate enough.
         best = 0.0
         for shift in range(0, 1024, 8):
@@ -483,19 +456,8 @@ class StarComponent(Component):
             best = max(best, float(np.max(np.sqrt(np.sum(diff**2, axis=1)))))
         return best
 
-    def boundary_mesh(self, count=1024):
-        th = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        r = self.radial(th)
-        dth = th[1] - th[0]
-        rp = (np.roll(r, -1) - np.roll(r, 1)) / (2.0 * dth)
-        pts = self.center + np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-        # Outward normal of r = f(theta): (f cos + f' sin, f sin - f' cos)/|.|
-        nx = r * np.cos(th) + rp * np.sin(th)
-        ny = r * np.sin(th) - rp * np.cos(th)
-        nn = np.sqrt(nx * nx + ny * ny)
-        nrm = np.stack([nx / nn, ny / nn], axis=-1)
-        w = nn * dth
-        return pts, nrm, w
+    def boundary_points(self, count=1024):
+        return self.center + self._curve(count)
 
     def quad_nodes(self, target=32):
         nth = 4 * target
@@ -570,101 +532,48 @@ class CappedComponent(Component):
         empty = r >= self.bulk_width
         return lo, hi, empty
 
-    def boundary_mesh(self, count=1024):
-        if self.dim == 2:
-            rim = self.cap.rim_radius
-            h, hw, hh = self.cap.h, self.bulk_width, self.bulk_height
-            n_graph = count // 2
-            n_rest = count - n_graph
-            # graph part
-            t = np.linspace(-rim, rim, n_graph)
-            xp = t[:, None]
-            wv = self.cap.omega(xp)
-            g = self.cap.omega_grad(xp)[:, 0]
-            nn = np.sqrt(1.0 + g * g)
-            pts_g = np.stack([t, wv], axis=-1)
-            nrm_g = np.stack([g / nn, -1.0 / nn], axis=-1)
-            w_g = np.full(n_graph, 2.0 * rim / n_graph) * nn
-            # shelf (downward), walls (sideways), lid (upward)
-            per = n_rest // 4
-            s = np.linspace(rim, hw, per, endpoint=False)
-            shelf = np.concatenate(
-                [np.stack([s, np.full(per, h)], axis=-1),
-                 np.stack([-s, np.full(per, h)], axis=-1)]
-            )
-            nrm_shelf = np.tile([0.0, -1.0], (2 * per, 1))
-            w_shelf = np.full(2 * per, (hw - rim) / per)
-            z = np.linspace(h, h + hh, per, endpoint=False)
-            walls = np.concatenate(
-                [np.stack([np.full(per, hw), z], axis=-1),
-                 np.stack([np.full(per, -hw), z], axis=-1)]
-            )
-            nrm_walls = np.concatenate(
-                [np.tile([1.0, 0.0], (per, 1)), np.tile([-1.0, 0.0], (per, 1))]
-            )
-            w_walls = np.full(2 * per, hh / per)
-            s2 = np.linspace(-hw, hw, n_rest - 4 * per + 1)[:-1] if n_rest > 4 * per else np.empty(0)
-            lid = np.stack([s2, np.full(s2.size, h + hh)], axis=-1)
-            nrm_lid = np.tile([0.0, 1.0], (s2.size, 1))
-            w_lid = np.full(s2.size, 2.0 * hw / max(s2.size, 1))
-            pts = np.concatenate([pts_g, shelf, walls, lid]) + self.apex
-            nrm = np.concatenate([nrm_g, nrm_shelf, nrm_walls, nrm_lid])
-            w = np.concatenate([w_g, w_shelf, w_walls, w_lid])
-            return pts, nrm, w
-        # 3-d: graph patch + shelf annulus + wall + lid, polar layout.
+    def boundary_points(self, count=1024):
         rim = self.cap.rim_radius
         h, hw, hh = self.cap.h, self.bulk_width, self.bulk_height
+        if self.dim == 2:
+            n_graph = count // 2
+            n_rest = count - n_graph
+            t = np.linspace(-rim, rim, n_graph)
+            graph = np.stack([t, self.cap.omega(t[:, None])], axis=-1)
+            # shelf, walls, lid
+            per = n_rest // 4
+            s = np.linspace(rim, hw, per, endpoint=False)
+            z = np.linspace(h, h + hh, per, endpoint=False)
+            s2 = np.linspace(-hw, hw, n_rest - 4 * per + 1)[:-1] if n_rest > 4 * per else np.empty(0)
+            pts = np.concatenate(
+                [
+                    graph,
+                    np.stack([s, np.full(per, h)], axis=-1),
+                    np.stack([-s, np.full(per, h)], axis=-1),
+                    np.stack([np.full(per, hw), z], axis=-1),
+                    np.stack([np.full(per, -hw), z], axis=-1),
+                    np.stack([s2, np.full(s2.size, h + hh)], axis=-1),
+                ]
+            )
+            return pts + self.apex
+        # 3-d: graph patch + shelf annulus + wall + lid, m rings x 2m angles.
         m = max(12, int(math.sqrt(count / 4)))
-        nth = 2 * m
-        th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
-        wth = 2.0 * math.pi / nth
-        out = []
-        # graph
-        r = (np.arange(m) + 0.5) * rim / m
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        xp = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=-1)
-        wv = self.cap.omega(xp)
-        g = self.cap.omega_grad(xp)
-        nn = np.sqrt(1.0 + np.sum(g * g, axis=1))
-        pts = np.concatenate([xp, wv[:, None]], axis=-1)
-        nrm = np.concatenate([g, -np.ones((g.shape[0], 1))], axis=-1) / nn[:, None]
-        w = (rim / m) * wth * rr.ravel() * nn
-        out.append((pts, nrm, w))
-        # shelf
-        r = rim + (np.arange(m) + 0.5) * (hw - rim) / m
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        pts = np.stack(
-            [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel(),
-             np.full(rr.size, h)], axis=-1
+        th = np.linspace(0.0, 2.0 * math.pi, 2 * m, endpoint=False)
+        mid = np.arange(m) + 0.5
+        graph = _polar(mid * rim / m, th)
+        pieces = [
+            (graph, self.cap.omega(graph)),
+            (_polar(rim + mid * (hw - rim) / m, th), h),
+            (_polar(np.full(m, hw), th), np.repeat(h + mid * hh / m, th.size)),
+            (_polar(mid * hw / m, th), h + hh),
+        ]
+        pts = np.concatenate(
+            [np.column_stack([xp, np.broadcast_to(z, xp.shape[0])]) for xp, z in pieces]
         )
-        nrm = np.tile([0.0, 0.0, -1.0], (pts.shape[0], 1))
-        w = ((hw - rim) / m) * wth * rr.ravel()
-        out.append((pts, nrm, w))
-        # wall
-        z = h + (np.arange(m) + 0.5) * hh / m
-        zz, tt = np.meshgrid(z, th, indexing="ij")
-        ct, st = np.cos(tt).ravel(), np.sin(tt).ravel()
-        pts = np.stack([hw * ct, hw * st, zz.ravel()], axis=-1)
-        nrm = np.stack([ct, st, np.zeros_like(ct)], axis=-1)
-        w = np.full(pts.shape[0], (hh / m) * wth * hw)
-        out.append((pts, nrm, w))
-        # lid
-        r = (np.arange(m) + 0.5) * hw / m
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        pts = np.stack(
-            [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel(),
-             np.full(rr.size, h + hh)], axis=-1
-        )
-        nrm = np.tile([0.0, 0.0, 1.0], (pts.shape[0], 1))
-        w = (hw / m) * wth * rr.ravel()
-        out.append((pts, nrm, w))
-        pts = np.concatenate([o[0] for o in out]) + self.apex
-        nrm = np.concatenate([o[1] for o in out])
-        w = np.concatenate([o[2] for o in out])
-        return pts, nrm, w
+        return pts + self.apex
 
     def quad_nodes(self, target=48):
-        """Column quadrature: tangential midpoints x GL along each column.
+        """Column quadrature: tangential cells x 12-point Gauss along each column.
 
         Column grids snap to the cap rim so every segment sees a smooth
         column height; the tangential error is then clean O(h^2).
@@ -672,49 +581,22 @@ class CappedComponent(Component):
         hw = self.bulk_width
         rim = self.cap.rim_radius
         n_col = 4 * target
-        n_gl = 12
-        gl_x, gl_w = np.polynomial.legendre.leggauss(n_gl)
-
-        def radial_cells():
-            # Two-point Gauss per cell on [0, rim] and [rim, hw]; the rim
-            # kink sits on a cell boundary, so the rule is O(h^4) clean.
-            per_len = n_col / (2.0 * hw)
-            g = 0.5 / math.sqrt(3.0)
-            nodes, wts = [], []
-            for a, bnd in ((0.0, rim), (rim, hw)):
-                m = max(8, int(math.ceil((bnd - a) * per_len)))
-                edges = np.linspace(a, bnd, m + 1)
-                mid = 0.5 * (edges[:-1] + edges[1:])
-                dr = np.diff(edges)
-                nodes.append(np.concatenate([mid - g * dr, mid + g * dr]))
-                wts.append(np.concatenate([0.5 * dr, 0.5 * dr]))
-            return np.concatenate(nodes), np.concatenate(wts)
-
-        if self.dim == 2:
-            r_mid, r_w = radial_cells()
-            t = np.concatenate([-r_mid[::-1], r_mid])
-            dxp = np.concatenate([r_w[::-1], r_w])
-            xp = t[:, None]
-        else:
-            r_mid, r_w = radial_cells()
-            nth = n_col
-            th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
-            rr, tt = np.meshgrid(r_mid, th, indexing="ij")
-            ww = np.meshgrid(r_w, th, indexing="ij")[0]
-            xp = np.stack(
-                [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=-1
-            )
-            dxp = (ww * (2.0 * math.pi / nth) * rr).ravel()
-        lo, hi, empty = self.column_bounds(xp)
-        keep = ~empty
-        xp, lo, hi, darea = xp[keep], lo[keep], hi[keep], dxp[keep]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xn = mid[:, None] + half[:, None] * gl_x[None, :]
-        wq = darea[:, None] * half[:, None] * gl_w[None, :]
-        cols = np.repeat(xp, n_gl, axis=0)
-        pts = np.concatenate([cols, xn.reshape(-1, 1)], axis=-1) + self.apex
-        return pts, wq.ravel()
+        # Two-point Gauss per cell on [0, rim] and [rim, hw]; the rim kink
+        # sits on a cell boundary, so the rule is O(h^4) clean.
+        per_len = n_col / (2.0 * hw)
+        g = 0.5 / math.sqrt(3.0)
+        nodes, wts = [], []
+        for a, bnd in ((0.0, rim), (rim, hw)):
+            m = max(8, int(math.ceil((bnd - a) * per_len)))
+            edges = np.linspace(a, bnd, m + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            dr = np.diff(edges)
+            nodes.append(np.concatenate([mid - g * dr, mid + g * dr]))
+            wts.append(np.concatenate([0.5 * dr, 0.5 * dr]))
+        xp, area = _tangential_layout(np.concatenate(nodes), np.concatenate(wts), self.dim, n_col)
+        lo, hi, _ = self.column_bounds(xp)
+        pts, w = _columns(xp, lo, hi, area, 12)
+        return pts + self.apex, w
 
 
 @dataclass
@@ -751,12 +633,16 @@ class Domain:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
 
-    def boundary_mesh(self, count=None):
+    def boundary_points(self, count=None):
+        """Boundary samples of every component, about ``count`` in total.
+
+        Each component gets max(count // components, 64) points; the
+        default count is 2^10 in 2-d and 2^14 in 3-d.
+        """
         if count is None:
             count = 2**10 if self.dim == 2 else 2**14
         per = max(count // len(self.components), 64)
-        pts, nrm, w = zip(*(c.boundary_mesh(per) for c in self.components))
-        return np.concatenate(pts), np.concatenate(nrm), np.concatenate(w)
+        return np.concatenate([c.boundary_points(per) for c in self.components])
 
     def quad_nodes(self, target=32):
         pts, w = zip(*(c.quad_nodes(target) for c in self.components))
@@ -764,7 +650,7 @@ class Domain:
 
     def gap_ok(self, c1: float) -> bool:
         """Pairwise component gaps exceed 2*c1 (well-separated check)."""
-        meshes = [c.boundary_mesh(256)[0] for c in self.components]
+        meshes = [c.boundary_points(256) for c in self.components]
         for i in range(len(meshes)):
             for j in range(i + 1, len(meshes)):
                 d = np.min(

@@ -118,12 +118,12 @@ def holder_norm(f: SampledFunction, alpha: float) -> float:
 
 
 def boundary_sup(f: SampledFunction, domain, count: int | None = None) -> float:
-    """sup of |f| on the boundary mesh.
+    """sup of |f| on the domain's boundary points.
 
     Uses the generating callable when available; otherwise the nearest
     interior sample (O(spacing) interpolation error).
     """
-    bpts, _, _ = domain.boundary_mesh(count) if count else domain.boundary_mesh()
+    bpts = domain.boundary_points(count)
     if f.fn is not None:
         return float(np.max(np.abs(np.asarray(f.fn(bpts)))))
     tree = scipy.spatial.cKDTree(f.points)

@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
-from .source import FarField, sphere_directions
+from .geometry import sphere_directions
+from .source import FarField
 
 __all__ = [
     "NotContractive",
@@ -272,6 +273,6 @@ def scattered_far_field(scene: MediumScene, sol: LsSolution, n_dirs: int = 64) -
 
 def scatter_visibility_ratio(scene: MediumScene, alpha: float) -> float:
     """sup_bdry |phi u^i| / diam(Omega)^alpha, the visibility comparator."""
-    bpts, _, _ = scene.domain.boundary_mesh()
+    bpts = scene.domain.boundary_points()
     vals = np.abs(scene.contrast(bpts) * scene.incident_values(bpts))
     return float(np.max(vals)) / scene.domain.diameter() ** alpha

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import jv
 
+from .geometry import _ball_nodes, _disk_nodes, _gauss_legendre, sphere_directions
 from .holder import boundary_sup, holder_norm, sample_on_grid
 from .kernels import far_field_constant, green_kernel, make_support_grid
 from .quadrature import _bisect
@@ -68,25 +69,6 @@ class SourceScene:
         # >= 10 nodes per wavelength across the largest component scale.
         size = self.domain.diameter()
         return max(32, int(math.ceil(10.0 * self.k * size / (2.0 * math.pi))) + 24)
-
-
-def sphere_directions(n: int, n_dirs: int):
-    """Uniform angular grid on S^(n-1) with quadrature weights."""
-    if n == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        w = np.full(n_dirs, 2.0 * math.pi / n_dirs)
-        return dirs, w, th[:, None]
-    m = max(4, int(math.sqrt(n_dirs / 2)))
-    th = np.linspace(0.0, 2.0 * math.pi, 2 * m, endpoint=False)
-    ph = (np.arange(m) + 0.5) * math.pi / m
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    dirs = np.stack(
-        [np.sin(pp) * np.cos(tt), np.sin(pp) * np.sin(tt), np.cos(pp)], axis=-1
-    ).reshape(-1, 3)
-    w = (np.sin(pp) * (math.pi / m) * (2.0 * math.pi / (2 * m))).ravel()
-    angles = np.stack([tt.ravel(), pp.ravel()], axis=-1)
-    return dirs, w, angles
 
 
 @dataclass
@@ -186,49 +168,18 @@ def solve_field(
     w_cell = grid.spacing**scene.n
     r_cut = near_radius_cells * grid.spacing
     out = np.empty(eval_points.shape[0], dtype=complex)
-    # Polar correction rule around near targets.
-    n_r, n_th = 12, 16
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_r)
-    rr = 0.5 * r_cut * (gl_x + 1.0)
-    wr = 0.5 * r_cut * gl_w
-    th = np.linspace(0.0, 2.0 * math.pi, n_th, endpoint=False)
-    wth = 2.0 * math.pi / n_th
-    if scene.n == 3:
-        cph, wph = np.polynomial.legendre.leggauss(8)
+    # Polar correction rule on B(0, r_cut) around near targets.
+    r, wr = _gauss_legendre(12, 0.0, r_cut)
+    offs, wq = _disk_nodes(r, wr, 16) if scene.n == 2 else _ball_nodes(r, wr, 8, 16)
+    ker_w = wq * green_kernel(scene.n, scene.k, np.sqrt(np.sum(offs**2, axis=1)))
     for i, x in enumerate(eval_points):
         d = np.sqrt(np.sum((grid.points - x) ** 2, axis=1))
         far = d > r_cut
         vals = green_kernel(scene.n, scene.k, d[far]) * f_grid[far]
         acc = complex(np.sum(vals)) * w_cell
         if not np.all(far):
-            # Singular disk: integral of G * f over B(x, r_cut) in polar form.
-            if scene.n == 2:
-                offs = np.stack(
-                    [
-                        (rr[:, None] * np.cos(th)[None, :]).ravel(),
-                        (rr[:, None] * np.sin(th)[None, :]).ravel(),
-                    ],
-                    axis=-1,
-                )
-                wq = (wr * rr)[:, None].repeat(n_th, axis=1).ravel() * wth
-                ker = green_kernel(2, scene.k, np.sqrt(np.sum(offs**2, axis=1)))
-            else:
-                ss = np.sqrt(1.0 - cph**2)
-                offs = np.stack(
-                    [
-                        (rr[:, None, None] * ss[None, :, None] * np.cos(th)[None, None, :]).ravel(),
-                        (rr[:, None, None] * ss[None, :, None] * np.sin(th)[None, None, :]).ravel(),
-                        (rr[:, None, None] * cph[None, :, None] * np.ones_like(th)[None, None, :]).ravel(),
-                    ],
-                    axis=-1,
-                )
-                wq = (
-                    (wr[:, None, None] * wph[None, :, None] * wth)
-                    * rr[:, None, None] ** 2
-                ).ravel()
-                ker = green_kernel(3, scene.k, np.sqrt(np.sum(offs**2, axis=1)))
-            fv = scene.source_values(x[None, :] + offs)
-            acc += complex(np.sum(wq * ker * fv))
+            # Singular ball: integral of G * f over B(x, r_cut) in polar form.
+            acc += complex(np.sum(ker_w * scene.source_values(x[None, :] + offs)))
         out[i] = acc
     return out
 

@@ -119,6 +119,24 @@ class TestThreeDimensionalScenes:
         got = np.array(ff["re"]) + 1j * np.array(ff["im"])
         assert np.max(np.abs(got - want)) < 1e-10
 
+    def test_ball_source_fields(self, tmp_path, capsys):
+        cfg = {
+            "dimension": 3,
+            "wavenumber": 1.0,
+            "domain": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 0.5},
+            "intensity": {"kind": "constant", "value": 1.0},
+        }
+        scene = tmp_path / "ball3.json"
+        scene.write_text(json.dumps(cfg))
+        out = tmp_path / "u.csv"
+        code = main(["source", str(scene), "--fields", str(out), "--grid", "4", "--dirs", "16"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "x1,x2,x3,re,im"
+        assert len(lines) == 1 + 4**3
+
     @pytest.mark.parametrize("command", ["source", "medium"])
     def test_annulus_exit_2_without_traceback(self, tmp_path, capsys, command):
         cfg = {

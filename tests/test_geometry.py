@@ -8,6 +8,7 @@ import pytest
 from invisiscat.geometry import (
     AnnulusComponent,
     BallComponent,
+    BoxComponent,
     CappedComponent,
     CurvatureCap,
     Domain,
@@ -134,19 +135,46 @@ class TestComponents:
         pts, w = c.quad_nodes(12)
         assert abs(np.sum(w) - 4.0 / 3.0 * math.pi * 0.125) < 1e-12
 
-    def test_ball_boundary_mesh(self):
+    def test_ball_boundary_points(self):
         c = BallComponent([1.0, 2.0], 0.7)
-        pts, nrm, w = c.boundary_mesh(512)
-        assert abs(np.sum(w) - 2 * math.pi * 0.7) < 1e-12
+        pts = c.boundary_points(512)
+        assert pts.shape == (512, 2)
         assert np.allclose(np.linalg.norm(pts - [1, 2], axis=1), 0.7)
-        assert np.allclose(np.sum(nrm * (pts - [1, 2]), axis=1), 0.7, atol=1e-12)
 
     def test_star_mesh_circle_reduces_to_ball(self):
         c = StarComponent([0.0, 0.0], lambda th: np.full_like(th, 1.3))
-        pts, nrm, w = c.boundary_mesh(256)
-        assert abs(np.sum(w) - 2 * math.pi * 1.3) < 1e-10
+        pts = c.boundary_points(256)
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.3)
         pq, wq = c.quad_nodes(24)
         assert abs(np.sum(wq) - math.pi * 1.3**2) < 1e-10
+
+    @pytest.mark.parametrize(
+        "comp",
+        [
+            BallComponent([1.0, 2.0], 0.7),
+            BallComponent([0.1, -0.2, 0.3], 0.6, dim=3),
+            AnnulusComponent([0.2, 0.1], 0.4, 0.9),
+            BoxComponent([0.0, -1.0], [1.5, 0.5]),
+            StarComponent([0.0, 0.1], lambda th: 1.0 + 0.2 * np.cos(3.0 * th)),
+            CappedComponent(make_curvature_cap(10.0, 1.0, n=2), apex=[0.3, -0.2]),
+            CappedComponent(make_curvature_cap(10.0, 1.0, n=3), apex=[0.3, -0.2, 0.1]),
+        ],
+        ids=["ball2", "ball3", "annulus", "box", "star", "capped2", "capped3"],
+    )
+    def test_boundary_points_separate_inside_from_outside(self, comp):
+        # Every sample has body and complement within eps of it.  The probe
+        # steps are the nonzero vectors of {-1, 0, 1}^dim: at 403 points the
+        # 2-d capped body samples its lid corner, which only a diagonal
+        # step sees inside.
+        eps = 1e-7 * comp.diameter()
+        steps = np.array(list(np.ndindex(*([3] * comp.dim))), dtype=float) - 1.0
+        steps = steps[np.any(steps != 0.0, axis=1)]
+        for count in (256, 403):
+            pts = comp.boundary_points(count)
+            probes = pts[:, None, :] + eps * steps[None, :, :]
+            hit = comp.inside(probes.reshape(-1, comp.dim)).reshape(probes.shape[:2])
+            assert np.all(np.any(hit, axis=1))
+            assert np.all(np.any(~hit, axis=1))
 
     def test_annulus_inside(self):
         c = AnnulusComponent([0.0, 0.0], 0.5, 1.0)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy.special import jv as bessel_j
+from scipy.special import spherical_jn, spherical_yn
 
-from invisiscat.geometry import BallComponent, Domain
-from invisiscat.kernels import far_field_constant
+from invisiscat.geometry import AnnulusComponent, BallComponent, BoxComponent, Domain
+from invisiscat.kernels import far_field_constant, make_support_grid
 from invisiscat.source import (
     FarField,
     SourceScene,
@@ -78,6 +79,24 @@ class TestFarField:
         half = Domain([BallComponent([0.0, 0.0, 0.0], r0 / 2, dim=3)])
         loud = far_field(SourceScene(half, 1.0, k, 3), 128).sup_norm()
         assert silent < 1e-9 * loud
+
+    def test_union_matches_support_grid_moments(self):
+        # Concatenated component quad_nodes against the coverage-weighted
+        # grid sum of the same oscillatory integral, O(h^2) at h = 0.02.
+        k, h = 1.3, 0.02
+        dom = Domain(
+            [
+                BallComponent([-1.2, 0.0], 0.5),
+                AnnulusComponent([0.6, 0.3], 0.3, 0.7),
+                BoxComponent([-0.5, -1.4], [0.4, -0.8]),
+            ]
+        )
+        ff = far_field(SourceScene(dom, 1.0, k, 2), 32)
+        grid = make_support_grid(dom, h)
+        want = far_field_constant(2, k) * grid.plane_wave_moments(
+            -1j * k * ff.directions, grid.coverage * h**2
+        )
+        assert np.max(np.abs(ff.values - want)) < 2e-4 * np.max(np.abs(want))
 
 
 class TestRadiationlessRadius:
@@ -159,6 +178,26 @@ class TestSolveField:
         pts = np.array([[r0 + 2.0, 0.0], [0.0, -r0 - 3.0], [r0 + 5.0, r0]])
         u = solve_field(scene, pts, spacing=0.02)
         assert np.max(np.abs(u)) < 1e-5 * mass
+
+    def test_constant_ball_3d_closed_form(self):
+        # (Delta + k^2) u = 1 on B(0, a): u = 1/k^2 + A j0(kr) inside and
+        # B h0(kr) outside, matched C^1 at r = a (Wronskian j0 y0' - j0' y0
+        # = 1/x^2 gives A = i a^2 h0'(ka), B = i a^2 j0'(ka)).  Targets
+        # within r_cut of the support use the polar near-field rule.
+        k, a = 1.0, 0.5
+        ka = k * a
+        h0p = spherical_jn(0, ka, True) + 1j * spherical_yn(0, ka, True)
+        A, B = 1j * a * a * h0p, 1j * a * a * spherical_jn(0, ka, True)
+        scene = SourceScene(Domain([BallComponent([0.0, 0.0, 0.0], a, dim=3)]), 1.0, k, 3)
+        pts = np.array([[0.1, 0.05, 0.0], [0.0, 0.48, 0.0], [0.0, 0.0, 0.51], [1.2, 0.3, -0.4]])
+        u = solve_field(scene, pts, spacing=0.04)
+        kr = k * np.linalg.norm(pts, axis=1)
+        want = np.where(
+            kr < ka,
+            1.0 / k**2 + A * spherical_jn(0, kr),
+            B * (spherical_jn(0, kr) + 1j * spherical_yn(0, kr)),
+        )
+        assert np.all(np.abs(u - want) < 5e-3 * np.abs(want))
 
 
 class TestVisibilityRatio:

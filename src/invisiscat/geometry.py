@@ -540,11 +540,11 @@ class CappedComponent(Component):
             n_rest = count - n_graph
             t = np.linspace(-rim, rim, n_graph)
             graph = np.stack([t, self.cap.omega(t[:, None])], axis=-1)
-            # shelf, walls, lid
-            per = n_rest // 4
+            # two shelf halves, two walls and the lid, one fifth each
+            per = n_rest // 5
             s = np.linspace(rim, hw, per, endpoint=False)
             z = np.linspace(h, h + hh, per, endpoint=False)
-            s2 = np.linspace(-hw, hw, n_rest - 4 * per + 1)[:-1] if n_rest > 4 * per else np.empty(0)
+            s2 = np.linspace(-hw, hw, n_rest - 4 * per, endpoint=False)
             pts = np.concatenate(
                 [
                     graph,

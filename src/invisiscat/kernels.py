@@ -5,10 +5,13 @@ The resolvent (Delta + k^2)^{-1} acts by convolution with
     G_k(r) = -(i/4) (k/(2 pi))^((n-2)/2) r^((2-n)/2) H^(1)_((n-2)/2)(k r),
 
 which is -(i/4) H_0^(1)(k r) in the plane and -exp(ikr)/(4 pi r) in
-space.  On a regular grid the convolution is Toeplitz and applied by
-FFT; the singular self-cell is replaced by the exact integral of the
-kernel over the area/volume-equivalent disk or ball, an O(h^2)-accurate
-Nystroem correction.
+space.  The planar kernel is evaluated as -(i/4) (J_0(kr) + i Y_0(kr))
+with the real-argument Cephes routines ``scipy.special.j0``/``y0``;
+they agree with the complex-argument ``hankel1(0, .)`` to a few ulps and
+cost about a quarter as much.  On a regular grid the convolution is
+Toeplitz and applied by FFT; the singular self-cell is replaced by the
+exact integral of the kernel over the area/volume-equivalent disk or
+ball, an O(h^2)-accurate Nystroem correction.
 
 A grid with N_d nodes on axis d needs the offsets -(N_d - 1) .. N_d - 1,
 so the circulant embedding has length ``scipy.fft.next_fast_len(2 N_d - 1)``
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.special import hankel1, jv, yv
+from scipy.special import j0, jv, y0, yv
 
 __all__ = [
     "far_field_constant",
@@ -63,7 +66,8 @@ def green_kernel(n: int, k: float, r: np.ndarray) -> np.ndarray:
     """Outgoing free-space kernel G_k(|x - y|) on positive distances."""
     r = np.asarray(r, dtype=float)
     if n == 2:
-        return -0.25j * hankel1(0, k * r)
+        kr = k * r
+        return -0.25j * (j0(kr) + 1j * y0(kr))
     if n == 3:
         return -np.exp(1j * k * r) / (4.0 * math.pi * r)
     raise ValueError("kernels support n in {2, 3}")
@@ -151,6 +155,20 @@ def _row_kron(factors: list) -> np.ndarray:
     return out
 
 
+def _ball_cells(comp, centers: np.ndarray, h: float):
+    """Masks of the cells that lie surely inside the ball and that it may cut.
+
+    The margin 0.75 h sqrt(n) exceeds the half-diagonal h sqrt(n) / 2, so
+    a cell whose center is farther than it from the sphere is entirely on
+    one side.
+    """
+    margin = 0.75 * h * math.sqrt(centers.shape[1])
+    d = np.sqrt(np.sum((centers - comp.center) ** 2, axis=1))
+    full = d <= comp.radius - margin
+    edge = ~full & (d < comp.radius + margin)
+    return full, edge
+
+
 def _coverage_ball(comp, centers: np.ndarray, h: float) -> np.ndarray:
     """Disk coverage; cells near the circle use the strip rule.
 
@@ -160,11 +178,8 @@ def _coverage_ball(comp, centers: np.ndarray, h: float) -> np.ndarray:
     """
     sub = 24
     (cx, cy), R = comp.center, comp.radius
-    d = np.sqrt(np.sum((centers - comp.center) ** 2, axis=1))
-    full = d <= R - 0.75 * h * math.sqrt(2.0)
-    empty = d >= R + 0.75 * h * math.sqrt(2.0)
+    full, edge = _ball_cells(comp, centers, h)
     frac = np.where(full, 1.0, 0.0)
-    edge = ~(full | empty)
     x, y = centers[edge, 0], centers[edge, 1]
     x0, x1 = x - h / 2, x + h / 2
     # C order, so each row sums in the same (pairwise) order as a 1-d array.
@@ -176,6 +191,18 @@ def _coverage_ball(comp, centers: np.ndarray, h: float) -> np.ndarray:
     hi = np.minimum((y + h / 2)[:, None], cy + s)
     chord = np.maximum(hi - lo, 0.0) * (d2 > 0)
     frac[edge] = np.sum(chord, axis=1) * ((x1 - x0) / sub) / (h * h)
+    return frac
+
+
+def _coverage_ball_subsample(comp, centers: np.ndarray, h: float) -> np.ndarray:
+    """Ball coverage; only cells the sphere may cut run the 8^n subsample.
+
+    Every subsample point of a cell classified full (empty) lies inside
+    (outside) the ball, so the result equals the subsample on every cell.
+    """
+    full, edge = _ball_cells(comp, centers, h)
+    frac = np.where(full, 1.0, 0.0)
+    frac[edge] = _coverage_subsample(comp, centers[edge], h)
     return frac
 
 
@@ -215,7 +242,8 @@ def make_support_grid(domain, spacing: float, pad: float = 0.0) -> SupportGrid:
     accurate rule available: for 2-d disks a 24-strip midpoint rule
     across the cells that the circle may cut (``_coverage_ball``), for
     2-d cap-bottomed bodies 6-point Gauss columns with the exact vertical
-    extent (``_coverage_capped``), and an 8^n subsample otherwise.
+    extent (``_coverage_capped``), and an 8^n subsample otherwise.  3-d
+    balls run the subsample only on the cells the sphere may cut.
     """
     from .geometry import BallComponent, CappedComponent
 
@@ -226,8 +254,9 @@ def make_support_grid(domain, spacing: float, pad: float = 0.0) -> SupportGrid:
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     coverage = np.zeros(pts.shape[0])
     for comp in domain.components:
-        if isinstance(comp, BallComponent) and comp.dim == 2:
-            coverage += _coverage_ball(comp, pts, spacing)
+        if isinstance(comp, BallComponent):
+            rule = _coverage_ball if comp.dim == 2 else _coverage_ball_subsample
+            coverage += rule(comp, pts, spacing)
         elif isinstance(comp, CappedComponent) and comp.dim == 2:
             coverage += _coverage_capped(comp, pts, spacing)
         else:

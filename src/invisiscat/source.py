@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+# Bound on the (targets, live cells) entries ``solve_field`` forms per
+# block; 2^16 raises the benchmark disk's peak RSS by 3.4 MB and runs no
+# faster.
+_BLOCK_ENTRIES = 2**14
+
+
 class QuadratureFailure(RuntimeError):
     """Field quadrature could not reach its target accuracy."""
 
@@ -148,10 +154,13 @@ def solve_field(
 ) -> np.ndarray:
     """Radiating field u(x) = int G_k(x - y) f(y) dy at given points.
 
-    Far evaluation points get the plain quadrature sum; points within
-    ``near_radius_cells`` grid cells of the support use polar-coordinate
-    quadrature of the kernel singularity around the target with the
-    plain sum restricted to the complement.
+    The plain quadrature sum runs over the live cells (nonzero f times
+    coverage) only, for a block of targets at a time: the (targets,
+    cells) distance array is bounded by ``_BLOCK_ENTRIES`` entries and
+    reduced along the cell axis by a numpy sum.  Cells within
+    ``near_radius_cells`` grid cells of a target are left out of its sum,
+    and a target that has such a live cell gets polar-coordinate
+    quadrature of the kernel singularity over that ball instead.
     """
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if spacing is None:
@@ -165,6 +174,8 @@ def solve_field(
         )
     grid = make_support_grid(scene.domain, spacing)
     f_grid = scene.intensity(grid.points) * grid.coverage
+    live = np.flatnonzero(f_grid)
+    cells, f_live = grid.points[live], f_grid[live]
     w_cell = grid.spacing**scene.n
     r_cut = near_radius_cells * grid.spacing
     out = np.empty(eval_points.shape[0], dtype=complex)
@@ -172,15 +183,20 @@ def solve_field(
     r, wr = _gauss_legendre(12, 0.0, r_cut)
     offs, wq = _disk_nodes(r, wr, 16) if scene.n == 2 else _ball_nodes(r, wr, 8, 16)
     ker_w = wq * green_kernel(scene.n, scene.k, np.sqrt(np.sum(offs**2, axis=1)))
-    for i, x in enumerate(eval_points):
-        d = np.sqrt(np.sum((grid.points - x) ** 2, axis=1))
+    block = max(1, _BLOCK_ENTRIES // max(1, live.size))
+    for start in range(0, eval_points.shape[0], block):
+        x = eval_points[start : start + block]
+        d = np.sqrt(np.sum((x[:, None, :] - cells[None, :, :]) ** 2, axis=-1))
         far = d > r_cut
-        vals = green_kernel(scene.n, scene.k, d[far]) * f_grid[far]
-        acc = complex(np.sum(vals)) * w_cell
-        if not np.all(far):
-            # Singular ball: integral of G * f over B(x, r_cut) in polar form.
-            acc += complex(np.sum(ker_w * scene.source_values(x[None, :] + offs)))
-        out[i] = acc
+        g = np.zeros(d.shape, dtype=complex)
+        g[far] = green_kernel(scene.n, scene.k, d[far])
+        # A numpy sum, not ``@``: the complex BLAS product wakes a second
+        # thread for no gain in wall time.
+        out[start : start + block] = np.sum(g * f_live, axis=1) * w_cell
+        # Singular ball: integral of G * f over B(x, r_cut) in polar form.
+        for i in np.flatnonzero(~np.all(far, axis=1)):
+            vals = scene.source_values(x[i : i + 1] + offs)
+            out[start + i] += complex(np.sum(ker_w * vals))
     return out
 
 

@@ -163,9 +163,9 @@ class TestComponents:
     )
     def test_boundary_points_separate_inside_from_outside(self, comp):
         # Every sample has body and complement within eps of it.  The probe
-        # steps are the nonzero vectors of {-1, 0, 1}^dim: at 403 points the
-        # 2-d capped body samples its lid corner, which only a diagonal
-        # step sees inside.
+        # steps are the nonzero vectors of {-1, 0, 1}^dim: the 2-d capped
+        # body samples its lid corner, which only a diagonal step sees
+        # inside.
         eps = 1e-7 * comp.diameter()
         steps = np.array(list(np.ndindex(*([3] * comp.dim))), dtype=float) - 1.0
         steps = steps[np.any(steps != 0.0, axis=1)]
@@ -193,6 +193,15 @@ class TestComponents:
         want = lens + 2.0 * 0.35 * 0.5
         assert abs(vol - want) < 1e-6 * want
         assert np.all(comp.inside(pts))
+
+    @pytest.mark.parametrize("count", [256, 1024])
+    def test_capped_lid_sampled(self, count):
+        # Shelf halves, walls and lid each get a fifth of the non-graph samples.
+        comp = CappedComponent(make_curvature_cap(10.0, 1.0, n=2), bulk_height=0.5)
+        local = comp.boundary_points(count) - comp.apex
+        on_lid = local[:, 1] == comp.cap.h + comp.bulk_height
+        assert np.count_nonzero(on_lid) >= (count - count // 2) // 5
+        assert np.all(np.abs(local[on_lid, 0]) <= comp.bulk_width)
 
     def test_capped_admissibility_window(self):
         # Inside B(0,b) x (-h,h) the body is exactly {omega < x_n < h}.

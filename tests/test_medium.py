@@ -9,6 +9,7 @@ from invisiscat import medium
 from invisiscat.geometry import BallComponent, Domain
 from invisiscat.kernels import (
     GridConvolver,
+    _coverage_subsample,
     far_field_constant,
     green_cell_integral,
     green_kernel,
@@ -195,6 +196,18 @@ class TestSupportGridCoverage:
         # chord at x = cx -/+ R, O(sqrt(R) (h/24)^(3/2)) in all.
         area = np.sum(grid.coverage) * h * h
         assert abs(area - math.pi * R * R) < math.sqrt(R) * (h / 24) ** 1.5
+
+
+class TestBallCoverage3d:
+    """3-d balls run the subsample on the cells the sphere may cut only."""
+
+    @pytest.mark.parametrize("h", [0.05, 0.031])
+    def test_matches_full_subsample(self, h):
+        comp = BallComponent([0.13, -0.07, 0.21], 0.37, dim=3)
+        grid = make_support_grid(Domain([comp]), h)
+        want = _coverage_subsample(comp, grid.points, h)
+        assert 0 < np.count_nonzero((want > 0) & (want < 1)) < len(want) // 2
+        np.testing.assert_array_equal(grid.coverage, want)
 
 
 class TestSeparableSums:

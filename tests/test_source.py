@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hankel1
 from scipy.special import jv as bessel_j
 from scipy.special import spherical_jn, spherical_yn
 
+from invisiscat import source
 from invisiscat.geometry import AnnulusComponent, BallComponent, BoxComponent, Domain
 from invisiscat.kernels import far_field_constant, make_support_grid
 from invisiscat.source import (
@@ -198,6 +200,57 @@ class TestSolveField:
             B * (spherical_jn(0, kr) + 1j * spherical_yn(0, kr)),
         )
         assert np.all(np.abs(u - want) < 5e-3 * np.abs(want))
+
+    def test_batched_targets_match_single_calls(self):
+        # 40 targets in blocks of 9 (2^14 entries over ~1,800 live cells):
+        # interior, near the circle on both sides (polar correction) and far
+        # outside.
+        scene = ball_scene(0.5, k=2.0, phi=lambda p: 1.0 + p[:, 0] - 0.5j * p[:, 1])
+        th = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
+        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        pts = np.concatenate([0.2 * ring, 0.49 * ring, 0.53 * ring, 3.0 * ring])
+        block = source._BLOCK_ENTRIES // np.count_nonzero(
+            make_support_grid(scene.domain, 1.0 / 48.0).coverage
+        )
+        assert 1 < block < len(pts)
+        u = solve_field(scene, pts)
+        single = np.array([solve_field(scene, pts[i : i + 1])[0] for i in range(len(pts))])
+        assert np.all(np.abs(u - single) <= 1e-14 * np.abs(single))
+
+
+def disk_field(k, R, pts):
+    """u = int_{|y|<R} G_k(x - y) dy by Graf's addition theorem (m = 0 term)."""
+    r = np.linalg.norm(pts, axis=1)
+    inner = hankel1(0, k * r) * r * bessel_j(1, k * r) + bessel_j(0, k * r) * (
+        R * hankel1(1, k * R) - r * hankel1(1, k * r)
+    )
+    outer = hankel1(0, k * r) * R * bessel_j(1, k * R)
+    return -0.5j * math.pi * np.where(r >= R, outer, inner) / k
+
+
+class TestSolveFieldAccuracy:
+    """Unit disk at k = 2 against Graf's closed form on a 16 x 16 target grid.
+
+    Errors are max |u - u_exact| over the subset, relative to max |u_exact|
+    over all targets.  Measured: 2.2e-3 inside (r < 0.9) and 1.3e-4 outside
+    (r > 1.1) at the default h = 1/24; 6.8e-4 and 3.3e-5 at h/2.
+    """
+
+    def test_errors_and_observed_order(self):
+        k = 2.0
+        axis = np.linspace(-1.5, 1.5, 16)
+        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        r = np.linalg.norm(pts, axis=1)
+        want = disk_field(k, 1.0, pts)
+        scene = ball_scene(1.0, k=k)
+        errs = {}
+        for h in (1.0 / 24.0, 1.0 / 48.0):
+            err = np.abs(solve_field(scene, pts, spacing=h) - want) / np.max(np.abs(want))
+            errs[h] = np.array([np.max(err[r < 0.9]), np.max(err[r > 1.1])])
+        coarse, fine = errs[1.0 / 24.0], errs[1.0 / 48.0]
+        assert np.all(coarse < [3e-3, 2e-4])
+        assert np.all(fine < [1e-3, 5e-5])
+        assert np.all(np.log2(coarse / fine) >= 1.0)
 
 
 class TestVisibilityRatio:

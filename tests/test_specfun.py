@@ -1,8 +1,9 @@
 """Accuracy of the special functions the package calls.
 
 The package evaluates Bessel, Hankel and gamma functions with
-``scipy.special`` and ``math.gamma``; ``quadrature.sphere_measure`` is
-its own closed form.  Independent references: mpmath's arbitrary
+``scipy.special`` and ``math.gamma``, and the planar Helmholtz kernel as
+J_0 + i Y_0 with the real-argument ``j0``/``y0``;
+``quadrature.sphere_measure`` is its own closed form.  Independent references: mpmath's arbitrary
 precision evaluations, direct quadrature of defining integrals, closed
 forms and the Wronskian identity.
 """
@@ -17,6 +18,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invisiscat.kernels import green_kernel
 from invisiscat.quadrature import sphere_measure
 
 # Working precision of the mpmath references: five digits beyond double,
@@ -134,6 +136,15 @@ class TestHankel1:
         # Logarithmic trend: increments of |H| per decade approach 2/pi ln10.
         inc = np.diff(vals)
         assert abs(inc[-1] - 2.0 / math.pi * math.log(10.0)) < 1e-2
+
+
+class TestPlanarKernel:
+    @pytest.mark.parametrize("k", [0.5, 2.0, 7.3])
+    def test_matches_complex_argument_hankel(self, k):
+        kr = np.concatenate([np.geomspace(1e-4, 60.0, 4001), np.linspace(1e-4, 60.0, 4001)])
+        want = -0.25j * scipy.special.hankel1(0, kr)
+        got = green_kernel(2, k, kr / k)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestGamma:

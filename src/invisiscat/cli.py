@@ -7,17 +7,27 @@
     invisiscat experiment NAME [config.json] --out DIR
 
 Exit codes: 0 success, 1 suite assertion failure, 2 configuration
-error, 3 numerical failure.
+error, 3 numerical failure.  ``main`` alone maps exceptions to codes:
+``errors.ConfigError`` (``SceneError``, ``InadmissiblePerturbation``
+and every bad flag) and ``OSError`` exit 2 with an ``error:`` line;
+``errors.NumericalFailure`` (``ResolutionTooCoarse``,
+``PrecondViolated``, ``NotContractive``, ``BudgetExceeded``,
+``QuadratureFailure``, ``NoneFound``) exits 3 with a ``numerical
+failure:`` line.  Flags are checked before any work starts.  Any other
+exception is a bug and ends in its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import math
 import sys
 
 import numpy as np
+
+from .errors import ConfigError, NumericalFailure
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -47,53 +57,49 @@ def _field_grid(domain, n):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Reject a flag value before any work starts."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {rule}, got {value!r}")
+
+
+def _positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def cmd_source(args) -> int:
-    from .scenes import SceneError, load_source_scene
-    from .source import QuadratureFailure, far_field, solve_field
+    from .scenes import load_source_scene, read_json
+    from .source import far_field, solve_field
 
-    try:
-        from .scenes import read_json
-
-        scene = load_source_scene(read_json(args.scene))
-    except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        ff = far_field(scene, args.dirs)
-        if args.farfield:
-            ff.to_csv(args.farfield)
-        if args.farfield_json:
-            ff.to_json(args.farfield_json)
-        if args.fields:
-            pts = _field_grid(scene.domain, args.grid)
-            u = solve_field(scene, pts)
-            _write_field_csv(args.fields, pts, u)
-    except QuadratureFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    _require(args.dirs >= 8, "--dirs", "at least 8", args.dirs)
+    _require(args.grid >= 1, "--grid", "at least 1", args.grid)
+    scene = load_source_scene(read_json(args.scene))
+    ff = far_field(scene, args.dirs)
+    if args.farfield:
+        ff.to_csv(args.farfield)
+    if args.farfield_json:
+        ff.to_json(args.farfield_json)
+    if args.fields:
+        pts = _field_grid(scene.domain, args.grid)
+        _write_field_csv(args.fields, pts, solve_field(scene, pts))
     print(f"far-field sup norm: {ff.sup_norm()!r}")
     return EXIT_OK
 
 
 def cmd_medium(args) -> int:
-    from .medium import NotContractive, scattered_far_field, solve_ls
-    from .scenes import SceneError, load_medium_scene, read_json
+    from .medium import scattered_far_field, solve_ls
+    from .scenes import load_medium_scene, read_json
 
-    try:
-        scene = load_medium_scene(read_json(args.scene))
-    except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        sol = solve_ls(scene, spacing=args.spacing)
-        ff = scattered_far_field(scene, sol, args.dirs)
-        if args.farfield:
-            ff.to_csv(args.farfield)
-        if args.fields:
-            _write_field_csv(args.fields, sol.grid.points, sol.u)
-    except NotContractive as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    _require(args.dirs >= 1, "--dirs", "at least 1", args.dirs)
+    spacing = args.spacing
+    _require(spacing is None or _positive(spacing), "--spacing", "finite and positive", spacing)
+    scene = load_medium_scene(read_json(args.scene))
+    sol = solve_ls(scene, spacing=spacing)
+    ff = scattered_far_field(scene, sol, args.dirs)
+    if args.farfield:
+        ff.to_csv(args.farfield)
+    if args.fields:
+        _write_field_csv(args.fields, sol.grid.points, sol.u)
     print(
         f"scattered far-field sup norm: {ff.sup_norm()!r} "
         f"({sol.method}, {len(sol.residuals)} residual evaluations)"
@@ -102,26 +108,19 @@ def cmd_medium(args) -> int:
 
 
 def cmd_teig(args) -> int:
-    from .scenes import SceneError, read_json
-    from .transmission import NoneFound, RadialITP, find_eigenvalues
+    from .scenes import load_itp, read_json
+    from .transmission import NoneFound, find_eigenvalues
 
+    _require(_positive(args.kmax), "--kmax", "finite and positive", args.kmax)
+    modes = args.modes.split(",")
+    _require(
+        all(m.strip().isdecimal() for m in modes),
+        "--modes", "a comma-separated list of nonnegative integers", args.modes,
+    )
+    itp = load_itp(read_json(args.config))
     try:
-        cfg = read_json(args.config)
-        itp = RadialITP(
-            R=float(cfg["radius"]),
-            v0=float(cfg["contrast"]),
-            n=int(cfg.get("dimension", 2)),
-        )
-    except (SceneError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not (math.isfinite(args.kmax) and args.kmax > 0):
-        print(f"error: --kmax must be finite and positive, got {args.kmax!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    modes = [int(m) for m in args.modes.split(",")] if args.modes else [0]
-    try:
-        pairs = find_eigenvalues(itp, args.kmax, modes=modes)
-    except NoneFound:
+        pairs = find_eigenvalues(itp, args.kmax, modes=[int(m) for m in modes])
+    except NoneFound:  # no eigenvalue below --kmax is a result, not a failure
         pairs = []
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -139,14 +138,11 @@ def cmd_teig(args) -> int:
 
 def cmd_cgo_verify(args) -> int:
     from .cgo import CgoVector, cgo_over_parabola, cgo_sliced
-    from .quadrature import AnnularParaboloid, BudgetExceeded, ParaboloidCap, integrate
+    from .quadrature import AnnularParaboloid, ParaboloidCap, integrate
 
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print(f"error: --tol must be finite and positive, got {args.tol!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return EXIT_CONFIG
+    _require(_positive(args.tol), "--tol", "finite and positive", args.tol)
+    _require(args.samples >= 1, "--samples", "at least 1", args.samples)
+    _require(args.seed >= 0, "--seed", "nonnegative", args.seed)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     failures = 0
@@ -157,13 +153,7 @@ def cmd_cgo_verify(args) -> int:
         vec = CgoVector.canonical(tau, n)
         want = cgo_over_parabola(vec, K)
         tol = max(args.tol * abs(want) / (1.0 + abs(want)) * 0.1, 1e-13)
-        try:
-            got = integrate(
-                vec.field, ParaboloidCap(K, dim=n, decay_rate=tau), tol=tol
-            )
-        except BudgetExceeded as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        got = integrate(vec.field, ParaboloidCap(K, dim=n, decay_rate=tau), tol=tol)
         rel = abs(got - want) / abs(want)
         worst = max(worst, rel)
         failures += int(rel > args.tol)
@@ -185,33 +175,20 @@ def cmd_cgo_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     from .experiments import SUITES, write_outputs
-    from .scenes import SceneError, read_json
+    from .scenes import read_json
 
     if args.suite not in SUITES:
-        print(
-            f"error: unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    kwargs = {}
-    if args.config:
-        try:
-            cfg = read_json(args.config)
-        except SceneError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if not isinstance(cfg, dict):
-            print("error: experiment config must be a JSON object", file=sys.stderr)
-            return EXIT_CONFIG
-        kwargs = cfg
-    try:
-        result = SUITES[args.suite](**kwargs)
-    except TypeError as exc:
-        print(f"error: bad config for suite {args.suite}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # propagate solver failures as exit 3
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    suite = SUITES[args.suite]
+    cfg = read_json(args.config) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise ConfigError("experiment config must be a JSON object")
+    # Every suite parameter has a default, so a config binds to the
+    # signature exactly when it names no unknown parameter.
+    unknown = sorted(set(cfg) - set(inspect.signature(suite).parameters))
+    if unknown:
+        raise ConfigError(f"bad config for suite {args.suite}: unknown keys {unknown}")
+    result = suite(**cfg)
     path = write_outputs(result, args.out)
     status = "pass" if result.passed else "FAIL"
     print(
@@ -270,8 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that turns an exception into an exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

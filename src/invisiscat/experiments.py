@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .cgo import curvature_estimate_rhs
+from .errors import ConfigError
 from .geometry import (
     BallComponent,
     BoxComponent,
@@ -83,14 +84,29 @@ def _map_ordered(fn, items):
 
 @dataclass
 class SuiteResult:
+    """A suite's rows, each with a boolean ``counterexample`` entry last.
+
+    ``checks_pass`` carries any suite-level check beyond the rows.
+    """
+
     name: str
-    columns: list
     rows: list
-    counterexamples: int
-    passed: bool
     calibration: dict
     runtime_seconds: float
     notes: list = field(default_factory=list)
+    checks_pass: bool = True
+
+    @property
+    def columns(self) -> list:
+        return list(self.rows[0]) if self.rows else []
+
+    @property
+    def counterexamples(self) -> int:
+        return sum(int(row["counterexample"]) for row in self.rows)
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexamples == 0 and self.checks_pass
 
     def table(self):
         return [[row.get(c) for c in self.columns] for row in self.rows]
@@ -164,12 +180,10 @@ def run_smallness_source(
         }
 
     rows = _map_ordered(one, sweep)
-    counter = 0
     for row in rows:
         hypothesis = row["ratio"] >= cal["C_visibility"]
         silent = row["far_field_sup"] < cal["far_field_floor"]
         row["counterexample"] = hypothesis and silent
-        counter += int(row["counterexample"])
     # Lower-bound family check: radiationless balls obey
     # diam^alpha >= C_lower * sup/norm (constant intensity: sup/norm = 1).
     lb_ok = True
@@ -177,16 +191,7 @@ def run_smallness_source(
         rm = radiationless_radius(k, 2, m)
         lb_ok &= (2.0 * rm) ** alpha >= cal["C_lower_bound"] * (1.0 - 1e-12)
     notes = [] if lb_ok else ["radiationless family violates the diameter lower bound"]
-    return SuiteResult(
-        "smallness_source",
-        ["radius", "ratio", "far_field_sup", "radiationless_expected", "counterexample"],
-        rows,
-        counter,
-        counter == 0 and lb_ok,
-        cal,
-        time.time() - t0,
-        notes,
-    )
+    return SuiteResult("smallness_source", rows, cal, time.time() - t0, notes, lb_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,6 @@ def run_curvature_source(
         }
 
     rows = _map_ordered(one, list(K_list))
-    counter = 0
     for row in rows:
         visible = row["far_field_sup"] > cal["far_field_floor"]
         dual_ok = row["dual_apex_ratio"] <= cal["C_manufactured"] * row["envelope"] * (
@@ -264,24 +268,7 @@ def run_curvature_source(
         )
         dual_silent = row["dual_far_field_sup"] <= cal["dual_far_field_ceiling"]
         row["counterexample"] = not (visible and dual_ok and dual_silent)
-        counter += int(row["counterexample"])
-    return SuiteResult(
-        "curvature_source",
-        [
-            "K",
-            "far_field_sup",
-            "envelope",
-            "dual_apex_ratio",
-            "dual_far_field_sup",
-            "dual_phi_norm",
-            "counterexample",
-        ],
-        rows,
-        counter,
-        counter == 0,
-        cal,
-        time.time() - t0,
-    )
+    return SuiteResult("curvature_source", rows, cal, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,36 +335,36 @@ def run_medium_visibility(
         }
 
     rows = _map_ordered(one, jobs)
-    counter = 0
     for row in rows:
         floor = cal["relative_floor"] * row["born_scale"]
         hypothesis = row["comparator"] >= cal["C_comparator"]
         silent = row["far_field_sup"] < floor
         row["counterexample"] = hypothesis and silent
-        counter += int(row["counterexample"])
-    return SuiteResult(
-        "medium_visibility",
-        [
-            "kind",
-            "size",
-            "comparator",
-            "far_field_sup",
-            "born_scale",
-            "contraction",
-            "envelope_K",
-            "counterexample",
-        ],
-        rows,
-        counter,
-        counter == 0,
-        cal,
-        time.time() - t0,
-    )
+    return SuiteResult("medium_visibility", rows, cal, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
 # Suites 4-5: shape determination from one far-field pattern
 # ---------------------------------------------------------------------------
+
+
+def _pair_rows(pairs, difference_floor: float) -> list:
+    """Rows for (name, far field, far field, expect_separation, extra columns).
+
+    A pair named ``identical*`` (one scene solved twice) is a
+    counterexample above 1e-14; a pair expected to separate is one at or
+    below the floor; any other pair is reported only.
+    """
+    rows = []
+    for pair, ff, other, separate, extra in pairs:
+        diff = ff.relative_l2_difference(other)
+        if pair.startswith("identical"):
+            bad = diff > 1e-14
+        else:
+            bad = separate and diff <= difference_floor
+        row = {"pair": pair, "difference": diff, "expect_separation": separate}
+        rows.append({**row, **extra, "counterexample": bad})
+    return rows
 
 
 def _medium_far_field(domain, v0, k, n_dirs=48, spacing=None) -> FarField:
@@ -396,7 +383,6 @@ def run_schiffer_separation(
     """Disjoint small scatterers cannot share a far-field pattern."""
     t0 = time.time()
     cal = (calibration or load_calibration())["schiffer_separation"]
-    rows = []
     dom_a = Domain([BallComponent([-0.8, 0.0], radius)])
     dom_b = Domain([BallComponent([0.8, 0.0], radius)])
     ff_a = _medium_far_field(dom_a, v0_a, k)
@@ -404,51 +390,17 @@ def run_schiffer_separation(
     ff_b = _medium_far_field(dom_b, v0_b, k)
     dom_c = Domain([BallComponent([-0.75, 0.05], radius)])
     ff_c = _medium_far_field(dom_c, v0_b, k)
-    rows.append(
-        {
-            "pair": "identical",
-            "difference": ff_a.relative_l2_difference(ff_same),
-            "expect_separation": False,
-        }
-    )
-    rows.append(
-        {
-            "pair": "disjoint_small",
-            "difference": ff_a.relative_l2_difference(ff_b),
-            "expect_separation": True,
-        }
-    )
-    rows.append(
-        {
-            "pair": "overlapping",
-            "difference": ff_a.relative_l2_difference(ff_c),
-            "expect_separation": False,
-        }
-    )
-    counter = 0
-    for row in rows:
-        if row["pair"] == "identical":
-            bad = row["difference"] > 1e-14
-        elif row["expect_separation"]:
-            bad = row["difference"] <= cal["difference_floor"]
-        else:
-            bad = False  # reported only
-        row["counterexample"] = bad
-        counter += int(bad)
+    pairs = [
+        ("identical", ff_a, ff_same, False, {}),
+        ("disjoint_small", ff_a, ff_b, True, {}),
+        ("overlapping", ff_a, ff_c, False, {}),
+    ]
+    rows = _pair_rows(pairs, cal["difference_floor"])
     notes = [
         f"diam {2*radius} within C1 = {cal['C1']}; k = {k} within C2 = {cal['C2']}"
     ]
     ok_regime = 2 * radius <= cal["C1"] and k <= cal["C2"]
-    return SuiteResult(
-        "schiffer_separation",
-        ["pair", "difference", "expect_separation", "counterexample"],
-        rows,
-        counter,
-        counter == 0 and ok_regime,
-        cal,
-        time.time() - t0,
-        notes,
-    )
+    return SuiteResult("schiffer_separation", rows, cal, time.time() - t0, notes, ok_regime)
 
 
 def run_schiffer_counting(
@@ -467,7 +419,7 @@ def run_schiffer_counting(
         [BallComponent(list(c), radius) for c in centers_true], well_separated=True
     )
     if not truth.gap_ok(cal["C1"]):
-        raise ValueError("true configuration is not well separated for frozen C1")
+        raise ConfigError("true configuration is not well separated for frozen C1")
     ff_true = _medium_far_field(truth, v0, k)
     rng = np.random.default_rng(seed)
     candidates = []
@@ -519,7 +471,6 @@ def run_schiffer_counting(
         }
 
     rows = _map_ordered(one, candidates)
-    counter = 0
     best_correct = math.inf
     for row in rows:
         if math.isnan(row["mismatch"]):
@@ -531,18 +482,8 @@ def run_schiffer_counting(
             bad = False
             best_correct = min(best_correct, row["mismatch"])
         row["counterexample"] = bad
-        counter += int(bad)
     notes = [f"smallest mismatch among correct-count candidates: {best_correct!r}"]
-    return SuiteResult(
-        "schiffer_counting",
-        ["candidate", "components", "mismatch", "counterexample"],
-        rows,
-        counter,
-        counter == 0,
-        cal,
-        time.time() - t0,
-        notes,
-    )
+    return SuiteResult("schiffer_counting", rows, cal, time.time() - t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -577,45 +518,13 @@ def run_curvature_uniqueness_demo(
 
     d_apex = h  # distance from the apex to the bulk-only body
     gap_condition = d_apex < math.sqrt(1.0 + comp.cap.M) / K
-    rows = [
-        {
-            "pair": "capped_vs_bulk",
-            "difference": ff_capped.relative_l2_difference(ff_bulk),
-            "expect_separation": True,
-            "gap_condition_honored": gap_condition,
-        },
-        {
-            "pair": "identical_capped",
-            "difference": ff_capped.relative_l2_difference(ff_capped_again),
-            "expect_separation": False,
-            "gap_condition_honored": True,
-        },
-        {
-            "pair": "rotated_rounded_triangle",
-            "difference": ff_tri_a.relative_l2_difference(ff_tri_b),
-            "expect_separation": True,
-            "gap_condition_honored": False,
-        },
+    pairs = [
+        ("capped_vs_bulk", ff_capped, ff_bulk, True, {"gap_condition_honored": gap_condition}),
+        ("identical_capped", ff_capped, ff_capped_again, False, {"gap_condition_honored": True}),
+        ("rotated_rounded_triangle", ff_tri_a, ff_tri_b, True, {"gap_condition_honored": False}),
     ]
-    counter = 0
-    for row in rows:
-        if row["pair"] == "identical_capped":
-            bad = row["difference"] > 1e-14
-        elif row["expect_separation"]:
-            bad = row["difference"] <= cal["difference_floor"]
-        else:
-            bad = False
-        row["counterexample"] = bad
-        counter += int(bad)
-    return SuiteResult(
-        "curvature_uniqueness",
-        ["pair", "difference", "expect_separation", "gap_condition_honored", "counterexample"],
-        rows,
-        counter,
-        counter == 0,
-        cal,
-        time.time() - t0,
-    )
+    rows = _pair_rows(pairs, cal["difference_floor"])
+    return SuiteResult("curvature_uniqueness", rows, cal, time.time() - t0)
 
 
 SUITES = {

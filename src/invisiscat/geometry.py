@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.ndimage
 
+from .errors import ConfigError, NumericalFailure
 from .gridquad import _columns, _polar, _tangential_layout
 from .quadrature import GraphCap, _bisect
 
@@ -52,11 +53,11 @@ __all__ = [
 ]
 
 
-class InadmissiblePerturbation(ValueError):
+class InadmissiblePerturbation(ConfigError):
     """Cubic perturbation too large for the requested (K, L, M, delta)."""
 
 
-class ResolutionTooCoarse(RuntimeError):
+class ResolutionTooCoarse(NumericalFailure):
     """Connectivity grid cannot see the complement near the query point."""
 
 
@@ -312,6 +313,8 @@ class BallComponent(Component):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
+        if not self.radius > 0:
+            raise ConfigError(f"ball radius must be positive, got {self.radius!r}")
 
     def inside(self, pts):
         return np.sum((pts - self.center) ** 2, axis=1) < self.radius**2
@@ -427,6 +430,9 @@ class StarComponent(Component):
         self.center = np.asarray(self.center, dtype=float)
         if self.dim != 2:
             raise ValueError("star components are 2-d")
+        r = self._radii()
+        if not np.all((r > 0) & np.isfinite(r)):
+            raise ConfigError("star radial function must be finite and positive at every angle")
 
     def inside(self, pts):
         d = pts - self.center
@@ -434,9 +440,12 @@ class StarComponent(Component):
         th = np.arctan2(d[:, 1], d[:, 0])
         return r < self.radial(th)
 
-    def _rmax(self):
+    def _radii(self):
         th = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        return float(np.max(self.radial(th)))
+        return self.radial(th)
+
+    def _rmax(self):
+        return float(np.max(self._radii()))
 
     def bounding_box(self):
         rm = self._rmax()

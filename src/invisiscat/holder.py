@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.spatial
 
+from .errors import ConfigError, NumericalFailure
 from .gridquad import cap_lid_nodes, cap_window_columns, simpson_box
 from .kernels import _coverage_subsample
 
@@ -35,7 +36,7 @@ _PAIR_SEED = 20240901
 _LONG_RANGE_PAIRS = 10**5
 
 
-class PrecondViolated(RuntimeError):
+class PrecondViolated(NumericalFailure):
     """Input pair does not satisfy the PDE/boundary hypotheses."""
 
 
@@ -103,7 +104,7 @@ def holder_norm(f: SampledFunction, alpha: float) -> float:
     refinement for alpha in (0, 1].
     """
     if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
+        raise ConfigError(f"alpha must lie in (0, 1], got {alpha!r}")
     if f.points.shape[0] < 2:
         return float(np.max(np.abs(f.values))) if f.points.shape[0] else 0.0
     sup = float(np.max(np.abs(f.values)))

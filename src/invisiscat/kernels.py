@@ -43,6 +43,8 @@ import numpy as np
 import scipy.fft
 from scipy.special import j0, jv, y0, yv
 
+from .errors import NumericalFailure
+
 __all__ = [
     "far_field_constant",
     "green_kernel",
@@ -51,6 +53,11 @@ __all__ = [
     "SupportGrid",
     "make_support_grid",
 ]
+
+# Most cells a support grid may hold: 3.5x the largest grid the tests and
+# benchmark build (386^2).  A Lippmann-Schwinger solve keeps about 2 kB
+# per cell (GMRES keeps 100 Krylov vectors), so this bounds it near 1 GB.
+_MAX_GRID_CELLS = 2**19
 
 
 def far_field_constant(n: int, k: float) -> complex:
@@ -79,7 +86,11 @@ def green_disk_integral(n: int, k: float, a: float) -> complex:
     n=2: 2 pi int_0^a G r dr with int_0^a J_0(kr) r dr = a J_1(ka)/k and
     int_0^a Y_0(kr) r dr = a Y_1(ka)/k + 2/(pi k^2).
     n=3: -int_0^a r e^{ikr} dr.
+    Both forms cancel terms of size 1/k^2, so k a below 1e-8 raises
+    NumericalFailure (at k a = 1e-8 the 2-d value is already 6% off).
     """
+    if not k * a >= 1e-8:
+        raise NumericalFailure(f"k a = {k * a!r} is too small for the closed-form cell integral")
     if n == 2:
         int_j = a * float(jv(1, k * a)) / k
         int_y = a * float(yv(1, k * a)) / k + 2.0 / (math.pi * k * k)
@@ -243,12 +254,21 @@ def make_support_grid(domain, spacing: float, pad: float = 0.0) -> SupportGrid:
     across the cells that the circle may cut (``_coverage_ball``), for
     2-d cap-bottomed bodies 6-point Gauss columns with the exact vertical
     extent (``_coverage_capped``), and an 8^n subsample otherwise.  3-d
-    balls run the subsample only on the cells the sphere may cut.
+    balls run the subsample only on the cells the sphere may cut.  A grid
+    of more than ``_MAX_GRID_CELLS`` cells, or of less than one cell per
+    axis, raises NumericalFailure.
     """
     from .geometry import BallComponent, CappedComponent
 
     lo, hi = domain.bounding_box(pad=pad + spacing)
-    n_ax = [int(math.ceil((hi[d] - lo[d]) / spacing)) for d in range(domain.dim)]
+    with np.errstate(all="ignore"):
+        extent = (hi - lo) / spacing
+    if not (np.all(extent >= 1.0) and np.prod(extent) <= _MAX_GRID_CELLS):
+        raise NumericalFailure(
+            f"a support grid of spacing {spacing!r} needs {np.prod(extent):.3g} cells, "
+            f"outside 1 to {_MAX_GRID_CELLS}"
+        )
+    n_ax = [int(math.ceil(e)) for e in extent]
     axes = [lo[d] + (np.arange(n_ax[d]) + 0.5) * spacing for d in range(domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)

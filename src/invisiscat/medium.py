@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse.linalg
 
+from .errors import NumericalFailure
 from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
 from .geometry import sphere_directions
 from .source import FarField
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 
-class NotContractive(RuntimeError):
+class NotContractive(NumericalFailure):
     """Fixed-point residual stagnated above tolerance."""
 
 

@@ -41,6 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 __all__ = [
     "Ball",
     "Box",
@@ -83,7 +85,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
             lo, f_lo = mid, f_mid
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(NumericalFailure):
     """Tolerance unreachable within the evaluation budget."""
 
     def __init__(self, message, value=None, error=None, evals=None):

@@ -27,11 +27,11 @@ Expression grammar (recursive descent, no eval):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
 import zipfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,10 @@ from .geometry import (
     StarComponent,
     make_curvature_cap,
 )
+from .errors import ConfigError
 from .medium import CgoIncident, HerglotzWave, MediumScene, PlaneWave
 from .source import SourceScene
+from .transmission import RadialITP
 
 __all__ = [
     "SceneError",
@@ -54,11 +56,12 @@ __all__ = [
     "domain_to_spec",
     "load_source_scene",
     "load_medium_scene",
+    "load_itp",
     "read_json",
 ]
 
 
-class SceneError(ValueError):
+class SceneError(ConfigError):
     """Malformed scene configuration."""
 
 
@@ -211,8 +214,37 @@ def read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise SceneError(f"cannot read scene file {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _scene_errors():
+    """Report a malformed value anywhere below a loader as a SceneError.
+
+    Also silences numpy's floating-point warnings: the loaders test
+    every value they sample for finiteness themselves.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except SceneError:
+        raise
+    except KeyError as exc:
+        raise SceneError(f"scene missing field {exc}") from exc
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise SceneError(str(exc)) from exc
+
+
+def _object(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise SceneError(f"{what} must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
+def _finite(values, what: str):
+    if not np.all(np.isfinite(values)):
+        raise SceneError(f"{what} must be finite on the support")
 
 
 def _point(spec: dict, key: str, dim: int) -> np.ndarray:
@@ -225,71 +257,73 @@ def _point(spec: dict, key: str, dim: int) -> np.ndarray:
     return p
 
 
-def _length(spec: dict, key: str) -> float:
+def _number(spec: dict, key: str) -> float:
     try:
-        r = float(spec[key])
+        x = float(spec[key])
     except (TypeError, ValueError) as exc:
         raise SceneError(f"{key} must be a number: {exc}") from exc
-    if not (math.isfinite(r) and r > 0):
+    if not math.isfinite(x):
+        raise SceneError(f"{key} must be finite, got {spec[key]!r}")
+    return x
+
+
+def _length(spec: dict, key: str) -> float:
+    r = _number(spec, key)
+    if r <= 0:
         raise SceneError(f"{key} must be finite and positive, got {spec[key]!r}")
     return r
 
 
-def _component(spec: dict, dim: int):
-    kind = spec.get("kind")
-    try:
-        if kind == "ball":
-            return BallComponent(_point(spec, "center", dim), _length(spec, "radius"), dim=dim)
-        if kind == "annulus":
-            return AnnulusComponent(
-                _point(spec, "center", dim),
-                _length(spec, "r_inner"),
-                _length(spec, "r_outer"),
-                dim=dim,
-            )
-        if kind == "box":
-            return BoxComponent(_point(spec, "lo", dim), _point(spec, "hi", dim))
-        if kind == "star":
-            r0 = _length(spec, "r0")
-            cos_c = spec.get("cos_coeffs", [])
-            sin_c = spec.get("sin_coeffs", [])
+def _component(spec, dim: int):
+    kind = _object(spec, "domain component").get("kind")
+    if kind == "ball":
+        return BallComponent(_point(spec, "center", dim), _length(spec, "radius"), dim=dim)
+    if kind == "annulus":
+        return AnnulusComponent(
+            _point(spec, "center", dim),
+            _length(spec, "r_inner"),
+            _length(spec, "r_outer"),
+            dim=dim,
+        )
+    if kind == "box":
+        return BoxComponent(_point(spec, "lo", dim), _point(spec, "hi", dim))
+    if kind == "star":
+        r0 = _length(spec, "r0")
+        cos_c = spec.get("cos_coeffs", [])
+        sin_c = spec.get("sin_coeffs", [])
 
-            def radial(th, r0=r0, cos_c=cos_c, sin_c=sin_c):
-                out = np.full_like(np.asarray(th, dtype=float), r0)
-                for j, c in enumerate(cos_c, start=1):
-                    out = out + r0 * c * np.cos(j * th)
-                for j, c in enumerate(sin_c, start=1):
-                    out = out + r0 * c * np.sin(j * th)
-                return out
+        def radial(th, r0=r0, cos_c=cos_c, sin_c=sin_c):
+            out = np.full_like(np.asarray(th, dtype=float), r0)
+            for j, c in enumerate(cos_c, start=1):
+                out = out + r0 * c * np.cos(j * th)
+            for j, c in enumerate(sin_c, start=1):
+                out = out + r0 * c * np.sin(j * th)
+            return out
 
-            center = _point(spec, "center", dim) if "center" in spec else np.zeros(dim)
-            return StarComponent(center, radial, dim=dim)
-        if kind == "capped":
-            cap = make_curvature_cap(
-                spec["K"],
-                spec.get("cubic", 0.0),
-                L=spec.get("L", 1.0),
-                M=spec.get("M", 2.0),
-                delta=spec.get("delta", 0.5),
-                n=dim,
-            )
-            return CappedComponent(
-                cap,
-                bulk_width=spec.get("bulk_width", 0.35),
-                bulk_height=spec.get("bulk_height", 0.5),
-                apex=None if spec.get("apex") is None else _point(spec, "apex", dim),
-            )
-    except KeyError as exc:
-        raise SceneError(f"domain spec missing field {exc}") from exc
-    except ValueError as exc:  # the components' own checks, SceneError included
-        raise SceneError(f"bad {kind} component: {exc}") from exc
+        center = _point(spec, "center", dim) if "center" in spec else np.zeros(dim)
+        return StarComponent(center, radial, dim=dim)
+    if kind == "capped":
+        cap = make_curvature_cap(
+            _length(spec, "K"),
+            spec.get("cubic", 0.0),
+            L=spec.get("L", 1.0),
+            M=spec.get("M", 2.0),
+            delta=spec.get("delta", 0.5),
+            n=dim,
+        )
+        return CappedComponent(
+            cap,
+            bulk_width=spec.get("bulk_width", 0.35),
+            bulk_height=spec.get("bulk_height", 0.5),
+            apex=None if spec.get("apex") is None else _point(spec, "apex", dim),
+        )
     raise SceneError(f"unknown domain kind {kind!r}")
 
 
 def load_domain(spec: dict, dim: int) -> Domain:
-    if not isinstance(spec, dict):
-        raise SceneError("domain must be an object")
-    if spec.get("kind") == "union":
+    with _scene_errors():
+        if _object(spec, "domain").get("kind") != "union":
+            return Domain([_component(spec, dim)])
         comps = [_component(c, dim) for c in spec.get("components", [])]
         if not comps:
             raise SceneError("union domain needs at least one component")
@@ -300,7 +334,6 @@ def load_domain(spec: dict, dim: int) -> Domain:
                 if j != i and np.any(other.inside(pts)):
                     raise SceneError(f"union components {i} and {j} overlap")
         return Domain(comps, well_separated=bool(spec.get("well_separated", False)))
-    return Domain([_component(spec, dim)])
 
 
 def _component_spec(comp) -> dict:
@@ -345,11 +378,13 @@ def domain_to_spec(domain: Domain) -> dict:
     }
 
 
-def _field_fn(spec: dict, dim: int):
-    kind = spec.get("kind")
+def _field_fn(spec, what: str, dim: int):
+    kind = _object(spec, what).get("kind")
     if kind == "constant":
         val = spec.get("value", 1.0)
         if isinstance(val, (list, tuple)):
+            if len(val) != 2:
+                raise SceneError(f"{what} value must be a number or [re, im], got {val!r}")
             val = complex(val[0], val[1])
         return complex(val)
     if kind == "expression":
@@ -376,11 +411,11 @@ def _field_fn(spec: dict, dim: int):
             return out
 
         return fn
-    raise SceneError(f"unknown field kind {kind!r}")
+    raise SceneError(f"unknown {what} kind {kind!r}")
 
 
-def _incident(spec: dict, dim: int):
-    kind = spec.get("kind")
+def _incident(spec, dim: int):
+    kind = _object(spec, "incident").get("kind")
     if kind == "plane_wave":
         return PlaneWave(_point(spec, "direction", dim))
     if kind == "herglotz":
@@ -389,9 +424,7 @@ def _incident(spec: dict, dim: int):
             raise SceneError(f"n_quad must be a positive integer, got {n_quad!r}")
         return HerglotzWave(parse_angle_expression(spec["density"]), n_quad=n_quad)
     if kind == "cgo":
-        tau = float(spec["tau"])
-        if not math.isfinite(tau):
-            raise SceneError(f"tau must be finite, got {tau!r}")
+        tau = _number(spec, "tau")
         if int(spec.get("dimension", dim)) != dim:
             raise SceneError("cgo incident dimension differs from the scene's")
         rho = np.zeros(dim, dtype=complex)
@@ -401,39 +434,46 @@ def _incident(spec: dict, dim: int):
     raise SceneError(f"unknown incident kind {kind!r}")
 
 
-def _wavenumber(cfg: dict) -> float:
-    k = float(cfg["wavenumber"])
-    if not (math.isfinite(k) and k > 0):
-        raise SceneError(f"wavenumber must be finite and positive, got {k!r}")
-    return k
+def _dimension(dim) -> int:
+    if dim not in (2, 3):
+        raise SceneError(f"dimension must be 2 or 3, got {dim!r}")
+    return int(dim)
+
+
+def _frame(cfg) -> tuple[int, float, Domain]:
+    """The dimension, wavenumber and domain that every scene shares."""
+    dim = _dimension(_object(cfg, "scene")["dimension"])
+    return dim, _length(cfg, "wavenumber"), load_domain(cfg["domain"], dim)
 
 
 def load_source_scene(cfg: dict) -> SourceScene:
-    try:
-        dim = int(cfg["dimension"])
-        k = _wavenumber(cfg)
-        domain = load_domain(cfg["domain"], dim)
-        phi = _field_fn(cfg["intensity"], dim)
-    except KeyError as exc:
-        raise SceneError(f"scene missing field {exc}") from exc
-    except ValueError as exc:  # SceneError, or a malformed number
-        raise SceneError(str(exc)) from exc
-    return SourceScene(domain, phi, k, dim)
+    with _scene_errors():
+        dim, k, domain = _frame(cfg)
+        scene = SourceScene(domain, _field_fn(cfg["intensity"], "intensity", dim), k, dim)
+        _finite(scene.intensity(domain.quad_nodes(16)[0]), "intensity")
+    return scene
 
 
 def load_medium_scene(cfg: dict) -> MediumScene:
-    try:
-        dim = int(cfg["dimension"])
-        k = _wavenumber(cfg)
-        domain = load_domain(cfg["domain"], dim)
-        phi = _field_fn(cfg["contrast"], dim)
+    with _scene_errors():
+        dim, k, domain = _frame(cfg)
+        phi = _field_fn(cfg["contrast"], "contrast", dim)
         default = {"kind": "plane_wave", "direction": [1.0] + [0.0] * (dim - 1)}
         incident = _incident(cfg.get("incident", default), dim)
         scene = MediumScene(domain, phi, k, incident, dim)
-        # Im V >= 0 on the nodes where default_spacing samples the contrast.
-        scene.contrast(domain.quad_nodes(16)[0])
-    except KeyError as exc:
-        raise SceneError(f"scene missing field {exc}") from exc
-    except ValueError as exc:  # SceneError, a malformed number or a constructor's check
-        raise SceneError(str(exc)) from exc
+        # Finite, with Im V >= 0, on the nodes where default_spacing samples it.
+        nodes = domain.quad_nodes(16)[0]
+        _finite(scene.contrast(nodes), "contrast")
+        _finite(scene.incident_values(nodes), "incident field")
     return scene
+
+
+def load_itp(cfg: dict) -> RadialITP:
+    """Radial transmission problem from {"radius", "contrast", "dimension"}."""
+    with _scene_errors():
+        _object(cfg, "transmission config")
+        return RadialITP(
+            R=_length(cfg, "radius"),
+            v0=_number(cfg, "contrast"),
+            n=_dimension(cfg.get("dimension", 2)),
+        )

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.special import jv, jvp, spherical_jn
 
 from .cgo import curvature_estimate_rhs
+from .errors import NumericalFailure
 from .geometry import CappedComponent
 from .gridquad import cap_window_columns
 from .holder import SampledFunction, holder_norm
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 
-class NoneFound(RuntimeError):
+class NoneFound(NumericalFailure):
     """No determinant sign change below the requested wavenumber."""
 
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invisiscat.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
@@ -345,3 +346,128 @@ class TestExperimentCommand:
             ["experiment", "smallness_source", str(cfg), "--out", str(tmp_path)]
         )
         assert code == EXIT_CONFIG
+
+
+_SMALL_SCENE = {
+    "dimension": 2,
+    "wavenumber": 1.0,
+    "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 0.4},
+    "intensity": {"kind": "constant", "value": 1.0},
+    "contrast": {"kind": "constant", "value": 0.1},
+}
+
+
+def _small_scene(**changes):
+    return {**_SMALL_SCENE, **changes}
+
+
+def _row(files, *argv):
+    """A command line whose ``{tmp}`` fields name a fresh directory holding ``files``."""
+    return files, list(argv)
+
+
+_ITP = {"itp.json": {"radius": 1.0, "contrast": 15.0}}
+_SCENE = {"s.json": _SMALL_SCENE}
+
+# Inputs that ended in a traceback, a wrong exit code or a silent exit 0;
+# each must now exit 2 with an "error: " line.
+_CONFIG_ERRORS = {
+    "source_dirs_4": _row(_SCENE, "source", "{tmp}/s.json", "--dirs", "4"),
+    "source_dirs_0": _row(_SCENE, "source", "{tmp}/s.json", "--dirs", "0"),
+    "source_grid_negative": _row(
+        _SCENE, "source", "{tmp}/s.json", "--fields", "{tmp}/u.csv", "--grid", "-3"
+    ),
+    "medium_spacing_0": _row(_SCENE, "medium", "{tmp}/s.json", "--spacing", "0"),
+    "medium_spacing_negative": _row(_SCENE, "medium", "{tmp}/s.json", "--spacing", "-0.1"),
+    "medium_spacing_nan": _row(_SCENE, "medium", "{tmp}/s.json", "--spacing", "nan"),
+    "medium_dirs_0": _row(_SCENE, "medium", "{tmp}/s.json", "--dirs", "0"),
+    "medium_dirs_negative": _row(_SCENE, "medium", "{tmp}/s.json", "--dirs", "-5"),
+    "teig_modes_letter": _row(
+        _ITP, "teig", "{tmp}/itp.json", "--kmax", "3", "--modes", "a", "--out", "{tmp}/e.csv"
+    ),
+    "teig_modes_negative": _row(
+        _ITP, "teig", "{tmp}/itp.json", "--kmax", "3", "--modes", "-1", "--out", "{tmp}/e.csv"
+    ),
+    "teig_dimension_fraction": _row(
+        {"itp.json": {"radius": 1.0, "contrast": 15.0, "dimension": 2.5}},
+        "teig", "{tmp}/itp.json", "--kmax", "3", "--out", "{tmp}/e.csv",
+    ),
+    "cgo_verify_seed_negative": _row({}, "cgo-verify", "--samples", "1", "--seed", "-1"),
+    "teig_out_missing_dir": _row(
+        _ITP, "teig", "{tmp}/itp.json", "--kmax", "3", "--out", "{tmp}/missing/e.csv"
+    ),
+    "source_farfield_missing_dir": _row(
+        _SCENE, "source", "{tmp}/s.json", "--farfield", "{tmp}/missing/ff.csv"
+    ),
+    "experiment_out_under_file": _row(
+        {"cfg.json": {"radii": [0.5], "n_dirs": 16}},
+        "experiment", "smallness_source", "{tmp}/cfg.json", "--out", "{tmp}/cfg.json/out",
+    ),
+    "experiment_alpha_2": _row(
+        {"cfg.json": {"alpha": 2}},
+        "experiment", "curvature_source", "{tmp}/cfg.json", "--out", "{tmp}",
+    ),
+    "experiment_radius_0": _row(
+        {"cfg.json": {"radii": [0]}},
+        "experiment", "smallness_source", "{tmp}/cfg.json", "--out", "{tmp}",
+    ),
+    "wavenumber_list": _row({"s.json": _small_scene(wavenumber=[1])}, "source", "{tmp}/s.json"),
+    "dimension_null": _row({"s.json": _small_scene(dimension=None)}, "source", "{tmp}/s.json"),
+    "scene_is_list": _row({"s.json": [1, 2]}, "medium", "{tmp}/s.json"),
+    "constant_one_entry": _row(
+        {"s.json": _small_scene(intensity={"kind": "constant", "value": [1]})},
+        "source", "{tmp}/s.json",
+    ),
+    "contrast_list": _row({"s.json": _small_scene(contrast=[1])}, "medium", "{tmp}/s.json"),
+    "capped_K_text": _row(
+        {"s.json": _small_scene(domain={"kind": "capped", "K": "a"})}, "source", "{tmp}/s.json"
+    ),
+    "intensity_division_by_zero": _row(
+        {"s.json": _small_scene(intensity={"kind": "expression", "expr": "1/0"})},
+        "source", "{tmp}/s.json",
+    ),
+    "star_negative_radius": _row(
+        {"s.json": _small_scene(domain={"kind": "star", "r0": 0.5, "cos_coeffs": [2.0]})},
+        "source", "{tmp}/s.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("files, argv", _CONFIG_ERRORS.values(), ids=_CONFIG_ERRORS.keys())
+def test_config_errors_exit_2_without_traceback(tmp_path, capsys, files, argv):
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_FUZZ_FIELDS = [
+    ("dimension",), ("wavenumber",), ("domain",), ("intensity",), ("contrast",), ("incident",),
+    ("domain", "kind"), ("domain", "center"), ("domain", "radius"),
+    ("intensity", "kind"), ("intensity", "value"), ("contrast", "kind"), ("contrast", "value"),
+]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(field=st.sampled_from(_FUZZ_FIELDS), value=_JSON_VALUES)
+def test_scene_fuzz_never_escapes_main(tmp_path_factory, field, value):
+    """One field of a valid scene replaced by any JSON value: exit 0, 2 or 3, never a raise."""
+    cfg = json.loads(json.dumps(_SMALL_SCENE))
+    *parents, leaf = field
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    path = tmp_path_factory.mktemp("fuzz") / "scene.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("source", "medium"):
+        assert main([command, str(path), "--dirs", "8"]) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
+from .errors import ConfigError
 from .gridquad import _polar, cap_lid_nodes, cap_window_columns
 from .holder import PrecondViolated
 from .quadrature import ParaboloidCap, integrate, sphere_measure
@@ -275,7 +276,7 @@ def curvature_estimate_rhs(
     if K < math.e:
         raise ValueError("bound is stated for K >= e")
     if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     if min(delta, L, M, k) <= 0:
         raise ValueError("delta, L, M, k must be positive")
     mu = min(alpha, delta)

@@ -11,10 +11,11 @@ error, 3 numerical failure.  ``main`` alone maps exceptions to codes:
 ``errors.ConfigError`` (``SceneError``, ``InadmissiblePerturbation``
 and every bad flag) and ``OSError`` exit 2 with an ``error:`` line;
 ``errors.NumericalFailure`` (``ResolutionTooCoarse``,
-``PrecondViolated``, ``NotContractive``, ``BudgetExceeded``,
-``QuadratureFailure``, ``NoneFound``) exits 3 with a ``numerical
-failure:`` line.  Flags are checked before any work starts.  Any other
-exception is a bug and ends in its traceback.
+``PrecondViolated``, ``NotContractive``, ``BudgetExceeded`` and
+``QuadratureFailure``) exits 3 with a ``numerical failure:`` line.
+``teig`` writes an empty table for ``NoneFound``, so it exits 0.  Flags
+are checked before any work starts.  Any other exception is a bug and
+ends in its traceback.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def _positive(x: float) -> bool:
 
 def cmd_source(args) -> int:
     from .scenes import load_source_scene, read_json
-    from .source import far_field, solve_field
+    from .source import MIN_DIRS, far_field, solve_field
 
-    _require(args.dirs >= 8, "--dirs", "at least 8", args.dirs)
+    _require(args.dirs >= MIN_DIRS, "--dirs", f"at least {MIN_DIRS}", args.dirs)
     _require(args.grid >= 1, "--grid", "at least 1", args.grid)
     scene = load_source_scene(read_json(args.scene))
     ff = far_field(scene, args.dirs)

@@ -54,11 +54,6 @@ __all__ = [
     "make_support_grid",
 ]
 
-# Most cells a support grid may hold: 3.5x the largest grid the tests and
-# benchmark build (386^2).  A Lippmann-Schwinger solve keeps about 2 kB
-# per cell (GMRES keeps 100 Krylov vectors), so this bounds it near 1 GB.
-_MAX_GRID_CELLS = 2**19
-
 
 def far_field_constant(n: int, k: float) -> complex:
     """Coefficient C_{n,k} of the far-field pattern."""
@@ -245,7 +240,9 @@ def _coverage_subsample(comp, centers: np.ndarray, h: float, sub: int = 8):
     return frac / offsets.shape[0]
 
 
-def make_support_grid(domain, spacing: float, pad: float = 0.0) -> SupportGrid:
+def make_support_grid(
+    domain, spacing: float, pad: float = 0.0, max_cells: float = math.inf
+) -> SupportGrid:
     """Rasterize the domain on a regular cell-centered grid.
 
     Coverage is the fraction of each cell inside the support, summed over
@@ -255,18 +252,19 @@ def make_support_grid(domain, spacing: float, pad: float = 0.0) -> SupportGrid:
     2-d cap-bottomed bodies 6-point Gauss columns with the exact vertical
     extent (``_coverage_capped``), and an 8^n subsample otherwise.  3-d
     balls run the subsample only on the cells the sphere may cut.  A grid
-    of more than ``_MAX_GRID_CELLS`` cells, or of less than one cell per
-    axis, raises NumericalFailure.
+    of more than ``max_cells`` cells, of less than one cell per axis or
+    of no finite size raises NumericalFailure before anything is built.
     """
     from .geometry import BallComponent, CappedComponent
 
     lo, hi = domain.bounding_box(pad=pad + spacing)
     with np.errstate(all="ignore"):
         extent = (hi - lo) / spacing
-    if not (np.all(extent >= 1.0) and np.prod(extent) <= _MAX_GRID_CELLS):
+        cells = float(np.prod(extent))
+    if not (np.all(extent >= 1.0) and math.isfinite(cells) and cells <= max_cells):
         raise NumericalFailure(
-            f"a support grid of spacing {spacing!r} needs {np.prod(extent):.3g} cells, "
-            f"outside 1 to {_MAX_GRID_CELLS}"
+            f"a support grid of spacing {spacing!r} needs {cells:.3g} cells, "
+            f"outside 1 to {max_cells:.3g}"
         )
     n_ax = [int(math.ceil(e)) for e in extent]
     axes = [lo[d] + (np.arange(n_ax[d]) + 0.5) * spacing for d in range(domain.dim)]

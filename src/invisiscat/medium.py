@@ -49,6 +49,10 @@ __all__ = [
     "scatter_visibility_ratio",
 ]
 
+# Most cells solve_ls may put on its grid: restarted GMRES keeps 101
+# Krylov vectors, 1.6 kB per cell, so this bounds the basis near 6.5 GB.
+_LS_MAX_CELLS = 4 * 10**6
+
 
 class NotContractive(NumericalFailure):
     """Fixed-point residual stagnated above tolerance."""
@@ -169,11 +173,12 @@ def solve_ls(
     residual is at most half the previous one and for at most 200 steps;
     otherwise restarted GMRES from zero, whose final residual is appended
     to the Picard ones.  Raises ``NotContractive`` when neither route
-    reaches the tolerance.
+    reaches the tolerance, and NumericalFailure for a grid of more than
+    ``_LS_MAX_CELLS`` cells.
     """
     if spacing is None:
         spacing = default_spacing(scene)
-    grid = make_support_grid(scene.domain, spacing, pad=spacing)
+    grid = make_support_grid(scene.domain, spacing, pad=spacing, max_cells=_LS_MAX_CELLS)
     conv = GridConvolver(grid, scene.k)
     v_eff = scene.contrast(grid.points) * grid.coverage
     u_inc = scene.incident_values(grid)

@@ -248,20 +248,14 @@ def _finite(values, what: str):
 
 
 def _point(spec: dict, key: str, dim: int) -> np.ndarray:
-    try:
-        p = np.asarray(spec[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"{key} must be a list of numbers: {exc}") from exc
+    p = np.asarray(spec[key], dtype=float)
     if p.shape != (dim,) or not np.all(np.isfinite(p)):
         raise SceneError(f"{key} must hold {dim} finite numbers, got {spec[key]!r}")
     return p
 
 
 def _number(spec: dict, key: str) -> float:
-    try:
-        x = float(spec[key])
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"{key} must be a number: {exc}") from exc
+    x = float(spec[key])
     if not math.isfinite(x):
         raise SceneError(f"{key} must be finite, got {spec[key]!r}")
     return x

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import jv
 
-from .errors import NumericalFailure
+from .errors import ConfigError, NumericalFailure
 from .geometry import _ball_nodes, _disk_nodes, _gauss_legendre, sphere_directions
 from .holder import boundary_sup, holder_norm, sample_on_grid
 from .kernels import far_field_constant, green_kernel, make_support_grid
@@ -43,6 +43,12 @@ __all__ = [
 # block; 2^16 raises the benchmark disk's peak RSS by 3.4 MB and runs no
 # faster.
 _BLOCK_ENTRIES = 2**14
+
+# Most cells the field quadrature grid of solve_field may hold.
+_FIELD_MAX_CELLS = 4 * 10**6
+
+# Fewest far-field directions far_field accepts.
+MIN_DIRS = 8
 
 
 class QuadratureFailure(NumericalFailure):
@@ -133,8 +139,8 @@ class FarField:
 
 def far_field(scene: SourceScene, n_dirs: int = 64) -> FarField:
     """Far-field pattern by direct quadrature of the oscillatory integral."""
-    if n_dirs < 8:
-        raise ValueError("need at least 8 directions")
+    if n_dirs < MIN_DIRS:
+        raise ConfigError(f"need at least {MIN_DIRS} directions, got {n_dirs!r}")
     target = scene.quad_target()
     if target**scene.n > 10**6:
         raise QuadratureFailure(
@@ -163,13 +169,14 @@ def solve_field(
     reduced along the cell axis by a numpy sum.  Cells within
     ``near_radius_cells`` grid cells of a target are left out of its sum,
     and a target that has such a live cell gets polar-coordinate
-    quadrature of the kernel singularity over that ball instead.
+    quadrature of the kernel singularity over that ball instead.  A grid
+    of more than ``_FIELD_MAX_CELLS`` cells raises NumericalFailure.
     """
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if spacing is None:
         lam = 2.0 * math.pi / scene.k
         spacing = min(lam / 20.0, scene.domain.diameter() / 48.0)
-    grid = make_support_grid(scene.domain, spacing)
+    grid = make_support_grid(scene.domain, spacing, max_cells=_FIELD_MAX_CELLS)
     f_grid = scene.intensity(grid.points) * grid.coverage
     live = np.flatnonzero(f_grid)
     cells, f_live = grid.points[live], f_grid[live]

@@ -407,6 +407,10 @@ _CONFIG_ERRORS = {
         {"cfg.json": {"alpha": 2}},
         "experiment", "curvature_source", "{tmp}/cfg.json", "--out", "{tmp}",
     ),
+    "experiment_alpha_1": _row(
+        {"cfg.json": {"alpha": 1}},
+        "experiment", "curvature_source", "{tmp}/cfg.json", "--out", "{tmp}",
+    ),
     "experiment_radius_0": _row(
         {"cfg.json": {"radii": [0]}},
         "experiment", "smallness_source", "{tmp}/cfg.json", "--out", "{tmp}",
@@ -441,6 +445,13 @@ def test_config_errors_exit_2_without_traceback(tmp_path, capsys, files, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_medium_solves_a_fine_grid(tmp_path):
+    """--spacing 0.001 puts 646,416 cells on the radius-0.4 disk, inside solve_ls's budget."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_SMALL_SCENE))
+    assert main(["medium", str(path), "--spacing", "0.001", "--dirs", "8"]) == EXIT_OK
 
 
 _JSON_VALUES = st.recursive(

@@ -9,6 +9,7 @@ from scipy.special import jv as bessel_j
 from scipy.special import spherical_jn, spherical_yn
 
 from invisiscat import source
+from invisiscat.errors import NumericalFailure
 from invisiscat.geometry import AnnulusComponent, BallComponent, BoxComponent, Domain
 from invisiscat.kernels import far_field_constant, make_support_grid
 from invisiscat.source import (
@@ -308,3 +309,12 @@ class TestFarFieldSerialization:
         ff.to_csv(p1)
         ff.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_field_grid_budget():
+    """solve_field takes a 1.0e6-cell grid and refuses a 2.5e7-cell one unbuilt."""
+    scene = ball_scene(0.5)
+    target = np.array([[2.0, 0.0]])
+    assert np.all(np.isfinite(solve_field(scene, target, spacing=1e-3)))
+    with pytest.raises(NumericalFailure, match="cells"):
+        solve_field(scene, target, spacing=2e-4)

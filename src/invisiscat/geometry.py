@@ -614,11 +614,20 @@ class Domain:
 
     The components must be disjoint: ``quad_nodes`` joins their nodes, so
     an overlap would be integrated twice, while ``inside`` takes the set
-    union.  ``scenes.load_domain`` rejects overlapping unions.
+    union.  Construction raises ConfigError when one component holds a
+    quadrature node of another.
     """
 
     components: list
     well_separated: bool = False
+
+    def __post_init__(self):
+        if len(self.components) > 1:
+            for i, comp in enumerate(self.components):
+                pts, _ = comp.quad_nodes()
+                for j, other in enumerate(self.components):
+                    if j != i and np.any(other.inside(pts)):
+                        raise ConfigError(f"union components {i} and {j} overlap")
 
     @property
     def dim(self):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.special import j0, jv, y0, yv
+from scipy.special import digamma, j0, jv, y0, yv
 
 from .errors import NumericalFailure
 
@@ -79,22 +79,31 @@ def green_disk_integral(n: int, k: float, a: float) -> complex:
     """Exact integral of G_k over a ball of radius a centered at the pole.
 
     n=2: 2 pi int_0^a G r dr with int_0^a J_0(kr) r dr = a J_1(ka)/k and
-    int_0^a Y_0(kr) r dr = a Y_1(ka)/k + 2/(pi k^2).
-    n=3: -int_0^a r e^{ikr} dr.
-    Both forms cancel terms of size 1/k^2, so k a below 1e-8 raises
-    NumericalFailure (at k a = 1e-8 the 2-d value is already 6% off).
+    int_0^a Y_0(kr) r dr = (a/k) (Y_1(ka) + 2/(pi ka)).
+    n=3: -int_0^a r e^{ikr} dr = -a^2 (e^z (z - 1) + 1)/z^2 with z = ika.
+    Both closed forms cancel terms of size 1/k^2, so below k a = 1e-3
+    ascending series replace them: DLMF 10.8.1 for Y_1(x) + 2/(pi x),
+    and (e^z (z - 1) + 1)/z^2 = sum_{m >= 2} (m - 1) z^(m-2)/m!.
     """
-    if not k * a >= 1e-8:
-        raise NumericalFailure(f"k a = {k * a!r} is too small for the closed-form cell integral")
+    x = k * a
+    if not x > 0:
+        raise ValueError(f"k a = {x!r} must be positive")
     if n == 2:
-        int_j = a * float(jv(1, k * a)) / k
-        int_y = a * float(yv(1, k * a)) / k + 2.0 / (math.pi * k * k)
+        j1 = float(jv(1, x))
+        int_j = a * j1 / k
+        if x < 1e-3:
+            # Y_1(x) + 2/(pi x) by DLMF 10.8.1; terms past m = 3 are below 1e-22.
+            s = sum((digamma(m + 1) + digamma(m + 2)) * (-x * x / 4.0) ** m
+                    / (math.factorial(m) * math.factorial(m + 1)) for m in range(4))
+            int_y = a * (2.0 / math.pi * math.log(x / 2.0) * j1 - x / (2.0 * math.pi) * s) / k
+        else:
+            int_y = a * float(yv(1, x)) / k + 2.0 / (math.pi * k * k)
         return -0.25j * 2.0 * math.pi * (int_j + 1j * int_y)
     if n == 3:
         ika = 1j * k * a
-        # int_0^a r e^{ikr} dr = (e^{ika}(ika - 1) + 1)/(ik)^2
-        val = (cmath.exp(ika) * (ika - 1.0) + 1.0) / (1j * k) ** 2
-        return -val
+        if x < 1e-3:  # terms past m = 8 are below 1e-18
+            return -a * a * sum((m - 1) * ika ** (m - 2) / math.factorial(m) for m in range(2, 9))
+        return -((cmath.exp(ika) * (ika - 1.0) + 1.0) / (1j * k) ** 2)
     raise ValueError("kernels support n in {2, 3}")
 
 
@@ -121,11 +130,6 @@ class SupportGrid:
     spacing: float
     axes: tuple  # node coordinates along each axis
     coverage: np.ndarray  # fraction of each cell inside the support
-    inside: np.ndarray  # boolean: cell center inside
-
-    @property
-    def origin(self) -> np.ndarray:
-        return np.array([ax[0] for ax in self.axes])
 
     @property
     def weights(self) -> np.ndarray:
@@ -286,7 +290,6 @@ def make_support_grid(
         spacing=spacing,
         axes=tuple(axes),
         coverage=coverage,
-        inside=domain.inside(pts),
     )
 
 

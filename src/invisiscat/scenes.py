@@ -16,21 +16,30 @@ below, coordinates x1..xn), grid (npz with origin/spacing/values,
 nearest-cell lookup, zero outside).  Incident kinds: plane_wave,
 herglotz (density expression in the angle t), cgo (tau).
 
-Expression grammar (recursive descent, no eval):
+Expression grammar (ASCII only):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := unary ('^' factor)?
     unary  := '-' unary | atom
     atom   := number | x1..x3 | t | (exp|sin|cos) '(' expr ')' | '(' expr ')'
+
+This is Python's own precedence with '^' for '**', so an expression is
+parsed by ``ast.parse`` and run by ``eval``.  That is safe because every
+node of the tree is checked first against a whitelist that admits only
+the arithmetic above, the three functions and the coordinate names, and
+``eval`` sees no builtins.  Numbers evaluate as floats.  Input nested
+too deeply for Python's parser or compiler is a ``SceneError``.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import json
 import math
 import re
+import warnings
 import zipfile
 
 import numpy as np
@@ -66,143 +75,65 @@ class SceneError(ConfigError):
 
 
 # ---------------------------------------------------------------------------
-# Expression parser
+# Expressions
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
+_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+_NODES = (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
+          ast.UnaryOp, ast.USub, ast.Name, ast.Load)
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise SceneError(f"bad token at position {pos}: {text[pos:pos+10]!r}")
-        if m.group("num") is not None:
-            out.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise SceneError(f"expected {op!r}, found {val!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.pos != len(self.tokens):
-            raise SceneError("trailing tokens in expression")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = (
-                (lambda a, b: lambda env: a(env) + b(env))
-                if op == "+"
-                else (lambda a, b: lambda env: a(env) - b(env))
-            )(node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.factor()
-            node = (
-                (lambda a, b: lambda env: a(env) * b(env))
-                if op == "*"
-                else (lambda a, b: lambda env: a(env) / b(env))
-            )(node, rhs)
-        return node
-
-    def factor(self):
-        # Unary minus binds looser than the power: -x^2 = -(x^2).
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.factor()
-            return lambda env, a=inner: -a(env)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            expo = self.factor()  # right associative, absorbs unary minus
-            return lambda env, a=base, b=expo: a(env) ** b(env)
-        return base
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return lambda env, c=val: c
-        if kind == "name":
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return lambda env, f=_FUNCS[val], a=arg: f(a(env))
-            if val in self.variables:
-                idx = self.variables.index(val)
-                return lambda env, i=idx: env[i]
-            raise SceneError(f"unknown identifier {val!r}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise SceneError(f"unexpected token {val!r}")
+def _compile(text: str, variables):
+    """Check ``text`` against the grammar and compile it to bytecode."""
+    if not text.isascii() or "**" in text or "#" in text:
+        raise SceneError(f"expression must be ASCII without '**' or '#': {text!r}")
+    # Python refuses leading zeros on integers ("01"); the grammar allows them.
+    text = re.sub(r"(?<![\w.])0+(?=\d)", "", re.sub(r"\s+", " ", text).strip())
+    text = text.replace("^", "**")
+    try:
+        with warnings.catch_warnings():  # Python only warns on "1in x1"; refuse it
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(text, mode="eval")
+        callees = set()
+        for node in ast.walk(tree):  # iterative: deep trees do not recurse here
+            if isinstance(node, ast.Call):
+                if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCS
+                        and len(node.args) == 1 and not node.keywords):
+                    raise SceneError(f"only exp, sin or cos of one argument: {text!r}")
+                callees.add(node.func)
+            elif isinstance(node, ast.Name):
+                if node.id not in variables and node not in callees:
+                    raise SceneError(f"unknown identifier {node.id!r}")
+            elif isinstance(node, ast.Constant):
+                digits = ast.get_source_segment(text, node)
+                if not _NUMBER.fullmatch(digits):
+                    raise SceneError(f"bad number {digits!r}")
+                node.value = float(digits)  # with ints, 9^9^9 would build a huge integer
+            elif not isinstance(node, _NODES):
+                raise SceneError(f"{type(node).__name__} is not allowed in expressions")
+        return compile(tree, "<expression>", "eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:  # MemoryError: parser depth limit
+        reason = exc.msg if isinstance(exc, SyntaxError) else "nested too deeply"
+        raise SceneError(f"cannot parse expression {text[:40]!r}: {reason}") from exc
 
 
 def parse_expression(text: str, variables=("x1", "x2", "x3")):
     """Compile an expression into fn(pts) -> values over point columns."""
-    node = _Parser(_tokenize(text), list(variables)).parse()
+    code = _compile(text, variables)
 
     def fn(pts):
         pts = np.atleast_2d(pts)
-        env = [pts[:, i] if i < pts.shape[1] else 0.0 for i in range(len(variables))]
-        return node(env) * np.ones(pts.shape[0])
+        env = {v: pts[:, i] if i < pts.shape[1] else 0.0 for i, v in enumerate(variables)}
+        return eval(code, {"__builtins__": {}, **_FUNCS}, env) * np.ones(pts.shape[0])
 
     return fn
 
 
 def parse_angle_expression(text: str):
-    node = _Parser(_tokenize(text), ["t"]).parse()
-
-    def fn(angles):
-        angles = np.atleast_1d(np.asarray(angles, dtype=float))
-        if angles.ndim > 1:
-            angles = angles[:, 0]
-        return node([angles]) * np.ones(angles.shape[0])
-
-    return fn
+    """Compile an expression in t, the first column of the angles, into fn(angles)."""
+    fn = parse_expression(text, ("t",))
+    return lambda angles: fn(np.reshape(angles, (len(angles), -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +252,6 @@ def load_domain(spec: dict, dim: int) -> Domain:
         comps = [_component(c, dim) for c in spec.get("components", [])]
         if not comps:
             raise SceneError("union domain needs at least one component")
-        # Quadrature joins the components' nodes, so overlap would count twice.
-        for i, comp in enumerate(comps):
-            pts, _ = comp.quad_nodes()
-            for j, other in enumerate(comps):
-                if j != i and np.any(other.inside(pts)):
-                    raise SceneError(f"union components {i} and {j} overlap")
         return Domain(comps, well_separated=bool(spec.get("well_separated", False)))
 
 

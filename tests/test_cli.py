@@ -430,6 +430,14 @@ _CONFIG_ERRORS = {
         {"s.json": _small_scene(intensity={"kind": "expression", "expr": "1/0"})},
         "source", "{tmp}/s.json",
     ),
+    "intensity_nested_250_parentheses": _row(
+        {"s.json": _small_scene(intensity={"kind": "expression", "expr": "(" * 250 + "1" + ")" * 250})},
+        "source", "{tmp}/s.json",
+    ),
+    "intensity_sum_of_1000_terms": _row(
+        {"s.json": _small_scene(intensity={"kind": "expression", "expr": "+".join(["x1"] * 1000)})},
+        "source", "{tmp}/s.json",
+    ),
     "star_negative_radius": _row(
         {"s.json": _small_scene(domain={"kind": "star", "r0": 0.5, "cos_coeffs": [2.0]})},
         "source", "{tmp}/s.json",

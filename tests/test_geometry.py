@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from invisiscat.errors import ConfigError
 from invisiscat.geometry import (
     AnnulusComponent,
     BallComponent,
@@ -240,6 +241,10 @@ class TestDomain:
     def test_diameter_ball(self):
         dom = Domain([BallComponent([0.0, 0.0], 0.75)])
         assert abs(dom.diameter() - 1.5) < 1e-12
+
+    def test_overlapping_components_rejected(self):
+        with pytest.raises(ConfigError, match="components 0 and 1 overlap"):
+            Domain([BallComponent([0.0, 0.0], 1.0), BallComponent([1.5, 0.0], 1.0)])
 
     def test_gap_check(self):
         near = Domain(

@@ -2,9 +2,12 @@
 
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invisiscat.scenes import (
     SceneError,
@@ -14,6 +17,70 @@ from invisiscat.scenes import (
     load_source_scene,
     parse_expression,
 )
+
+
+_PTS = np.array([[0.3, -1.7], [2.0, 0.5], [-0.25, 0.0]])
+_NUMBERS = st.from_regex(
+    r"(?:[0-9]{1,3}(?:\.[0-9]{0,3})?|\.[0-9]{1,3})(?:[eE][+-]?[0-9]{1,2})?", fullmatch=True
+)
+_TREES = st.recursive(
+    _NUMBERS.map(lambda s: ("num", s)) | st.sampled_from([("var", 0), ("var", 1)]),
+    lambda sub: (
+        st.tuples(st.just("neg"), sub)
+        | st.tuples(st.just("fn"), st.sampled_from(["exp", "sin", "cos"]), sub)
+        | st.tuples(st.just("bin"), st.sampled_from("+-*/^"), sub, sub)
+    ),
+    max_leaves=12,
+)
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow}
+# Binding strength of a rendered node, and the strength each operand needs
+# to go without parentheses: "-" binds looser than "^" on its left only.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEEDS = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5, 3)}
+
+
+def _direct(tree, pts):
+    """The tree's value from the same Python and numpy operations, with no parser."""
+    kind = tree[0]
+    if kind == "num":
+        return float(tree[1])
+    if kind == "var":
+        return pts[:, tree[1]]
+    if kind == "neg":
+        return -_direct(tree[1], pts)
+    if kind == "fn":
+        return getattr(np, tree[1])(_direct(tree[2], pts))
+    return _OPS[tree[1]](_direct(tree[2], pts), _direct(tree[3], pts))
+
+
+def _render(tree, minimal):
+    """(tokens, level): minimal parentheses, or parentheses around every operation."""
+    def wrap(sub, need):
+        tokens, level = _render(sub, minimal)
+        return ["(", *tokens, ")"] if level < need or not minimal and level < 5 else tokens
+
+    kind = tree[0]
+    if kind == "num":
+        return [tree[1]], 5
+    if kind == "var":
+        return [f"x{tree[1] + 1}"], 5
+    if kind == "neg":
+        return ["-", *wrap(tree[1], 3)], 3
+    if kind == "fn":
+        return [tree[1], "(", *_render(tree[2], minimal)[0], ")"], 5
+    left, right = _NEEDS[tree[1]]
+    return [*wrap(tree[2], left), tree[1], *wrap(tree[3], right)], _LEVEL[tree[1]]
+
+
+_REJECTED = [
+    "2**3", "+x1", "1_0", "0x1", "1j", "1 # c", "abs(x1)", "x1(2)", "exp", "exp(1, 2)",
+    "exp(x=1)", "x1.real", "[x1]", "x1 if 1 else 2", '__import__("os")', '"1"', "True",
+    "1 % 2", "\uff581",
+    "(" * 250 + "1" + ")" * 250,
+    "+".join(["x1"] * 1000),
+    "^".join(["x1"] * 3000),
+]
 
 
 class TestExpressionParser:
@@ -46,6 +113,50 @@ class TestExpressionParser:
             parse_expression("import os")
         with pytest.raises(SceneError):
             parse_expression("(1")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(tree=_TREES, minimal=st.booleans(), data=st.data())
+    def test_values_match_direct_evaluation(self, tree, minimal, data):
+        """Rendered with any parentheses and spacing, a tree keeps its value bit for bit."""
+        tokens = _render(tree, minimal)[0]
+        spaces = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t"]),
+                                    min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        text = "".join(w + t for w, t in zip(spaces, tokens + [""]))
+        with np.errstate(all="ignore"):
+            try:
+                want = _direct(tree, _PTS) * np.ones(_PTS.shape[0])
+            except ArithmeticError as exc:
+                with pytest.raises(type(exc)):
+                    parse_expression(text)(_PTS)
+                return
+            got = parse_expression(text)(_PTS)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), text
+
+    @pytest.mark.parametrize("text", _REJECTED, ids=lambda t: t if len(t) < 20 else f"deep{len(t)}")
+    def test_rejects(self, text):
+        with pytest.raises(SceneError):
+            parse_expression(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("01", lambda x1, x2: 1.0),
+        ("1.", lambda x1, x2: 1.0),
+        (".5e1", lambda x1, x2: 5.0),
+        ("x1 ", lambda x1, x2: x1),
+        ("-x1^2", lambda x1, x2: -(x1 ** 2)),
+        ("-2^2", lambda x1, x2: -4.0),
+        ("2^-1", lambda x1, x2: 0.5),
+        ("x1*-x2", lambda x1, x2: x1 * -x2),
+    ])
+    def test_accepts(self, text, want):
+        assert np.array_equal(parse_expression(text)(_PTS), want(_PTS[:, 0], _PTS[:, 1]) * np.ones(3))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(text=st.text(alphabet="0123456789.eE+-*/^() \txtsincop", max_size=24))
+    def test_any_text_parses_or_raises_scene_error(self, text):
+        try:
+            parse_expression(text)
+        except SceneError:
+            pass
 
 
 class TestDomainLoading:

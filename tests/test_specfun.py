@@ -18,7 +18,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invisiscat.kernels import green_kernel
+from invisiscat.kernels import green_disk_integral, green_kernel
 from invisiscat.quadrature import sphere_measure
 
 # Working precision of the mpmath references: five digits beyond double,
@@ -146,6 +146,27 @@ class TestPlanarKernel:
         got = green_kernel(2, k, kr / k)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
+
+
+def mp_disk_integral(n, k, a):
+    """The cell integral's closed form at 60 digits, far past its cancellation."""
+    with mpmath.workdps(60):
+        k, a = mpmath.mpf(float(k)), mpmath.mpf(float(a))
+        if n == 2:
+            int_j = a * mpmath.besselj(1, k * a) / k
+            int_y = a * mpmath.bessely(1, k * a) / k + 2 / (mpmath.pi * k * k)
+            return complex(-0.5j * mpmath.pi * (int_j + 1j * int_y))
+        ika = 1j * k * a
+        return complex(-(mpmath.exp(ika) * (ika - 1) + 1) / (1j * k) ** 2)
+
+
+class TestCellIntegral:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("ka", np.geomspace(1e-12, 10.0, 27), ids=lambda ka: f"{ka:.1e}")
+    def test_against_mpmath(self, n, ka):
+        k = 1.7
+        want = mp_disk_integral(n, k, ka / k)
+        assert abs(green_disk_integral(n, k, ka / k) - want) < 1e-9 * abs(want)
 
 class TestGamma:
     def test_integers(self):

@@ -10,12 +10,11 @@ Exit codes: 0 success, 1 suite assertion failure, 2 configuration
 error, 3 numerical failure.  ``main`` alone maps exceptions to codes:
 ``errors.ConfigError`` (``SceneError``, ``InadmissiblePerturbation``
 and every bad flag) and ``OSError`` exit 2 with an ``error:`` line;
-``errors.NumericalFailure`` (``ResolutionTooCoarse``,
-``PrecondViolated``, ``NotContractive``, ``BudgetExceeded`` and
-``QuadratureFailure``) exits 3 with a ``numerical failure:`` line.
-``teig`` writes an empty table for ``NoneFound``, so it exits 0.  Flags
-are checked before any work starts.  Any other exception is a bug and
-ends in its traceback.
+``errors.NumericalFailure`` (``PrecondViolated``, ``NotContractive``,
+``BudgetExceeded`` and ``QuadratureFailure``) exits 3 with a
+``numerical failure:`` line.  ``teig`` writes an empty table for
+``NoneFound``, so it exits 0.  Flags are checked before any work
+starts.  Any other exception is a bug and ends in its traceback.
 """
 
 from __future__ import annotations

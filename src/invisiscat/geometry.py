@@ -28,15 +28,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.ndimage
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError
 from .gridquad import _columns, _polar, _tangential_layout
-from .quadrature import GraphCap, _bisect
+from .quadrature import GraphCap, _bisect, _leggauss
 
 __all__ = [
     "InadmissiblePerturbation",
-    "ResolutionTooCoarse",
     "CurvatureCap",
     "compute_cn",
     "make_curvature_cap",
@@ -48,17 +46,12 @@ __all__ = [
     "StarComponent",
     "CappedComponent",
     "Domain",
-    "connected_to_infinity",
     "sphere_directions",
 ]
 
 
 class InadmissiblePerturbation(ConfigError):
     """Cubic perturbation too large for the requested (K, L, M, delta)."""
-
-
-class ResolutionTooCoarse(NumericalFailure):
-    """Connectivity grid cannot see the complement near the query point."""
 
 
 def compute_cn(n: int) -> float:
@@ -255,7 +248,7 @@ def sphere_directions(n: int, n_dirs: int):
 
 
 def _gauss_legendre(npts: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(npts)
+    x, w = _leggauss(npts)
     return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
@@ -275,7 +268,7 @@ def _ball_nodes(r, wr, n_cos: int, nth: int):
     Radial nodes r with weights wr, times ``n_cos`` Gauss-Legendre nodes
     in cos(phi), times ``nth`` equispaced azimuths; returns (offsets, weights).
     """
-    c, wc = np.polynomial.legendre.leggauss(n_cos)
+    c, wc = _leggauss(n_cos)
     th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
     xy = _polar(np.outer(r, np.sqrt(1.0 - c * c)).ravel(), th)
     z = np.repeat(np.outer(r, c).ravel(), nth)
@@ -473,7 +466,7 @@ class StarComponent(Component):
         th = np.linspace(0.0, 2.0 * math.pi, nth, endpoint=False)
         wth = 2.0 * math.pi / nth
         rbound = self.radial(th)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(target)
+        gl_x, gl_w = _leggauss(target)
         rr = 0.5 * rbound[None, :] * (gl_x[:, None] + 1.0)
         ww = 0.5 * rbound[None, :] * gl_w[:, None] * wth * rr
         pts = self.center + np.stack(
@@ -682,41 +675,3 @@ class Domain:
                 if d <= 2.0 * c1:
                     return False
         return True
-
-
-def connected_to_infinity(
-    p: np.ndarray, domain: Domain, grid_resolution: int = 128
-) -> bool:
-    """Flood-fill connectivity of a near-boundary point to infinity.
-
-    The complement of the domain is rasterized on a padded bounding-box
-    grid with face adjacency; the query point must have a complement
-    cell in its immediate neighbourhood, else ``ResolutionTooCoarse``.
-    """
-    p = np.asarray(p, dtype=float)
-    lo, hi = domain.bounding_box()
-    pad = 0.1 * float(np.max(hi - lo))
-    lo, hi = lo - pad, hi + pad
-    n = grid_resolution
-    axes = [np.linspace(lo[d], hi[d], n) for d in range(domain.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    occupied = domain.inside(pts).reshape([n] * domain.dim)
-    complement = ~occupied
-    structure = scipy.ndimage.generate_binary_structure(domain.dim, 1)
-    labels, _ = scipy.ndimage.label(complement, structure=structure)
-    outside_label = labels[(0,) * domain.dim]
-    # Complement cells adjacent to p (within a 2-cell box).
-    spacing = np.array([ax[1] - ax[0] for ax in axes])
-    idx = np.round((p - lo) / spacing).astype(int)
-    idx = np.clip(idx, 0, n - 1)
-    rng = [
-        slice(max(i - 2, 0), min(i + 3, n)) for i in idx
-    ]
-    patch = labels[tuple(rng)]
-    free = patch[patch > 0]
-    if free.size == 0:
-        raise ResolutionTooCoarse(
-            f"no complement cell within 2 cells of {p} at resolution {n}"
-        )
-    return bool(np.any(free == outside_label))

@@ -2,8 +2,8 @@
 
 Unlike the adaptive oracle, these rules are deliberately tied to a mesh
 spacing h so that discretization residuals scale predictably (order 2
-for the graph-window columns, order 4 for Simpson boxes); convergence
-studies refine h and measure the observed order.
+for the graph-window columns); convergence studies refine h and measure
+the observed order.
 """
 
 from __future__ import annotations
@@ -12,33 +12,9 @@ import math
 
 import numpy as np
 
-__all__ = ["simpson_box", "cap_window_columns", "cap_lid_nodes"]
+from .quadrature import _leggauss
 
-
-def _simpson_axis(a: float, b: float, spacing: float):
-    n = max(2, int(math.ceil((b - a) / spacing)))
-    if n % 2 == 1:
-        n += 1
-    x = np.linspace(a, b, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (b - a) / n / 3.0
-    return x, w
-
-
-def simpson_box(lo, hi, spacing: float):
-    """Composite Simpson tensor rule on a box; O(h^4) for smooth fields."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    axes = [_simpson_axis(lo[d], hi[d], spacing) for d in range(lo.size)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(pts.shape[0])
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    for g in wgrids:
-        w = w * g.ravel()
-    return pts, w
+__all__ = ["cap_window_columns", "cap_lid_nodes"]
 
 
 def _polar(r, th):
@@ -61,7 +37,7 @@ def _tangential_layout(r, dr, dim: int, nth: int):
 
 def _columns(xp, lo, hi, area, n_gl: int):
     """Gauss-Legendre nodes on the columns lo < x_n < hi above points xp."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_gl)
+    gl_x, gl_w = _leggauss(n_gl)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xn = mid[:, None] + half[:, None] * gl_x[None, :]

@@ -1,4 +1,4 @@
-"""Discrete Hoelder norms, boundary suprema, and Green-identity residuals.
+"""Discrete Hoelder norms and boundary suprema.
 
 The discrete C^alpha norm is sup|f| plus a seminorm maximized over a
 pair subsample: every pair closer than four grid spacings plus a fixed
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.spatial
 
 from .errors import ConfigError, NumericalFailure
-from .gridquad import cap_lid_nodes, cap_window_columns, simpson_box
 from .kernels import _coverage_subsample
 
 __all__ = [
@@ -26,10 +24,6 @@ __all__ = [
     "sample_on_grid",
     "holder_norm",
     "boundary_sup",
-    "mean_zero_check",
-    "green_identity_residual",
-    "BoxWindow",
-    "CapWindow",
 ]
 
 _PAIR_SEED = 20240901
@@ -83,6 +77,8 @@ def sample_on_grid(domain, fn, spacing: float) -> SampledFunction:
 
 
 def _pair_indices(points: np.ndarray, spacing: float):
+    import scipy.spatial  # deferred to first use: most runs build no k-d tree
+
     n = points.shape[0]
     tree = scipy.spatial.cKDTree(points)
     near = tree.query_pairs(4.0 * spacing, output_type="ndarray")
@@ -127,121 +123,8 @@ def boundary_sup(f: SampledFunction, domain, count: int | None = None) -> float:
     bpts = domain.boundary_points(count)
     if f.fn is not None:
         return float(np.max(np.abs(np.asarray(f.fn(bpts)))))
+    import scipy.spatial
+
     tree = scipy.spatial.cKDTree(f.points)
     _, idx = tree.query(bpts, k=1)
     return float(np.max(np.abs(f.values[idx])))
-
-
-def mean_zero_check(f, domain, target: int = 48) -> float:
-    """|integral of f over the domain| by component-accurate quadrature."""
-    if isinstance(f, SampledFunction):
-        if f.fn is None:
-            if f.weights is None:
-                raise ValueError("sampled function carries no quadrature weights")
-            return float(abs(np.sum(f.weights * f.values)))
-        fn = f.fn
-    else:
-        fn = f
-    pts, w = domain.quad_nodes(target)
-    return float(abs(np.sum(w * np.asarray(fn(pts)))))
-
-
-# ---------------------------------------------------------------------------
-# Green identity windows
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BoxWindow:
-    """Axis-aligned box with Simpson volume rule."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-
-    def volume_nodes(self, spacing):
-        return simpson_box(self.lo, self.hi, spacing)
-
-
-@dataclass
-class CapWindow:
-    """Boundary window {|x'| < b, omega < x_n < h}; Gamma is the graph part."""
-
-    cap: object
-
-    def volume_nodes(self, spacing):
-        return cap_window_columns(self.cap, spacing)
-
-    def lid_nodes(self, spacing):
-        return cap_lid_nodes(self.cap, spacing)
-
-
-def _check_pde(w_field, k: float, pts: np.ndarray, spacing: float, tol: float | None):
-    """Five-point FD check that (Delta + k^2) w matches w.phi."""
-    h = spacing
-    d = pts.shape[1]
-    lap = -2.0 * d * np.asarray(w_field.value(pts), dtype=complex)
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = h
-        lap += np.asarray(w_field.value(pts + e), dtype=complex)
-        lap += np.asarray(w_field.value(pts - e), dtype=complex)
-    lap /= h * h
-    resid = lap + k * k * np.asarray(w_field.value(pts), dtype=complex)
-    resid -= np.asarray(w_field.phi(pts, k), dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(w_field.phi(pts, k)))))
-    limit = tol if tol is not None else 100.0 * h * h * scale + 1e-8
-    worst = float(np.max(np.abs(resid)))
-    if worst > limit:
-        raise PrecondViolated(
-            f"PDE residual {worst:.3e} exceeds tolerance {limit:.3e}"
-        )
-
-
-def green_identity_residual(
-    w_field,
-    u0_field,
-    k: float,
-    window,
-    spacing: float,
-    gamma: str = "all",
-    precond_tol: float | None = None,
-) -> complex:
-    """Residual of int (phi - k^2 w) u0 dx = int_{bdry \\ Gamma} (u0 d_nu w - w d_nu u0).
-
-    ``w_field`` supplies value/grad/phi analytically; ``u0_field`` is
-    harmonic.  With ``gamma="all"`` the whole boundary carries the
-    w = d_nu w = 0 condition and the right side vanishes.  The returned
-    residual is pure quadrature error, O(spacing^2) or better.
-    """
-    pts, wts = window.volume_nodes(spacing)
-    # Interior PDE precondition on a probe subset away from the boundary.
-    probe = pts[:: max(1, pts.shape[0] // 64)]
-    _check_pde(w_field, k, probe, 0.5 * spacing, precond_tol)
-
-    vol = np.sum(
-        wts
-        * (
-            np.asarray(w_field.phi(pts, k), dtype=complex)
-            - k * k * np.asarray(w_field.value(pts), dtype=complex)
-        )
-        * np.asarray(u0_field.value(pts), dtype=complex)
-    )
-    if gamma == "all":
-        return complex(vol)
-    if isinstance(window, CapWindow):
-        # Gamma = graph piece; the remaining boundary is the flat lid with
-        # outward normal +e_n.
-        lid_pts, lid_w = window.lid_nodes(spacing)
-        nu = np.zeros(lid_pts.shape[1])
-        nu[-1] = 1.0
-        dnu_w = np.asarray(w_field.grad(lid_pts), dtype=complex) @ nu
-        dnu_u0 = np.asarray(u0_field.grad(lid_pts), dtype=complex) @ nu
-        u0v = np.asarray(u0_field.value(lid_pts), dtype=complex)
-        wv = np.asarray(w_field.value(lid_pts), dtype=complex)
-        surf = np.sum(lid_w * (u0v * dnu_w - wv * dnu_u0))
-        return complex(vol - surf)
-    raise ValueError("partial Gamma is implemented for cap windows only")

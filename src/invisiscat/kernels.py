@@ -18,6 +18,12 @@ so the circulant embedding has length ``scipy.fft.next_fast_len(2 N_d - 1)``
 per axis, a length with no prime factor above 11.  The kernel depends on
 |offset| only: it is evaluated on the nonnegative offsets (one orthant,
 N_d per axis) and mirrored into the wrapped negative-offset slots.
+The density is zero outside that orthant and only the orthant is read
+back, so ``GridConvolver.apply`` transforms one axis at a time: the
+forward pass along axis d skips the lines past N_e on each later axis e,
+where the padded density is zero, and the inverse pass along axis d
+skips those past N_e on each earlier axis e, which are discarded.  That
+saves a quarter of the FFT work in the plane and 42% of it in space.
 
 The grid is a tensor product of its axes, so exp(z . x) = prod_d
 exp(z_d x_d) on it, and plane-wave sums over the nodes (incident fields,
@@ -44,6 +50,7 @@ import scipy.fft
 from scipy.special import digamma, j0, jv, y0, yv
 
 from .errors import NumericalFailure
+from .quadrature import _leggauss
 
 __all__ = [
     "far_field_constant",
@@ -218,7 +225,7 @@ def _coverage_ball_subsample(comp, centers: np.ndarray, h: float) -> np.ndarray:
 
 def _coverage_capped(comp, centers: np.ndarray, h: float) -> np.ndarray:
     """Column coverage: exact vertical extent integrated across the cell."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+    gl_x, gl_w = _leggauss(6)
     frac = np.zeros(centers.shape[0])
     local = centers - comp.apex
     for node, wgt in zip(gl_x, gl_w):
@@ -317,14 +324,24 @@ class GridConvolver:
             dst[d] = slice(L - s + 1, L)
             table[tuple(dst)] = table[tuple(src)]
         self._kernel_hat = scipy.fft.fftn(table, overwrite_x=True)
-        self._orthant = orthant
+        self._scale = 1.0 / math.prod(self._fft_shape)
 
     def apply(self, density_flat: np.ndarray) -> np.ndarray:
         """(Delta + k^2)^{-1} density, sampled on the grid nodes.
 
         ``density_flat`` must already include coverage factors; the cell
-        measure h^n is folded into the kernel table.
+        measure h^n is folded into the kernel table.  The pruned per-axis
+        transforms (module docstring) run in ``fftn``'s axis order, and
+        1/prod(L) follows the first inverse pass, where ``ifftn`` applies
+        it, so the rounding matches ``ifftn``'s.
         """
-        arr = density_flat.reshape(self.grid.shape)
-        spec = scipy.fft.fftn(arr, s=self._fft_shape) * self._kernel_hat
-        return scipy.fft.ifftn(spec, overwrite_x=True)[self._orthant].ravel()
+        x = density_flat.reshape(self.grid.shape)
+        for d, L in enumerate(self._fft_shape):
+            x = scipy.fft.fft(x, n=L, axis=d)
+        x *= self._kernel_hat
+        for d, N in enumerate(self.grid.shape):
+            x = scipy.fft.ifft(x, axis=d, norm="forward", overwrite_x=True)
+            if d == 0:
+                x *= self._scale
+            x = x[(slice(None),) * d + (slice(0, N),)]
+        return x.ravel()

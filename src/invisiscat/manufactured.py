@@ -1,53 +1,17 @@
-"""Manufactured fields with analytic derivatives.
+"""Manufactured cap bumps with analytic derivatives.
 
-Polynomial-in-distance bumps vanishing to second order on prescribed
-boundary pieces, their exact gradients and Laplacians, and the harmonic
-test fields they are paired against.  With phi := (Delta + k^2) w
-computed in closed form, integration-by-parts identities hold exactly
-in the continuum and any computed residual isolates pure quadrature
-error.
+Polynomial-in-distance bumps vanishing to second order on the graph and
+the lid of a curvature cap, with their exact gradients and Laplacians.
+With phi := (Delta + k^2) w computed in closed form, integration-by-parts
+identities hold exactly in the continuum and any computed residual
+isolates pure quadrature error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ConstField", "CgoField", "CapBump", "BoxBump", "LensBump"]
-
-
-@dataclass
-class ConstField:
-    """u0 = const; trivially harmonic."""
-
-    c: complex = 1.0
-
-    def value(self, pts):
-        return np.full(pts.shape[0], self.c, dtype=complex)
-
-    def grad(self, pts):
-        return np.zeros_like(pts, dtype=complex)
-
-
-@dataclass
-class CgoField:
-    """u0 = exp(rho . x) with rho . rho = 0 (complex bilinear), so harmonic."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if abs(np.sum(self.rho * self.rho)) > 1e-10 * max(
-            1.0, float(np.sum(np.abs(self.rho) ** 2))
-        ):
-            raise ValueError("rho . rho must vanish for a harmonic exponential")
-
-    def value(self, pts):
-        return np.exp(pts @ self.rho)
-
-    def grad(self, pts):
-        return self.value(pts)[:, None] * self.rho[None, :]
+__all__ = ["CapBump", "LensBump"]
 
 
 class CapBump:
@@ -127,51 +91,3 @@ class LensBump(CapBump):
         if np.any(m):
             out[m] = super().laplacian(pts[m])
         return out
-
-
-class BoxBump:
-    """w = prod_d (x_d - a_d)^2 (b_d - x_d)^2, H^2_0 on the box."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-
-    def _uv(self, pts):
-        return pts - self.lo, self.hi - pts
-
-    def value(self, pts):
-        u, v = self._uv(pts)
-        return np.prod((u * v) ** 2, axis=1)
-
-    def _q(self, u, v):
-        q = (u * v) ** 2
-        qp = 2.0 * u * v * (v - u)
-        qpp = 2.0 * ((v - u) ** 2 - 2.0 * u * v)
-        return q, qp, qpp
-
-    def grad(self, pts):
-        u, v = self._uv(pts)
-        q, qp, _ = self._q(u, v)
-        total = np.prod(q, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(q > 0, total[:, None] / q, 0.0) * qp
-        # Fall back to explicit products where a factor vanishes.
-        bad = np.any(q <= 0, axis=1)
-        if np.any(bad):
-            for i in np.nonzero(bad)[0]:
-                for d in range(pts.shape[1]):
-                    rest = np.prod(np.delete(q[i], d))
-                    out[i, d] = qp[i, d] * rest
-        return out
-
-    def laplacian(self, pts):
-        u, v = self._uv(pts)
-        q, _, qpp = self._q(u, v)
-        out = np.zeros(pts.shape[0])
-        for d in range(pts.shape[1]):
-            rest = np.prod(np.delete(q, d, axis=1), axis=1)
-            out += qpp[:, d] * rest
-        return out
-
-    def phi(self, pts, k: float):
-        return self.laplacian(pts) + k * k * self.value(pts)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import NumericalFailure
 from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
@@ -202,6 +201,8 @@ def solve_ls(
         if len(residuals) > 1 and res > 0.5 * residuals[-2]:
             break  # Not halving per step: GMRES takes over.
         u = u_inc - w
+    import scipy.sparse.linalg  # deferred: most solves end in Picard
+
     op = scipy.sparse.linalg.LinearOperator(
         (grid.points.shape[0],) * 2, matvec=apply_A, dtype=complex
     )

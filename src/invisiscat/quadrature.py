@@ -34,6 +34,7 @@ singularity at the apex that refinement would keep bisecting toward.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -83,6 +84,18 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
+
+
+@functools.cache
+def _leggauss(npts: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(npts)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 class BudgetExceeded(NumericalFailure):

@@ -21,7 +21,6 @@ medium scattering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import h1vp, hankel1, jv, jvp
@@ -29,7 +28,6 @@ from scipy.special import h1vp, hankel1, jv, jvp
 __all__ = [
     "mie_mode_coefficients",
     "mie_disk_far_field",
-    "mie_total_field",
     "suggested_mode_count",
 ]
 
@@ -83,32 +81,3 @@ def mie_disk_far_field(
             )
         out += term
     return pref * out
-
-
-def mie_total_field(
-    k: float,
-    R: float,
-    v0: float,
-    pts: np.ndarray,
-    inc_angle: float = 0.0,
-    m_max: int | None = None,
-) -> np.ndarray:
-    """Total field of the plane-wave scattering problem at given points."""
-    if m_max is None:
-        m_max = suggested_mode_count(k, R, v0)
-    pts = np.atleast_2d(pts)
-    r = np.sqrt(np.sum(pts * pts, axis=1))
-    phi = np.arctan2(pts[:, 1], pts[:, 0]) - inc_angle
-    k1 = k * math.sqrt(1.0 + v0)
-    interior = r < R
-    exterior = ~interior
-    out = np.zeros(pts.shape[0], dtype=complex)
-    direction = np.array([math.cos(inc_angle), math.sin(inc_angle)])
-    out[exterior] = np.exp(1j * k * (pts[exterior] @ direction))
-    for m in range(0, m_max + 1):
-        a, c = mie_mode_coefficients(k, R, v0, m)
-        g = 1j**m
-        ang = np.cos(m * phi) * (2.0 if m > 0 else 1.0)
-        out[interior] += g * a * jv(m, k1 * r[interior]) * ang[interior]
-        out[exterior] += g * c * hankel1(m, k * r[exterior]) * ang[exterior]
-    return out

@@ -62,7 +62,6 @@ __all__ = [
     "SceneError",
     "parse_expression",
     "load_domain",
-    "domain_to_spec",
     "load_source_scene",
     "load_medium_scene",
     "load_itp",
@@ -253,48 +252,6 @@ def load_domain(spec: dict, dim: int) -> Domain:
         if not comps:
             raise SceneError("union domain needs at least one component")
         return Domain(comps, well_separated=bool(spec.get("well_separated", False)))
-
-
-def _component_spec(comp) -> dict:
-    if isinstance(comp, BallComponent):
-        return {
-            "kind": "ball",
-            "center": comp.center.tolist(),
-            "radius": comp.radius,
-        }
-    if isinstance(comp, AnnulusComponent):
-        return {
-            "kind": "annulus",
-            "center": comp.center.tolist(),
-            "r_inner": comp.r_inner,
-            "r_outer": comp.r_outer,
-        }
-    if isinstance(comp, BoxComponent):
-        return {"kind": "box", "lo": comp.lo.tolist(), "hi": comp.hi.tolist()}
-    if isinstance(comp, CappedComponent):
-        return {
-            "kind": "capped",
-            "K": comp.cap.K,
-            "cubic": comp.cap.c3,
-            "L": comp.cap.L,
-            "M": comp.cap.M,
-            "delta": comp.cap.delta,
-            "bulk_width": comp.bulk_width,
-            "bulk_height": comp.bulk_height,
-            "apex": comp.apex.tolist(),
-        }
-    raise SceneError(f"component {type(comp).__name__} has no JSON form")
-
-
-def domain_to_spec(domain: Domain) -> dict:
-    """Inverse of ``load_domain`` for the closed-form component kinds."""
-    if len(domain.components) == 1 and not domain.well_separated:
-        return _component_spec(domain.components[0])
-    return {
-        "kind": "union",
-        "components": [_component_spec(c) for c in domain.components],
-        "well_separated": domain.well_separated,
-    }
 
 
 def _field_fn(spec, what: str, dim: int):

@@ -11,13 +11,6 @@ to the per-mode matching determinant
 transmission eigenvalues, and the null vector of the matching matrix
 assembles the eigenfunction pair (w, u) with equal Cauchy data at
 r = R.  Scaling the ball by 1/R scales every eigenvalue by R.
-
-Beyond the radial case, eigenfunction behaviour near a high-curvature
-boundary point is probed through manufactured pairs: pick a difference
-d in H^2_0 on a cap-bottomed body, set f := (Delta + k^2) d and read
-off u := -f / (k^2 V); the pair then satisfies the same interior
-identities as a true eigenpair, which is what the boundary-vanishing
-diagnostics consume.
 """
 
 from __future__ import annotations
@@ -29,12 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import jv, jvp, spherical_jn
 
-from .cgo import curvature_estimate_rhs
 from .errors import NumericalFailure
-from .geometry import CappedComponent
-from .gridquad import cap_window_columns
 from .holder import SampledFunction, holder_norm
-from .manufactured import LensBump
 from .quadrature import _bisect
 
 __all__ = [
@@ -44,8 +33,6 @@ __all__ = [
     "itp_determinant",
     "find_eigenvalues",
     "boundary_vanishing_ratio",
-    "manufactured_itp_field",
-    "curvature_vanishing_probe",
     "eigen_incident_density",
 ]
 
@@ -215,70 +202,3 @@ def eigen_incident_density(pair: EigenPair):
         return np.full(np.atleast_1d(angles).shape[0], c / (2.0 * math.pi))
 
     return density
-
-
-# ---------------------------------------------------------------------------
-# Curvature probes via manufactured pairs
-# ---------------------------------------------------------------------------
-
-
-def manufactured_itp_field(comp: CappedComponent, v0: complex, k: float):
-    """Manufactured transmission-like pair on a cap-bottomed body.
-
-    Given the H^2_0 difference d = (x_n - omega)^2 (h - x_n)^2 on the cap
-    lens, the field u := -(Delta + k^2) d / (k^2 v0) and w := u - d
-    satisfy (Delta + k^2) (u - w) = -k^2 V u with V = v0 chi_Omega, the
-    defining identity consumed by the boundary diagnostics.
-    """
-    if v0 == 0:
-        raise ValueError("contrast must be nonzero")
-    bump = LensBump(comp.cap)
-
-    def u_fn(pts):
-        local = np.atleast_2d(pts) - comp.apex
-        return -bump.phi(local, k) / (k * k * v0)
-
-    return u_fn, bump
-
-
-@dataclass
-class CurvatureProbeReport:
-    u_at_apex: float
-    envelope: float
-    norm_u: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.u_at_apex <= self.envelope
-
-
-def curvature_vanishing_probe(
-    comp: CappedComponent,
-    v0: complex,
-    k: float,
-    u_fn: Callable[[np.ndarray], np.ndarray],
-    alpha: float,
-    calibration: float = 1.0,
-    spacing: float | None = None,
-) -> CurvatureProbeReport:
-    """Compare |u(apex)| with the curvature envelope after normalization.
-
-    u is normalized to unit discrete C^alpha norm over the cap window;
-    the envelope is the four-term visibility bound scaled by
-    |V|_Calpha / |V(apex)| (= 1 for constant contrast) and a frozen
-    calibration constant.
-    """
-    cap = comp.cap
-    if spacing is None:
-        spacing = cap.h / 48.0
-    pts, _ = cap_window_columns(cap, spacing)
-    vals = np.asarray(u_fn(pts + comp.apex), dtype=complex)
-    f = SampledFunction(points=pts, values=vals, spacing=spacing)
-    norm = holder_norm(f, alpha)
-    if norm == 0:
-        return CurvatureProbeReport(0.0, math.inf, 0.0)
-    u_apex = abs(complex(np.asarray(u_fn(comp.apex[None, :]))[0])) / norm
-    env = calibration * curvature_estimate_rhs(
-        cap.K, alpha, cap.delta, cap.L, cap.M, cap.n, k
-    )
-    return CurvatureProbeReport(u_at_apex=u_apex, envelope=env, norm_u=norm)

@@ -30,8 +30,7 @@ from invisiscat.cgo import (
     identity_split_terms,
 )
 from invisiscat.geometry import BallComponent, Domain, make_curvature_cap
-from invisiscat.holder import BoxWindow, green_identity_residual
-from invisiscat.manufactured import BoxBump, CapBump, CgoField
+from invisiscat.manufactured import CapBump
 from invisiscat.medium import (
     HerglotzWave,
     MediumScene,
@@ -48,6 +47,8 @@ from invisiscat.transmission import (
     eigen_incident_density,
     find_eigenvalues,
 )
+
+from checks import BoxBump, BoxWindow, CgoField, green_identity_residual
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:

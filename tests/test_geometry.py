@@ -14,14 +14,14 @@ from invisiscat.geometry import (
     CurvatureCap,
     Domain,
     InadmissiblePerturbation,
-    ResolutionTooCoarse,
     StarComponent,
     compute_cn,
-    connected_to_infinity,
     make_curvature_cap,
     nesting_check,
 )
 from invisiscat.quadrature import Ball, integrate
+
+from checks import ResolutionTooCoarse, connected_to_infinity
 
 
 class TestComputeCn:

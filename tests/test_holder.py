@@ -7,18 +7,24 @@ import pytest
 
 from invisiscat.geometry import BallComponent, Domain, StarComponent
 from invisiscat.holder import (
-    BoxWindow,
-    CapWindow,
     PrecondViolated,
     SampledFunction,
     boundary_sup,
-    green_identity_residual,
     holder_norm,
-    mean_zero_check,
     sample_on_grid,
 )
 from invisiscat.geometry import make_curvature_cap
-from invisiscat.manufactured import BoxBump, CapBump, CgoField, ConstField
+from invisiscat.manufactured import CapBump
+
+from checks import (
+    BoxBump,
+    BoxWindow,
+    CapWindow,
+    CgoField,
+    ConstField,
+    green_identity_residual,
+    mean_zero_check,
+)
 
 
 def line_samples(fn, spacing):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from invisiscat import medium
 from invisiscat.geometry import BallComponent, Domain
@@ -24,7 +25,9 @@ from invisiscat.medium import (
     scattered_far_field,
     solve_ls,
 )
-from invisiscat.radial import mie_disk_far_field, mie_total_field
+from invisiscat.radial import mie_disk_far_field
+
+from checks import mie_total_field
 
 
 def disk_scene(v0=0.1, k=0.5, R=1.0, theta=0.0):
@@ -142,6 +145,22 @@ def cube_grid():
     return dom, grid
 
 
+def disk_grid():
+    """An 8 x 8 grid, embedded at the odd length 15 on both axes."""
+    dom = Domain([BallComponent([0.0, 0.0], 0.55)])
+    grid = make_support_grid(dom, 0.2)
+    assert grid.shape == (8, 8)
+    return dom, grid
+
+
+def ball_grid():
+    """A 12^3 grid, embedded at the even length 24 on every axis."""
+    dom = Domain([BallComponent([0.0, 0.0, 0.0], 0.5, dim=3)])
+    grid = make_support_grid(dom, 0.1)
+    assert grid.shape == (12, 12, 12)
+    return dom, grid
+
+
 def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -163,6 +182,17 @@ class TestGridConvolverOracle:
         density = rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))
         got = GridConvolver(grid, k).apply(density)
         assert rel_err(got, matrix @ density) < 1e-12
+
+    @pytest.mark.parametrize("make_grid", [two_disk_grid, disk_grid, cube_grid, ball_grid])
+    def test_pruned_transforms_match_full_transform(self, make_grid):
+        # Embeddings: 60 x 30 and 24^3 (even), 15^2 and 15^3 (odd).
+        _, grid = make_grid()
+        conv = GridConvolver(grid, 1.7)
+        rng = np.random.default_rng(11)
+        density = rng.normal(size=grid.points.shape[0]) + 1j * rng.normal(size=grid.points.shape[0])
+        spec = scipy.fft.fftn(density.reshape(grid.shape), s=conv._fft_shape) * conv._kernel_hat
+        want = scipy.fft.ifftn(spec)[tuple(slice(0, s) for s in grid.shape)].ravel()
+        assert rel_err(conv.apply(density), want) <= 1e-14
 
 
 def strip_overlap(cx, cy, R, x0, x1, y0, y1, sub=24):

@@ -13,6 +13,7 @@ from invisiscat.quadrature import (
     BudgetExceeded,
     GraphCap,
     ParaboloidCap,
+    _leggauss,
     integrate,
     integrate_full,
 )
@@ -260,3 +261,16 @@ class TestChartJacobians:
             deriv[:, :, j] = (chart.mapping(*up.T)[0] - chart.mapping(*um.T)[0]) / (2 * eps)
         det = np.abs(np.linalg.det(deriv))
         np.testing.assert_allclose(jac, det, rtol=1e-6)
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("npts", [1, 6, 8, 12, 32])
+    def test_cached_rule_is_numpys_and_read_only(self, npts):
+        x, w = _leggauss(npts)
+        want_x, want_w = np.polynomial.legendre.leggauss(npts)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        again = _leggauss(npts)
+        assert again[0] is x and again[1] is w

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from invisiscat.scenes import (
     SceneError,
-    domain_to_spec,
     load_domain,
     load_medium_scene,
     load_source_scene,
     parse_expression,
 )
+
+from checks import domain_to_spec
 
 
 _PTS = np.array([[0.3, -1.7], [2.0, 0.5], [-0.25, 0.0]])

@@ -11,12 +11,12 @@ from invisiscat.transmission import (
     NoneFound,
     RadialITP,
     boundary_vanishing_ratio,
-    curvature_vanishing_probe,
     eigen_incident_density,
     find_eigenvalues,
     itp_determinant,
-    manufactured_itp_field,
 )
+
+from checks import curvature_vanishing_probe, manufactured_itp_field
 
 REFERENCE_K1 = 0.993997561886  # first m=0 eigenvalue for R=1, v0=15, n=2
 

@@ -38,3 +38,5 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+experiments._pin_blas_threads()  # the sweep pool is the only parallelism

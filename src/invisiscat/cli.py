@@ -102,7 +102,7 @@ def cmd_medium(args) -> int:
         _write_field_csv(args.fields, sol.grid.points, sol.u)
     print(
         f"scattered far-field sup norm: {ff.sup_norm()!r} "
-        f"({sol.method}, {len(sol.residuals)} residual evaluations)"
+        f"({sol.method}, {len(sol.residuals)} residuals logged)"
     )
     return EXIT_OK
 

@@ -18,6 +18,7 @@ exactly.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import os
@@ -71,7 +72,46 @@ def worker_count() -> int:
             return max(1, int(env))
         except ValueError:
             pass
-    return min(4, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    else:
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
+
+
+_BLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _pin_blas_threads() -> None:
+    """Set every OpenBLAS already mapped into the process to one thread.
+
+    The sweep pool of ``_map_ordered`` stays the only parallelism: after a
+    threaded BLAS call (a complex ``np.linalg.norm``, a far-field ``@``),
+    OpenBLAS workers busy-wait on the cores the pool runs on, and on no
+    workload here do they shorten a call.  Libraries are opened with
+    ``RTLD_NOLOAD``, so none is loaded; without ``/proc/self/maps``, or with
+    another BLAS, nothing happens.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            set_threads = getattr(lib, name, None)
+            if set_threads is not None:
+                set_threads(1)
+                break
 
 
 def _map_ordered(fn, items):
@@ -160,7 +200,7 @@ def run_smallness_source(
     calibration: dict | None = None,
 ) -> SuiteResult:
     """Visibility of constant sources across radii, radiationless rows included."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cal = (calibration or load_calibration())["smallness_source"]
     r_bessel = radiationless_radius(k, 2, 1)
     if radii is None:
@@ -191,7 +231,7 @@ def run_smallness_source(
         rm = radiationless_radius(k, 2, m)
         lb_ok &= (2.0 * rm) ** alpha >= cal["C_lower_bound"] * (1.0 - 1e-12)
     notes = [] if lb_ok else ["radiationless family violates the diameter lower bound"]
-    return SuiteResult("smallness_source", rows, cal, time.time() - t0, notes, lb_ok)
+    return SuiteResult("smallness_source", rows, cal, time.perf_counter() - t0, notes, lb_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +270,7 @@ def run_curvature_source(
 ) -> SuiteResult:
     """Constant capped sources radiate; manufactured radiationless duals obey
     the apex-intensity envelope with one frozen constant."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cal = (calibration or load_calibration())["curvature_source"]
 
     def one(K):
@@ -268,7 +308,7 @@ def run_curvature_source(
         )
         dual_silent = row["dual_far_field_sup"] <= cal["dual_far_field_ceiling"]
         row["counterexample"] = not (visible and dual_ok and dual_silent)
-    return SuiteResult("curvature_source", rows, cal, time.time() - t0)
+    return SuiteResult("curvature_source", rows, cal, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +330,7 @@ def run_medium_visibility(
     calibration: dict | None = None,
 ) -> SuiteResult:
     """Plane-wave scattering from shrinking disks and capped media."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cal = (calibration or load_calibration())["medium_visibility"]
     c0 = estimate_c0(k, max(max(radii), 1.0), 2, n_probe=3, resolution=32)
     jobs = (
@@ -340,7 +380,7 @@ def run_medium_visibility(
         hypothesis = row["comparator"] >= cal["C_comparator"]
         silent = row["far_field_sup"] < floor
         row["counterexample"] = hypothesis and silent
-    return SuiteResult("medium_visibility", rows, cal, time.time() - t0)
+    return SuiteResult("medium_visibility", rows, cal, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +421,7 @@ def run_schiffer_separation(
     calibration: dict | None = None,
 ) -> SuiteResult:
     """Disjoint small scatterers cannot share a far-field pattern."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cal = (calibration or load_calibration())["schiffer_separation"]
     dom_a = Domain([BallComponent([-0.8, 0.0], radius)])
     dom_b = Domain([BallComponent([0.8, 0.0], radius)])
@@ -400,7 +440,7 @@ def run_schiffer_separation(
         f"diam {2*radius} within C1 = {cal['C1']}; k = {k} within C2 = {cal['C2']}"
     ]
     ok_regime = 2 * radius <= cal["C1"] and k <= cal["C2"]
-    return SuiteResult("schiffer_separation", rows, cal, time.time() - t0, notes, ok_regime)
+    return SuiteResult("schiffer_separation", rows, cal, time.perf_counter() - t0, notes, ok_regime)
 
 
 def run_schiffer_counting(
@@ -412,7 +452,7 @@ def run_schiffer_counting(
     calibration: dict | None = None,
 ) -> SuiteResult:
     """Wrong component counts are detectable from one far-field pattern."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cal = (calibration or load_calibration())["schiffer_counting"]
     centers_true = [(-1.5, 0.0), (0.0, 0.0), (1.5, 0.0)]
     truth = Domain(
@@ -483,7 +523,7 @@ def run_schiffer_counting(
             best_correct = min(best_correct, row["mismatch"])
         row["counterexample"] = bad
     notes = [f"smallest mismatch among correct-count candidates: {best_correct!r}"]
-    return SuiteResult("schiffer_counting", rows, cal, time.time() - t0, notes)
+    return SuiteResult("schiffer_counting", rows, cal, time.perf_counter() - t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +538,7 @@ def run_curvature_uniqueness_demo(
     calibration: dict | None = None,
 ) -> SuiteResult:
     """Far-field discrimination of shapes differing by a curvature cap."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cal = (calibration or load_calibration())["curvature_uniqueness"]
     comp = _capped_component(K, 0.75)
     capped = Domain([comp])
@@ -524,7 +564,7 @@ def run_curvature_uniqueness_demo(
         ("rotated_rounded_triangle", ff_tri_a, ff_tri_b, True, {"gap_condition_honored": False}),
     ]
     rows = _pair_rows(pairs, cal["difference_floor"])
-    return SuiteResult("curvature_uniqueness", rows, cal, time.time() - t0)
+    return SuiteResult("curvature_uniqueness", rows, cal, time.perf_counter() - t0)
 
 
 SUITES = {

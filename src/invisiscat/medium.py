@@ -170,10 +170,11 @@ def solve_ls(
 
     Picard iteration from u^i with logged residuals, for as long as each
     residual is at most half the previous one and for at most 200 steps;
-    otherwise restarted GMRES from zero, whose final residual is appended
-    to the Picard ones.  Raises ``NotContractive`` when neither route
-    reaches the tolerance, and NumericalFailure for a grid of more than
-    ``_LS_MAX_CELLS`` cells.
+    otherwise restarted GMRES from zero.  ``residuals`` then holds the
+    Picard residuals, GMRES's relative residual estimate after each of its
+    iterations, and the final true residual.  Raises ``NotContractive``
+    when neither route reaches the tolerance, and NumericalFailure for a
+    grid of more than ``_LS_MAX_CELLS`` cells.
     """
     if spacing is None:
         spacing = default_spacing(scene)
@@ -207,7 +208,8 @@ def solve_ls(
         (grid.points.shape[0],) * 2, matvec=apply_A, dtype=complex
     )
     u, info = scipy.sparse.linalg.gmres(
-        op, u_inc, rtol=tol, atol=0.0, restart=100, maxiter=40
+        op, u_inc, rtol=tol, atol=0.0, restart=100, maxiter=40,
+        callback=residuals.append, callback_type="pr_norm",
     )
     res = float(np.linalg.norm(apply_A(u) - u_inc)) / scale
     residuals.append(res)

@@ -35,6 +35,19 @@ class TestInfrastructure:
         monkeypatch.setenv("INVISISCAT_THREADS", "bogus")
         assert ex.worker_count() >= 1
 
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        # A process pinned to one CPU gets one worker, however many the
+        # machine has.
+        monkeypatch.delenv("INVISISCAT_THREADS", raising=False)
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ex.worker_count() == 1
+        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: set(range(16)))
+        assert ex.worker_count() == 4
+        monkeypatch.delattr(ex.os, "sched_getaffinity")
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: 3)
+        assert ex.worker_count() == 3
+
     def test_write_outputs_idempotent(self, tmp_path):
         res = ex.run_smallness_source(radii=[0.5], n_dirs=16)
         p1 = ex.write_outputs(res, tmp_path / "a")

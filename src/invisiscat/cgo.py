@@ -89,14 +89,13 @@ class CgoVector:
         return np.exp(pts @ self.rho.real + 1j * (pts @ self.rho.imag))
 
 
-def cgo_over_parabola(rho, K: float, n: int | None = None) -> complex:
+def cgo_over_parabola(rho, K: float) -> complex:
     """Exact integral of exp(rho . x) over {x_n > K |x'|^2}."""
     if isinstance(rho, CgoVector):
         vec = rho.rho
     else:
         vec = np.asarray(rho, dtype=complex)
-    if n is None:
-        n = vec.size
+    n = vec.size
     if vec[-1].real >= 0:
         raise ValueError("integral diverges unless Re rho_n < 0")
     if K <= 0:
@@ -175,6 +174,10 @@ def cgo_weighted_cap_bound(tau: float, K: float, h: float, s: float, n: int) -> 
 # Integration-by-parts split over a curvature cap window
 # ---------------------------------------------------------------------------
 
+# Cubature tolerance of the tail and paraboloid integrals, and the bound
+# on |w| (its square root on |grad w|) along the graph piece.
+_SPLIT_TOL = 1e-10
+
 
 def identity_split_terms(
     w_field,
@@ -182,8 +185,6 @@ def identity_split_terms(
     rho: CgoVector,
     k: float,
     spacing: float | None = None,
-    oracle_tol: float = 1e-10,
-    precond_tol: float | None = None,
 ):
     """Split phi(0) * int_{x_n > K|x'|^2} e^{rho.x} into four pieces.
 
@@ -214,17 +215,16 @@ def identity_split_terms(
     graph_pts = np.concatenate([xp, cap.omega(xp)[:, None]], axis=-1)
     wv = np.asarray(w_field.value(graph_pts))
     gv = np.asarray(w_field.grad(graph_pts))
-    tol_b = precond_tol if precond_tol is not None else 1e-10
-    if float(np.max(np.abs(wv))) > tol_b or float(np.max(np.abs(gv))) > math.sqrt(tol_b):
+    if float(np.max(np.abs(wv))) > _SPLIT_TOL or float(np.max(np.abs(gv))) > math.sqrt(_SPLIT_TOL):
         raise PrecondViolated("w or grad w fails to vanish on the graph piece")
 
     phi0 = complex(np.asarray(w_field.phi(np.zeros((1, n)), k))[0])
-    lhs = phi0 * cgo_over_parabola(rho, cap.K, n)
+    lhs = phi0 * cgo_over_parabola(rho, cap.K)
 
     tail = ParaboloidCap(cap.K, floor=cap.h, dim=n, decay_rate=tau)
-    i1 = integrate(rho.field, tail, tol=oracle_tol)
+    i1 = integrate(rho.field, tail, tol=_SPLIT_TOL)
     cap_region = ParaboloidCap(cap.K, cap.h, dim=n)
-    over_parab = integrate(rho.field, cap_region, tol=oracle_tol)
+    over_parab = integrate(rho.field, cap_region, tol=_SPLIT_TOL)
 
     wpts, wq = cap_window_columns(cap, spacing)
     e_w = rho.field(wpts)

@@ -184,10 +184,15 @@ def cmd_experiment(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("experiment config must be a JSON object")
     # Every suite parameter has a default, so a config binds to the
-    # signature exactly when it names no unknown parameter.
-    unknown = sorted(set(cfg) - set(inspect.signature(suite).parameters))
+    # signature exactly when it names no other key.  ``calibration`` is
+    # for ``calibrate()`` alone: a suite run reads the frozen constants.
+    allowed = set(inspect.signature(suite).parameters) - {"calibration"}
+    unknown = sorted(set(cfg) - allowed)
     if unknown:
-        raise ConfigError(f"bad config for suite {args.suite}: unknown keys {unknown}")
+        raise ConfigError(
+            f"bad config for suite {args.suite}: unknown keys {unknown}; "
+            f"the config may set {sorted(allowed)}"
+        )
     result = suite(**cfg)
     path = write_outputs(result, args.out)
     status = "pass" if result.passed else "FAIL"

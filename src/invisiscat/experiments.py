@@ -455,9 +455,7 @@ def run_schiffer_counting(
     t0 = time.perf_counter()
     cal = (calibration or load_calibration())["schiffer_counting"]
     centers_true = [(-1.5, 0.0), (0.0, 0.0), (1.5, 0.0)]
-    truth = Domain(
-        [BallComponent(list(c), radius) for c in centers_true], well_separated=True
-    )
+    truth = Domain([BallComponent(list(c), radius) for c in centers_true])
     if not truth.gap_ok(cal["C1"]):
         raise ConfigError("true configuration is not well separated for frozen C1")
     ff_true = _medium_far_field(truth, v0, k)

@@ -158,7 +158,7 @@ def make_curvature_cap(
     fails.
     """
     if K < math.e:
-        raise ValueError("curvature parameter must satisfy K >= e")
+        raise ConfigError(f"curvature parameter must satisfy K >= e, got {K!r}")
     cn = compute_cn(n)
     f = abs(cubic_coeff) * _CUBIC_THIRD_DERIV_SUP
     budget = min(
@@ -612,7 +612,6 @@ class Domain:
     """
 
     components: list
-    well_separated: bool = False
 
     def __post_init__(self):
         if len(self.components) > 1:

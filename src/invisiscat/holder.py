@@ -4,19 +4,20 @@ The discrete C^alpha norm is sup|f| plus a seminorm maximized over a
 pair subsample: every pair closer than four grid spacings plus a fixed
 seeded batch of long-range pairs.  Smooth fields attain their seminorm
 at short range, so the subsampled value is a lower bound converging
-under refinement.
+under refinement.  A sampled field carries its points, values and grid
+spacing only; the boundary supremum evaluates the field's callable on
+the domain's boundary points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .kernels import _coverage_subsample
 
 __all__ = [
     "PrecondViolated",
@@ -41,8 +42,6 @@ class SampledFunction:
     points: np.ndarray
     values: np.ndarray
     spacing: float
-    weights: Optional[np.ndarray] = None
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -56,24 +55,13 @@ class SampledFunction:
 
 
 def sample_on_grid(domain, fn, spacing: float) -> SampledFunction:
-    """Sample a callable on the regular grid nodes inside a domain.
-
-    The quadrature weight of a node is its cell measure times the cell's
-    coverage on the 6^n subsample of ``kernels._coverage_subsample``, so
-    cut cells get fractional weight.
-    """
+    """Sample a callable on the regular grid nodes inside a domain."""
     lo, hi = domain.bounding_box(pad=0.5 * spacing)
     axes = [np.arange(lo[d] + spacing / 2, hi[d], spacing) for d in range(domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     pts_in = pts[domain.inside(pts)]
-    return SampledFunction(
-        points=pts_in,
-        values=np.asarray(fn(pts_in)),
-        spacing=spacing,
-        weights=spacing**domain.dim * _coverage_subsample(domain, pts_in, spacing, sub=6),
-        fn=fn,
-    )
+    return SampledFunction(points=pts_in, values=np.asarray(fn(pts_in)), spacing=spacing)
 
 
 def _pair_indices(points: np.ndarray, spacing: float):
@@ -114,17 +102,8 @@ def holder_norm(f: SampledFunction, alpha: float) -> float:
     return sup + semi
 
 
-def boundary_sup(f: SampledFunction, domain, count: int | None = None) -> float:
-    """sup of |f| on the domain's boundary points.
-
-    Uses the generating callable when available; otherwise the nearest
-    interior sample (O(spacing) interpolation error).
-    """
-    bpts = domain.boundary_points(count)
-    if f.fn is not None:
-        return float(np.max(np.abs(np.asarray(f.fn(bpts)))))
-    import scipy.spatial
-
-    tree = scipy.spatial.cKDTree(f.points)
-    _, idx = tree.query(bpts, k=1)
-    return float(np.max(np.abs(f.values[idx])))
+def boundary_sup(
+    fn: Callable[[np.ndarray], np.ndarray], domain, count: int | None = None
+) -> float:
+    """sup of |fn| on the domain's boundary points."""
+    return float(np.max(np.abs(np.asarray(fn(domain.boundary_points(count))))))

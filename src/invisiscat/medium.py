@@ -16,21 +16,22 @@ lower bound of the resolvent norm C0 on a ball) is for reports only;
 the solver never calls it.
 
 The scattered far field is u^s_inf = -k^2 C_{n,k} F(V u)(k xhat),
-evaluated by the grid's cell quadrature.  Every incident wave is a sum
-of exponentials sum_q c_q exp(z_q . x) (``terms``), so both the incident
-field on the grid and the far-field moments use the grid's separable
-plane-wave sums.
+evaluated by the grid's cell quadrature.  An incident wave is given only
+by its exponential sum sum_q c_q exp(z_q . x) (``terms``): on a support
+grid the incident field and the far-field moments use the grid's
+separable plane-wave sums, and at other points the sum is evaluated
+directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import ConfigError, NumericalFailure
 from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
 from .geometry import sphere_directions
 from .source import FarField
@@ -52,6 +53,9 @@ __all__ = [
 # Krylov vectors, 1.6 kB per cell, so this bounds the basis near 6.5 GB.
 _LS_MAX_CELLS = 4 * 10**6
 
+# Power iterations per probe in estimate_c0.
+_C0_ITERATIONS = 25
+
 
 class NotContractive(NumericalFailure):
     """Fixed-point residual stagnated above tolerance."""
@@ -70,9 +74,6 @@ class PlaneWave:
             raise ValueError("zero direction")
         self.direction = self.direction / nrm
 
-    def value(self, pts: np.ndarray, k: float) -> np.ndarray:
-        return np.exp(1j * k * (pts @ self.direction))
-
     def terms(self, k: float, n: int):
         """Exponents z (Q, n) and coefficients c (Q,) of sum_q c_q e^{z_q . x}."""
         return 1j * k * self.direction[None, :], np.ones(1)
@@ -85,10 +86,6 @@ class HerglotzWave:
     density: Callable[[np.ndarray], np.ndarray]
     n_quad: int = 256
 
-    def value(self, pts: np.ndarray, k: float) -> np.ndarray:
-        z, c = self.terms(k, pts.shape[1])
-        return np.exp(pts @ z.T) @ c
-
     def terms(self, k: float, n: int):
         dirs, w, angles = sphere_directions(n, self.n_quad)
         g = np.asarray(self.density(angles.squeeze(-1) if n == 2 else angles))
@@ -100,9 +97,6 @@ class CgoIncident:
     """Harmonic exponential exp(rho . x); grows along -Re rho directions."""
 
     rho: np.ndarray
-
-    def value(self, pts: np.ndarray, k: float) -> np.ndarray:
-        return np.exp(pts @ np.asarray(self.rho, dtype=complex))
 
     def terms(self, k: float, n: int):
         return np.asarray(self.rho, dtype=complex)[None, :], np.ones(1)
@@ -119,8 +113,8 @@ class MediumScene:
     n: int = 2
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ConfigError(f"wavenumber must be finite and positive, got {self.k!r}")
         if self.domain.dim != self.n:
             raise ValueError("domain dimension mismatch")
 
@@ -135,9 +129,10 @@ class MediumScene:
 
     def incident_values(self, pts: np.ndarray | SupportGrid) -> np.ndarray:
         """u^i at an (m, n) array of points, or at every node of a support grid."""
+        z, c = self.incident.terms(self.k, self.n)
         if isinstance(pts, SupportGrid):
-            return pts.plane_wave_sum(*self.incident.terms(self.k, self.n))
-        return np.asarray(self.incident.value(pts, self.k), dtype=complex)
+            return pts.plane_wave_sum(z, c)
+        return np.exp(pts @ z.T) @ c
 
 
 @dataclass
@@ -146,8 +141,8 @@ class LsSolution:
     u: np.ndarray
     u_incident: np.ndarray
     contrast_eff: np.ndarray
-    residuals: list = field(default_factory=list)
-    method: str = "picard"
+    residuals: list
+    method: str
 
     def convergence_ratios(self) -> np.ndarray:
         r = np.asarray(self.residuals)
@@ -226,7 +221,6 @@ def estimate_c0(
     n: int = 2,
     n_probe: int = 10,
     resolution: int = 48,
-    iterations: int = 25,
 ) -> float:
     """Power-iteration lower bound of |(Delta+k^2)^{-1}|_{L^2(B) -> L^2(B)}.
 
@@ -234,6 +228,8 @@ def estimate_c0(
     the conjugate kernel applied to the coverage-scaled density, which
     reduces to conjugated convolution.
     """
+    if not (math.isfinite(k) and k > 0):
+        raise ConfigError(f"wavenumber must be finite and positive, got {k!r}")
     if n_probe < 1:
         raise ValueError("need at least one probe")
     from .geometry import BallComponent, Domain
@@ -255,7 +251,7 @@ def estimate_c0(
     for _ in range(n_probe):
         v = rng.normal(size=cov.size) + 1j * rng.normal(size=cov.size)
         v *= cov > 0
-        for _ in range(iterations):
+        for _ in range(_C0_ITERATIONS):
             av = apply_a(v)
             v_new = apply_at(av)
             nrm = math.sqrt(float(np.sum(w * np.abs(v_new) ** 2)))
@@ -272,6 +268,8 @@ def estimate_c0(
 
 def scattered_far_field(scene: MediumScene, sol: LsSolution, n_dirs: int = 64) -> FarField:
     """u^s_inf(xhat) = -k^2 C_{n,k} int e^{-ik xhat.y} V(y) u(y) dy."""
+    if n_dirs < 1:
+        raise ConfigError(f"need at least one far-field direction, got {n_dirs!r}")
     dirs, w_dirs, angles = sphere_directions(scene.n, n_dirs)
     h_n = sol.grid.spacing**scene.n
     density = sol.contrast_eff * sol.u * h_n

@@ -28,8 +28,8 @@ singularity at the apex that refinement would keep bisecting toward.
   orders below the requested tolerance.
 * ``AnnularParaboloid(K-, K+)`` the shell between two nested paraboloid
   caps of the same height.
-* ``GraphCap(omega, b, h)``     {|x'| < b, omega(x') < x_n < h} for a
-  boundary graph omega pinched between K-|x'|^2 and K+|x'|^2.
+* ``GraphCap(omega, b, h, (K-, K+))`` {|x'| < b, omega(x') < x_n < h}
+  for a boundary graph omega pinched between K-|x'|^2 and K+|x'|^2.
 """
 
 from __future__ import annotations
@@ -410,18 +410,14 @@ class GraphCap(Region):
     omega: Callable[[np.ndarray], np.ndarray]
     b: float
     h: float
+    K_bracket: tuple[float, float]
     dim: int = 2
-    K_bracket: tuple[float, float] | None = None
 
     def _rim_radius(self, direction: np.ndarray) -> np.ndarray:
         """Radii r(theta) with omega(r * direction) = h, vectorized bisection."""
-        if self.K_bracket is not None:
-            k_lo, k_hi = self.K_bracket
-            lo = np.full(direction.shape[0], 0.95 * math.sqrt(self.h / k_hi))
-            hi = np.full(direction.shape[0], min(1.05 * math.sqrt(self.h / k_lo), self.b))
-        else:
-            lo = np.zeros(direction.shape[0])
-            hi = np.full(direction.shape[0], self.b)
+        k_lo, k_hi = self.K_bracket
+        lo = np.full(direction.shape[0], 0.95 * math.sqrt(self.h / k_hi))
+        hi = np.full(direction.shape[0], min(1.05 * math.sqrt(self.h / k_lo), self.b))
         f_hi = self.omega(direction * hi[:, None]) - self.h
         # Columns whose graph never reaches h are clamped at b.
         open_col = f_hi < 0

@@ -251,7 +251,7 @@ def load_domain(spec: dict, dim: int) -> Domain:
         comps = [_component(c, dim) for c in spec.get("components", [])]
         if not comps:
             raise SceneError("union domain needs at least one component")
-        return Domain(comps, well_separated=bool(spec.get("well_separated", False)))
+        return Domain(comps)
 
 
 def _field_fn(spec, what: str, dim: int):

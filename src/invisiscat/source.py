@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,10 @@ _BLOCK_ENTRIES = 2**14
 # Most cells the field quadrature grid of solve_field may hold.
 _FIELD_MAX_CELLS = 4 * 10**6
 
+# Radius, in grid cells, of the ball around a target that solve_field
+# integrates in polar form instead of summing cells.
+_NEAR_RADIUS_CELLS = 2.0
+
 # Fewest far-field directions far_field accepts.
 MIN_DIRS = 8
 
@@ -65,8 +69,8 @@ class SourceScene:
     n: int = 2
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ConfigError(f"wavenumber must be finite and positive, got {self.k!r}")
         if self.domain.dim != self.n:
             raise ValueError("domain dimension mismatch")
 
@@ -93,8 +97,8 @@ class FarField:
     directions: np.ndarray
     values: np.ndarray
     k: float
-    weights: np.ndarray = field(default=None)
-    angles: np.ndarray = field(default=None)
+    weights: np.ndarray
+    angles: np.ndarray
 
     def __post_init__(self):
         norms = np.linalg.norm(self.directions, axis=1)
@@ -105,8 +109,6 @@ class FarField:
         return float(np.max(np.abs(self.values)))
 
     def l2_norm(self) -> float:
-        if self.weights is None:
-            raise ValueError("no quadrature weights attached")
         return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
     def relative_l2_difference(self, other: "FarField") -> float:
@@ -159,7 +161,6 @@ def solve_field(
     scene: SourceScene,
     eval_points: np.ndarray,
     spacing: float | None = None,
-    near_radius_cells: float = 2.0,
 ) -> np.ndarray:
     """Radiating field u(x) = int G_k(x - y) f(y) dy at given points.
 
@@ -167,7 +168,7 @@ def solve_field(
     coverage) only, for a block of targets at a time: the (targets,
     cells) distance array is bounded by ``_BLOCK_ENTRIES`` entries and
     reduced along the cell axis by a numpy sum.  Cells within
-    ``near_radius_cells`` grid cells of a target are left out of its sum,
+    ``_NEAR_RADIUS_CELLS`` grid cells of a target are left out of its sum,
     and a target that has such a live cell gets polar-coordinate
     quadrature of the kernel singularity over that ball instead.  A grid
     of more than ``_FIELD_MAX_CELLS`` cells raises NumericalFailure.
@@ -181,7 +182,7 @@ def solve_field(
     live = np.flatnonzero(f_grid)
     cells, f_live = grid.points[live], f_grid[live]
     w_cell = grid.spacing**scene.n
-    r_cut = near_radius_cells * grid.spacing
+    r_cut = _NEAR_RADIUS_CELLS * grid.spacing
     out = np.empty(eval_points.shape[0], dtype=complex)
     # Polar correction rule on B(0, r_cut) around near targets.
     r, wr = _gauss_legendre(12, 0.0, r_cut)
@@ -209,6 +210,8 @@ def radiationless_radius(k: float, n: int, branch_index: int = 1) -> float:
 
     The zero of J_(n/2) is bracketed on a coarse scan and bisected.
     """
+    if not (math.isfinite(k) and k > 0):
+        raise ConfigError(f"wavenumber must be finite and positive, got {k!r}")
     if branch_index < 1:
         raise ValueError("branch_index counts positive zeros from 1")
     nu = n / 2.0
@@ -233,9 +236,9 @@ def visibility_ratio(
     """(sup_bdry |phi| / ||phi||_C^alpha) / diam(Omega)^alpha."""
     if spacing is None:
         spacing = scene.domain.diameter() / 64.0
-    f = sample_on_grid(scene.domain, lambda p: scene.intensity(p), spacing)
+    f = sample_on_grid(scene.domain, scene.intensity, spacing)
     norm = holder_norm(f, alpha)
     if norm == 0:
         return 0.0
-    bs = boundary_sup(f, scene.domain)
+    bs = boundary_sup(scene.intensity, scene.domain)
     return (bs / norm) / scene.domain.diameter() ** alpha

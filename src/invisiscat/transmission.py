@@ -96,10 +96,10 @@ class EigenPair:
     k_eig: float
     mode: int
     itp: RadialITP
-    w: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
-    u: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
-    w_deriv: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
-    u_deriv: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
+    w: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    u: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    w_deriv: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    u_deriv: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def matching_defect(self) -> float:
         R = self.itp.R

@@ -28,6 +28,7 @@ from invisiscat.geometry import (
 )
 from invisiscat.gridquad import cap_lid_nodes, cap_window_columns
 from invisiscat.holder import PrecondViolated, SampledFunction, holder_norm
+from invisiscat.kernels import _coverage_subsample
 from invisiscat.manufactured import LensBump
 from invisiscat.radial import mie_mode_coefficients, suggested_mode_count
 from invisiscat.scenes import SceneError
@@ -124,18 +125,26 @@ class BoxBump:
 # ---------------------------------------------------------------------------
 
 
+def cell_weights(domain, f: SampledFunction) -> np.ndarray:
+    """Quadrature weights of ``holder.sample_on_grid``'s nodes.
+
+    A node's weight is its cell measure times the cell's coverage on the
+    6^n subsample of ``kernels._coverage_subsample``, so cut cells get
+    fractional weight.
+    """
+    return f.spacing**domain.dim * _coverage_subsample(domain, f.points, f.spacing, sub=6)
+
+
 def mean_zero_check(f, domain, target: int = 48) -> float:
-    """|integral of f over the domain| by component-accurate quadrature."""
+    """|integral of f over the domain|.
+
+    A callable gets component-accurate quadrature; a grid sample of
+    ``holder.sample_on_grid`` gets its ``cell_weights``.
+    """
     if isinstance(f, SampledFunction):
-        if f.fn is None:
-            if f.weights is None:
-                raise ValueError("sampled function carries no quadrature weights")
-            return float(abs(np.sum(f.weights * f.values)))
-        fn = f.fn
-    else:
-        fn = f
+        return float(abs(np.sum(cell_weights(domain, f) * f.values)))
     pts, w = domain.quad_nodes(target)
-    return float(abs(np.sum(w * np.asarray(fn(pts)))))
+    return float(abs(np.sum(w * np.asarray(f(pts)))))
 
 
 def _simpson_axis(a: float, b: float, spacing: float):
@@ -446,10 +455,6 @@ def _component_spec(comp) -> dict:
 
 def domain_to_spec(domain: Domain) -> dict:
     """Inverse of ``scenes.load_domain`` for the closed-form component kinds."""
-    if len(domain.components) == 1 and not domain.well_separated:
+    if len(domain.components) == 1:
         return _component_spec(domain.components[0])
-    return {
-        "kind": "union",
-        "components": [_component_spec(c) for c in domain.components],
-        "well_separated": domain.well_separated,
-    }
+    return {"kind": "union", "components": [_component_spec(c) for c in domain.components]}

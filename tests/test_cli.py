@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invisiscat.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from invisiscat.experiments import SUITES
 
 
 @pytest.fixture
@@ -366,6 +367,11 @@ def _row(files, *argv):
     return files, list(argv)
 
 
+def _experiment(suite, cfg):
+    """``invisiscat experiment`` on ``suite`` with config ``cfg``."""
+    return _row({"cfg.json": cfg}, "experiment", suite, "{tmp}/cfg.json", "--out", "{tmp}")
+
+
 _ITP = {"itp.json": {"radius": 1.0, "contrast": 15.0}}
 _SCENE = {"s.json": _SMALL_SCENE}
 
@@ -442,6 +448,22 @@ _CONFIG_ERRORS = {
         {"s.json": _small_scene(domain={"kind": "star", "r0": 0.5, "cos_coeffs": [2.0]})},
         "source", "{tmp}/s.json",
     ),
+    "experiment_calibration_5": _experiment("smallness_source", {"calibration": 5}),
+    "experiment_calibration_override": _experiment(
+        "smallness_source",
+        {"calibration": {"smallness_source": {
+            "C_visibility": 1e300, "C_lower_bound": 0, "far_field_floor": 0,
+        }}},
+    ),
+    **{
+        f"experiment_{suite}_k_{name}": _experiment(suite, {"k": k})
+        for suite in SUITES
+        for name, k in (("0", 0), ("negative", -1), ("nan", float("nan")), ("inf", float("inf")))
+    },
+    "experiment_curvature_source_K_below_e": _experiment("curvature_source", {"K_list": [1.0]}),
+    "experiment_medium_visibility_K_below_e": _experiment("medium_visibility", {"K_list": [1.0]}),
+    "experiment_curvature_uniqueness_K_2": _experiment("curvature_uniqueness", {"K": 2}),
+    "experiment_medium_visibility_dirs_0": _experiment("medium_visibility", {"n_dirs": 0}),
 }
 
 

@@ -247,9 +247,6 @@ class TestDomain:
             Domain([BallComponent([0.0, 0.0], 1.0), BallComponent([1.5, 0.0], 1.0)])
 
     def test_gap_check(self):
-        near = Domain(
-            [BallComponent([0.0, 0.0], 0.2), BallComponent([1.0, 0.0], 0.2)],
-            well_separated=True,
-        )
+        near = Domain([BallComponent([0.0, 0.0], 0.2), BallComponent([1.0, 0.0], 0.2)])
         assert near.gap_ok(0.25)
         assert not near.gap_ok(0.35)

@@ -22,6 +22,7 @@ from checks import (
     CapWindow,
     CgoField,
     ConstField,
+    cell_weights,
     green_identity_residual,
     mean_zero_check,
 )
@@ -84,22 +85,16 @@ class TestHolderNorm:
 class TestBoundarySup:
     def test_constant(self):
         dom = Domain([BallComponent([0.0, 0.0], 1.0)])
-        f = sample_on_grid(dom, lambda p: np.ones(p.shape[0]), 0.05)
-        assert abs(boundary_sup(f, dom) - 1.0) < 1e-12
+        assert abs(boundary_sup(lambda p: np.ones(p.shape[0]), dom) - 1.0) < 1e-12
 
     def test_distance_to_boundary_vanishes(self):
         dom = Domain([BallComponent([0.0, 0.0], 1.0)])
-        spacing = 0.02
         fn = lambda p: 1.0 - np.sqrt(np.sum(p * p, axis=1))
-        f = sample_on_grid(dom, fn, spacing)
-        f_nocall = SampledFunction(f.points, f.values, f.spacing)
-        assert boundary_sup(f_nocall, dom) < 2.5 * spacing
-        assert boundary_sup(f, dom) < 1e-12  # callable path is exact
+        assert boundary_sup(fn, dom) < 1e-12
 
     def test_coordinate_on_disk(self):
         dom = Domain([BallComponent([0.0, 0.0], 1.0)])
-        f = sample_on_grid(dom, lambda p: p[:, 0], 0.05)
-        assert abs(boundary_sup(f, dom) - 1.0) < 1e-9
+        assert abs(boundary_sup(lambda p: p[:, 0], dom) - 1.0) < 1e-9
 
 
 class TestMeanZero:
@@ -217,12 +212,11 @@ class TestBallEstimateInequality:
                 )
 
             f = sample_on_grid(dom, fn, spacing)
-            mean = np.sum(f.weights * f.values) / np.sum(f.weights)
-            shifted = SampledFunction(
-                f.points, f.values - mean, f.spacing, f.weights,
-                fn=lambda p, fn=fn, mean=mean: fn(p) - mean,
-            )
-            ratio = boundary_sup(shifted, dom) / holder_norm(shifted, alpha)
+            w = cell_weights(dom, f)
+            mean = np.sum(w * f.values) / np.sum(w)
+            shifted = SampledFunction(f.points, f.values - mean, f.spacing)
+            bsup = boundary_sup(lambda p, fn=fn, mean=mean: fn(p) - mean, dom)
+            ratio = bsup / holder_norm(shifted, alpha)
             assert ratio <= (2.0 * R) ** alpha * 1.05
 
     def test_star_domain_diameter_version(self):
@@ -240,10 +234,9 @@ class TestBallEstimateInequality:
                 return a[0] * np.sin(2.1 * p[:, 0]) + a[1] * p[:, 1] + a[2]
 
             f = sample_on_grid(dom, fn, spacing)
-            mean = np.sum(f.weights * f.values) / np.sum(f.weights)
-            shifted = SampledFunction(
-                f.points, f.values - mean, f.spacing, f.weights,
-                fn=lambda p, fn=fn, mean=mean: fn(p) - mean,
-            )
-            ratio = boundary_sup(shifted, dom) / holder_norm(shifted, alpha)
+            w = cell_weights(dom, f)
+            mean = np.sum(w * f.values) / np.sum(w)
+            shifted = SampledFunction(f.points, f.values - mean, f.spacing)
+            bsup = boundary_sup(lambda p, fn=fn, mean=mean: fn(p) - mean, dom)
+            ratio = bsup / holder_norm(shifted, alpha)
             assert ratio <= diam**alpha * 1.05

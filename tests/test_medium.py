@@ -269,14 +269,18 @@ class TestSeparableSums:
         density = (lambda t: np.cos(2.0 * t) + 0.5j) if n == 2 else (lambda a: np.cos(a[:, 1]))
         rho = np.zeros(n, dtype=complex)
         rho[0], rho[-1] = 1.5j, -1.5
-        for incident in (
-            HerglotzWave(density, n_quad=64),
-            PlaneWave(np.arange(1.0, n + 1.0)),
-            medium.CgoIncident(rho),
+        k, pts = 1.3, grid.points
+        direction = np.arange(1.0, n + 1.0)
+        herglotz = HerglotzWave(density, n_quad=64)
+        z, c = herglotz.terms(k, n)
+        for incident, want in (
+            (herglotz, np.exp(pts @ z.T) @ c),
+            (PlaneWave(direction), np.exp(1j * k * pts @ (direction / np.linalg.norm(direction)))),
+            (medium.CgoIncident(rho), np.exp(pts @ rho)),
         ):
-            scene = MediumScene(dom, 0.2, 1.3, incident, n)
-            got = scene.incident_values(grid)
-            assert rel_err(got, incident.value(grid.points, scene.k)) < 1e-13
+            scene = MediumScene(dom, 0.2, k, incident, n)
+            assert rel_err(scene.incident_values(grid), want) < 1e-13
+            assert rel_err(scene.incident_values(pts), want) < 1e-13
 
     @pytest.mark.parametrize("make_grid", [two_disk_grid, cube_grid])
     def test_far_field_matches_dense(self, make_grid):
@@ -424,7 +428,8 @@ class TestHerglotz:
         wave = HerglotzWave(lambda th: np.full(th.shape[0], 1.0 / (2 * math.pi)))
         pts = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, -1.0]])
         k = 1.3
-        got = wave.value(pts, k)
+        scene = MediumScene(Domain([BallComponent([0.0, 0.0], 1.0)]), 0.0, k, wave)
+        got = scene.incident_values(pts)
         want = np.array(
             [bessel_j(0, k * np.linalg.norm(p)) for p in pts], dtype=complex
         )

@@ -173,11 +173,10 @@ class TestDomainLoading:
                     {"kind": "ball", "center": [0, 0], "radius": 0.5},
                     {"kind": "ball", "center": [2, 0], "radius": 0.5},
                 ],
-                "well_separated": True,
             },
             2,
         )
-        assert len(dom.components) == 2 and dom.well_separated
+        assert len(dom.components) == 2
 
     def test_star_and_capped(self):
         star = load_domain(
@@ -211,7 +210,6 @@ class TestDomainLoading:
                     "apex": [2.0, 0.0],
                 },
             ],
-            "well_separated": True,
         }
         dom = load_domain(spec, 2)
         spec2 = domain_to_spec(dom)

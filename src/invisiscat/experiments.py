@@ -197,11 +197,10 @@ def run_smallness_source(
     radii=None,
     k: float = 1.0,
     n_dirs: int = 64,
-    calibration: dict | None = None,
 ) -> SuiteResult:
     """Visibility of constant sources across radii, radiationless rows included."""
     t0 = time.perf_counter()
-    cal = (calibration or load_calibration())["smallness_source"]
+    cal = load_calibration()["smallness_source"]
     r_bessel = radiationless_radius(k, 2, 1)
     if radii is None:
         radii = [1.0, 0.5, 0.25, 0.125]
@@ -418,11 +417,10 @@ def run_schiffer_separation(
     radius: float = 0.3,
     v0_a: float = 0.4,
     v0_b: float = 0.8,
-    calibration: dict | None = None,
 ) -> SuiteResult:
     """Disjoint small scatterers cannot share a far-field pattern."""
     t0 = time.perf_counter()
-    cal = (calibration or load_calibration())["schiffer_separation"]
+    cal = load_calibration()["schiffer_separation"]
     dom_a = Domain([BallComponent([-0.8, 0.0], radius)])
     dom_b = Domain([BallComponent([0.8, 0.0], radius)])
     ff_a = _medium_far_field(dom_a, v0_a, k)
@@ -533,11 +531,10 @@ def run_curvature_uniqueness_demo(
     k: float = 0.3,
     K: float = 100.0,
     v0: float = 0.5,
-    calibration: dict | None = None,
 ) -> SuiteResult:
     """Far-field discrimination of shapes differing by a curvature cap."""
     t0 = time.perf_counter()
-    cal = (calibration or load_calibration())["curvature_uniqueness"]
+    cal = load_calibration()["curvature_uniqueness"]
     comp = _capped_component(K, 0.75)
     capped = Domain([comp])
     h, hw, hh = comp.cap.h, comp.bulk_width, comp.bulk_height

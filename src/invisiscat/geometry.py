@@ -157,8 +157,8 @@ def make_curvature_cap(
     budget f(K) <= min((M-1)K^2/(c_n M^(3/2)), L K^(2-delta)/(2 c_n sqrt M))
     fails.
     """
-    if K < math.e:
-        raise ConfigError(f"curvature parameter must satisfy K >= e, got {K!r}")
+    if not (math.isfinite(K) and K >= math.e):
+        raise ConfigError(f"curvature parameter must be finite with K >= e, got {K!r}")
     cn = compute_cn(n)
     f = abs(cubic_coeff) * _CUBIC_THIRD_DERIV_SUP
     budget = min(

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
 from .geometry import sphere_directions
-from .source import FarField
+from .source import FarField, _check_wavenumber
 
 __all__ = [
     "NotContractive",
@@ -113,8 +113,7 @@ class MediumScene:
     n: int = 2
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ConfigError(f"wavenumber must be finite and positive, got {self.k!r}")
+        _check_wavenumber(self.k)
         if self.domain.dim != self.n:
             raise ValueError("domain dimension mismatch")
 
@@ -228,8 +227,7 @@ def estimate_c0(
     the conjugate kernel applied to the coverage-scaled density, which
     reduces to conjugated convolution.
     """
-    if not (math.isfinite(k) and k > 0):
-        raise ConfigError(f"wavenumber must be finite and positive, got {k!r}")
+    _check_wavenumber(k)
     if n_probe < 1:
         raise ValueError("need at least one probe")
     from .geometry import BallComponent, Domain

@@ -59,6 +59,12 @@ class QuadratureFailure(NumericalFailure):
     """Field quadrature could not reach its target accuracy."""
 
 
+def _check_wavenumber(k: float) -> None:
+    """Raise ConfigError unless the wavenumber k is finite and positive."""
+    if not (math.isfinite(k) and k > 0):
+        raise ConfigError(f"wavenumber must be finite and positive, got {k!r}")
+
+
 @dataclass
 class SourceScene:
     """Monochromatic active source: support, intensity, wavenumber."""
@@ -69,8 +75,7 @@ class SourceScene:
     n: int = 2
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ConfigError(f"wavenumber must be finite and positive, got {self.k!r}")
+        _check_wavenumber(self.k)
         if self.domain.dim != self.n:
             raise ValueError("domain dimension mismatch")
 
@@ -210,8 +215,7 @@ def radiationless_radius(k: float, n: int, branch_index: int = 1) -> float:
 
     The zero of J_(n/2) is bracketed on a coarse scan and bisected.
     """
-    if not (math.isfinite(k) and k > 0):
-        raise ConfigError(f"wavenumber must be finite and positive, got {k!r}")
+    _check_wavenumber(k)
     if branch_index < 1:
         raise ValueError("branch_index counts positive zeros from 1")
     nu = n / 2.0

@@ -460,9 +460,15 @@ _CONFIG_ERRORS = {
         for suite in SUITES
         for name, k in (("0", 0), ("negative", -1), ("nan", float("nan")), ("inf", float("inf")))
     },
-    "experiment_curvature_source_K_below_e": _experiment("curvature_source", {"K_list": [1.0]}),
-    "experiment_medium_visibility_K_below_e": _experiment("medium_visibility", {"K_list": [1.0]}),
-    "experiment_curvature_uniqueness_K_2": _experiment("curvature_uniqueness", {"K": 2}),
+    **{
+        f"experiment_{suite}_K_{name}": _experiment(suite, {"K_list": [K]})
+        for suite in ("curvature_source", "medium_visibility")
+        for name, K in (("below_e", 1.0), ("nan", float("nan")), ("inf", float("inf")))
+    },
+    **{
+        f"experiment_curvature_uniqueness_K_{name}": _experiment("curvature_uniqueness", {"K": K})
+        for name, K in (("2", 2), ("nan", float("nan")), ("inf", float("inf")))
+    },
     "experiment_medium_visibility_dirs_0": _experiment("medium_visibility", {"n_dirs": 0}),
 }
 

@@ -8,17 +8,21 @@ supports, component counts, and curvature caps.  Tables and summaries
 land in demo_output/.
 """
 
+import time
+
 import invisiscat.experiments as ex
 
 out_dir = "demo_output"
 print(f"{'suite':<24} {'rows':>5} {'counterexamples':>16} {'status':>8} {'time':>8}")
 for name, fn in ex.SUITES.items():
+    t0 = time.perf_counter()
     res = fn()
+    seconds = time.perf_counter() - t0
     ex.write_outputs(res, out_dir)
     status = "pass" if res.passed else "FAIL"
     print(
         f"{name:<24} {len(res.rows):5d} {res.counterexamples:16d} "
-        f"{status:>8} {res.runtime_seconds:7.1f}s"
+        f"{status:>8} {seconds:7.1f}s"
     )
     for note in res.notes:
         print(f"    note: {note}")

@@ -67,6 +67,32 @@ def _positive(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def _finite_number(x) -> bool:
+    """A JSON number, not a bool, within the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_suite_value(flag: str, default, value) -> None:
+    """Reject a suite config value that is not of its default's kind.
+
+    Values are not coerced: an int given for a float parameter stays an
+    int, as the suite would print it.
+    """
+    if isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        _require(ok, flag, "an integer >= 0", value)
+    elif isinstance(default, float):
+        _require(_finite_number(value), flag, "a finite number", value)
+    else:  # a tuple of numbers
+        ok = isinstance(value, list) and len(value) > 0 and all(map(_finite_number, value))
+        _require(ok, flag, "a non-empty list of finite numbers", value)
+
+
 def cmd_source(args) -> int:
     from .scenes import load_source_scene, read_json
     from .source import MIN_DIRS, far_field, solve_field
@@ -184,15 +210,16 @@ def cmd_experiment(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("experiment config must be a JSON object")
     # Every suite parameter has a default, so a config binds to the
-    # signature exactly when it names no other key.  ``calibration`` is
-    # for ``calibrate()`` alone: a suite run reads the frozen constants.
-    allowed = set(inspect.signature(suite).parameters) - {"calibration"}
-    unknown = sorted(set(cfg) - allowed)
+    # signature exactly when it names no other key.
+    params = inspect.signature(suite).parameters
+    unknown = sorted(set(cfg) - set(params))
     if unknown:
         raise ConfigError(
             f"bad config for suite {args.suite}: unknown keys {unknown}; "
-            f"the config may set {sorted(allowed)}"
+            f"the config may set {sorted(params)}"
         )
+    for key, value in cfg.items():
+        _check_suite_value(f"{args.suite} config {key}", params[key].default, value)
     result = suite(**cfg)
     path = write_outputs(result, args.out)
     status = "pass" if result.passed else "FAIL"

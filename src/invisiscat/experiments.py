@@ -22,7 +22,6 @@ import ctypes
 import json
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,14 +65,9 @@ _CAL_PATH = Path(__file__).with_name("calibration.json")
 
 
 def worker_count() -> int:
-    env = os.environ.get("INVISISCAT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """Sweep workers: one per CPU this process may run on, at most 4."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     return min(4, cpus)
@@ -132,7 +126,6 @@ class SuiteResult:
     name: str
     rows: list
     calibration: dict
-    runtime_seconds: float
     notes: list = field(default_factory=list)
     checks_pass: bool = True
 
@@ -194,16 +187,13 @@ def write_outputs(result: SuiteResult, out_dir):
 
 def run_smallness_source(
     alpha: float = 0.5,
-    radii=None,
+    radii=(1.0, 0.5, 0.25, 0.125),
     k: float = 1.0,
     n_dirs: int = 64,
 ) -> SuiteResult:
     """Visibility of constant sources across radii, radiationless rows included."""
-    t0 = time.perf_counter()
     cal = load_calibration()["smallness_source"]
     r_bessel = radiationless_radius(k, 2, 1)
-    if radii is None:
-        radii = [1.0, 0.5, 0.25, 0.125]
     sweep = [(r, False) for r in radii] + [(r_bessel, True), (r_bessel / 2.0, False)]
 
     def one(item):
@@ -230,7 +220,7 @@ def run_smallness_source(
         rm = radiationless_radius(k, 2, m)
         lb_ok &= (2.0 * rm) ** alpha >= cal["C_lower_bound"] * (1.0 - 1e-12)
     notes = [] if lb_ok else ["radiationless family violates the diameter lower bound"]
-    return SuiteResult("smallness_source", rows, cal, time.perf_counter() - t0, notes, lb_ok)
+    return SuiteResult("smallness_source", rows, cal, notes, lb_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +255,10 @@ def run_curvature_source(
     delta: float = 0.75,
     k: float = 1.0,
     n_dirs: int = 64,
-    calibration: dict | None = None,
 ) -> SuiteResult:
     """Constant capped sources radiate; manufactured radiationless duals obey
     the apex-intensity envelope with one frozen constant."""
-    t0 = time.perf_counter()
-    cal = (calibration or load_calibration())["curvature_source"]
+    cal = load_calibration()["curvature_source"]
 
     def one(K):
         comp = _capped_component(K, delta)
@@ -307,7 +295,7 @@ def run_curvature_source(
         )
         dual_silent = row["dual_far_field_sup"] <= cal["dual_far_field_ceiling"]
         row["counterexample"] = not (visible and dual_ok and dual_silent)
-    return SuiteResult("curvature_source", rows, cal, time.perf_counter() - t0)
+    return SuiteResult("curvature_source", rows, cal)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +314,9 @@ def run_medium_visibility(
     k: float = 0.4,
     alpha: float = 0.5,
     n_dirs: int = 48,
-    calibration: dict | None = None,
 ) -> SuiteResult:
     """Plane-wave scattering from shrinking disks and capped media."""
-    t0 = time.perf_counter()
-    cal = (calibration or load_calibration())["medium_visibility"]
+    cal = load_calibration()["medium_visibility"]
     c0 = estimate_c0(k, max(max(radii), 1.0), 2, n_probe=3, resolution=32)
     jobs = (
         [("control", 0.0, None)]
@@ -379,7 +365,7 @@ def run_medium_visibility(
         hypothesis = row["comparator"] >= cal["C_comparator"]
         silent = row["far_field_sup"] < floor
         row["counterexample"] = hypothesis and silent
-    return SuiteResult("medium_visibility", rows, cal, time.perf_counter() - t0)
+    return SuiteResult("medium_visibility", rows, cal)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +405,6 @@ def run_schiffer_separation(
     v0_b: float = 0.8,
 ) -> SuiteResult:
     """Disjoint small scatterers cannot share a far-field pattern."""
-    t0 = time.perf_counter()
     cal = load_calibration()["schiffer_separation"]
     dom_a = Domain([BallComponent([-0.8, 0.0], radius)])
     dom_b = Domain([BallComponent([0.8, 0.0], radius)])
@@ -438,7 +423,7 @@ def run_schiffer_separation(
         f"diam {2*radius} within C1 = {cal['C1']}; k = {k} within C2 = {cal['C2']}"
     ]
     ok_regime = 2 * radius <= cal["C1"] and k <= cal["C2"]
-    return SuiteResult("schiffer_separation", rows, cal, time.perf_counter() - t0, notes, ok_regime)
+    return SuiteResult("schiffer_separation", rows, cal, notes, ok_regime)
 
 
 def run_schiffer_counting(
@@ -447,11 +432,9 @@ def run_schiffer_counting(
     v0: float = 0.5,
     n_candidates: int = 10,
     seed: int = 20240917,
-    calibration: dict | None = None,
 ) -> SuiteResult:
     """Wrong component counts are detectable from one far-field pattern."""
-    t0 = time.perf_counter()
-    cal = (calibration or load_calibration())["schiffer_counting"]
+    cal = load_calibration()["schiffer_counting"]
     centers_true = [(-1.5, 0.0), (0.0, 0.0), (1.5, 0.0)]
     truth = Domain([BallComponent(list(c), radius) for c in centers_true])
     if not truth.gap_ok(cal["C1"]):
@@ -519,7 +502,7 @@ def run_schiffer_counting(
             best_correct = min(best_correct, row["mismatch"])
         row["counterexample"] = bad
     notes = [f"smallest mismatch among correct-count candidates: {best_correct!r}"]
-    return SuiteResult("schiffer_counting", rows, cal, time.perf_counter() - t0, notes)
+    return SuiteResult("schiffer_counting", rows, cal, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +516,6 @@ def run_curvature_uniqueness_demo(
     v0: float = 0.5,
 ) -> SuiteResult:
     """Far-field discrimination of shapes differing by a curvature cap."""
-    t0 = time.perf_counter()
     cal = load_calibration()["curvature_uniqueness"]
     comp = _capped_component(K, 0.75)
     capped = Domain([comp])
@@ -559,7 +541,7 @@ def run_curvature_uniqueness_demo(
         ("rotated_rounded_triangle", ff_tri_a, ff_tri_b, True, {"gap_condition_honored": False}),
     ]
     rows = _pair_rows(pairs, cal["difference_floor"])
-    return SuiteResult("curvature_uniqueness", rows, cal, time.perf_counter() - t0)
+    return SuiteResult("curvature_uniqueness", rows, cal)
 
 
 SUITES = {
@@ -594,15 +576,7 @@ def calibrate(path=None) -> dict:
         }
     }
     # Curvature dual constant: max apex-ratio / envelope over the sweep.
-    res = run_curvature_source(
-        calibration={
-            "curvature_source": {
-                "C_manufactured": math.inf,
-                "far_field_floor": 0.0,
-                "dual_far_field_ceiling": math.inf,
-            }
-        }
-    )
+    res = run_curvature_source()
     worst = max(row["dual_apex_ratio"] / row["envelope"] for row in res.rows)
     worst_dual_ff = max(row["dual_far_field_sup"] for row in res.rows)
     cal["curvature_source"] = {
@@ -611,14 +585,7 @@ def calibrate(path=None) -> dict:
         "dual_far_field_ceiling": max(worst_dual_ff * 5.0, 1e-8),
     }
     # Medium comparator: smallest comparator that still scattered.
-    res = run_medium_visibility(
-        calibration={
-            "medium_visibility": {
-                "C_comparator": math.inf,
-                "relative_floor": 1e-3,
-            }
-        }
-    )
+    res = run_medium_visibility()
     visible = [
         row["comparator"]
         for row in res.rows
@@ -634,11 +601,7 @@ def calibrate(path=None) -> dict:
         "difference_floor": 1e-3,
     }
     # Counting floor: half the smallest wrong-count mismatch at defaults.
-    res = run_schiffer_counting(
-        calibration={
-            "schiffer_counting": {"C1": 0.45, "mismatch_floor": 0.0}
-        }
-    )
+    res = run_schiffer_counting()
     wrong = [
         row["mismatch"]
         for row in res.rows

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .gridquad import _columns, _polar, _tangential_layout
 from .quadrature import GraphCap, _bisect, _leggauss
 
@@ -92,9 +92,9 @@ class CurvatureCap:
 
     def __post_init__(self):
         if self.K <= 0 or self.L <= 0 or self.delta <= 0 or self.M < 1.0:
-            raise ValueError("need K, L, delta > 0 and M >= 1")
+            raise ConfigError("need K, L, delta > 0 and M >= 1")
         if self.n not in (2, 3):
-            raise ValueError("dimensions 2 and 3 supported")
+            raise ConfigError("dimensions 2 and 3 supported")
         self.b = math.sqrt(self.M) / self.K
         self.h = 1.0 / self.K
         cn = compute_cn(self.n)
@@ -170,10 +170,14 @@ def make_curvature_cap(
             f"third-derivative size {f:.4g} exceeds admissible budget {budget:.4g}"
         )
     cap = CurvatureCap(K=K, L=L, M=M, delta=delta, c3=cubic_coeff, n=n)
-    # Hard invariants of the construction.
-    assert cap.K_minus > 0
-    assert 1.0 / M - 1e-12 <= cap.K_minus / K and cap.K_plus / K <= M + 1e-12
-    assert cap.K_plus - cap.K_minus <= L * K ** (1.0 - delta) * (1 + 1e-12)
+    # Hard invariants of the construction, which the budget above implies.
+    if not (
+        cap.K_minus > 0
+        and 1.0 / M - 1e-12 <= cap.K_minus / K
+        and cap.K_plus / K <= M + 1e-12
+        and cap.K_plus - cap.K_minus <= L * K ** (1.0 - delta) * (1 + 1e-12)
+    ):
+        raise NumericalFailure(f"pinching curvatures break the admissibility bounds at K = {K!r}")
     if cap.h > cap.K_minus * cap.b * cap.b * (1 + 1e-12):
         raise InadmissiblePerturbation(
             "lid height exceeds K_- b^2; paraboloid would touch the cylinder wall"

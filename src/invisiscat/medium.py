@@ -110,12 +110,13 @@ class MediumScene:
     phi: Callable[[np.ndarray], np.ndarray] | complex
     k: float
     incident: object
-    n: int = 2
 
     def __post_init__(self):
         _check_wavenumber(self.k)
-        if self.domain.dim != self.n:
-            raise ValueError("domain dimension mismatch")
+
+    @property
+    def n(self) -> int:
+        return self.domain.dim
 
     def contrast(self, pts: np.ndarray) -> np.ndarray:
         if callable(self.phi):

@@ -336,7 +336,7 @@ def load_medium_scene(cfg: dict) -> MediumScene:
         phi = _field_fn(cfg["contrast"], "contrast", dim)
         default = {"kind": "plane_wave", "direction": [1.0] + [0.0] * (dim - 1)}
         incident = _incident(cfg.get("incident", default), dim)
-        scene = MediumScene(domain, phi, k, incident, dim)
+        scene = MediumScene(domain, phi, k, incident)
         # Finite, with Im V >= 0, on the nodes where default_spacing samples it.
         nodes = domain.quad_nodes(16)[0]
         _finite(scene.contrast(nodes), "contrast")

@@ -470,6 +470,12 @@ _CONFIG_ERRORS = {
         for name, K in (("2", 2), ("nan", float("nan")), ("inf", float("inf")))
     },
     "experiment_medium_visibility_dirs_0": _experiment("medium_visibility", {"n_dirs": 0}),
+    "experiment_schiffer_counting_seed_negative": _experiment("schiffer_counting", {"seed": -1}),
+    "experiment_medium_visibility_radii_empty": _experiment("medium_visibility", {"radii": []}),
+    "experiment_medium_visibility_dirs_fraction": _experiment("medium_visibility", {"n_dirs": 1.5}),
+    "experiment_curvature_uniqueness_K_text": _experiment("curvature_uniqueness", {"K": "x"}),
+    "experiment_curvature_source_delta_0": _experiment("curvature_source", {"delta": 0}),
+    "experiment_curvature_source_delta_negative": _experiment("curvature_source", {"delta": -1}),
 }
 
 

@@ -29,16 +29,9 @@ class TestInfrastructure:
             for name, want in consts.items():
                 assert math.isclose(cal[suite][name], want, rel_tol=1e-12), (suite, name)
 
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("INVISISCAT_THREADS", "2")
-        assert ex.worker_count() == 2
-        monkeypatch.setenv("INVISISCAT_THREADS", "bogus")
-        assert ex.worker_count() >= 1
-
     def test_worker_count_follows_cpu_affinity(self, monkeypatch):
         # A process pinned to one CPU gets one worker, however many the
         # machine has.
-        monkeypatch.delenv("INVISISCAT_THREADS", raising=False)
         monkeypatch.setattr(ex.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert ex.worker_count() == 1

@@ -278,7 +278,7 @@ class TestSeparableSums:
             (PlaneWave(direction), np.exp(1j * k * pts @ (direction / np.linalg.norm(direction)))),
             (medium.CgoIncident(rho), np.exp(pts @ rho)),
         ):
-            scene = MediumScene(dom, 0.2, k, incident, n)
+            scene = MediumScene(dom, 0.2, k, incident)
             assert rel_err(scene.incident_values(grid), want) < 1e-13
             assert rel_err(scene.incident_values(pts), want) < 1e-13
 
@@ -287,7 +287,7 @@ class TestSeparableSums:
         dom, grid = make_grid()
         n, k = len(grid.shape), 1.1
         direction = np.eye(n)[0]
-        scene = MediumScene(dom, 0.3, k, PlaneWave(direction), n)
+        scene = MediumScene(dom, 0.3, k, PlaneWave(direction))
         sol = solve_ls(scene, spacing=grid.spacing)
         ff = scattered_far_field(scene, sol, 40)
         density = sol.contrast_eff * sol.u * sol.grid.spacing**n

@@ -138,9 +138,9 @@ class CurvatureCap:
         moves the upper end exactly where omega(mid) >= h.
         """
         pad = [0.0] * (self.n - 2)
-        return _bisect(
-            lambda r: float(self.omega(np.array([[r] + pad]))[0]) - self.h, 0.0, self.b
-        )
+        return float(_bisect(
+            lambda r: self.omega(np.array([[x] + pad for x in r])) - self.h, [0.0], [self.b]
+        )[0])
 
 
 def make_curvature_cap(

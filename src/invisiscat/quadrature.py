@@ -68,22 +68,37 @@ def sphere_measure(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f between lo and hi, where f changes sign, to the last bit.
+def _bisect(f: Callable, lo, hi, *args, f_lo=None) -> np.ndarray:
+    """Roots of f in the brackets [lo[i], hi[i]], where f changes sign, to the last bit.
 
-    Halves the bracket, keeping the sign change, until no float lies
-    strictly between lo and hi; an exact zero of f becomes the upper end.
+    All brackets are halved in lockstep, each keeping its sign change,
+    until no float lies strictly between its ends; an exact zero of f
+    becomes the upper end.  Each step makes one call ``f(x, *a)`` on the
+    midpoints of the brackets still open, where each ``a`` holds the
+    entries of the matching array in ``args`` for those brackets.
+    ``f_lo``, when given, holds f at the lower ends.
     """
-    f_lo = f(lo)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    if f_lo is None:
+        f_lo = f(lo, *args)
+    roots = np.empty_like(lo)
+    open_ = np.arange(lo.size)
     while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        f_mid = f(mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
+        done = (mid == lo) | (mid == hi)
+        roots[open_[done]] = mid[done]
+        if done.all():
+            return roots
+        if done.any():
+            keep = ~done
+            open_, lo, hi, mid, f_lo = open_[keep], lo[keep], hi[keep], mid[keep], f_lo[keep]
+            args = tuple(a[keep] for a in args)
+        f_mid = f(mid, *args)
+        left = f_lo * f_mid <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        f_lo = np.where(left, f_lo, f_mid)
 
 
 @functools.cache

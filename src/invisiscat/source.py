@@ -228,7 +228,7 @@ def radiationless_radius(k: float, n: int, branch_index: int = 1) -> float:
         if f_prev * f < 0:
             found += 1
             if found == branch_index:
-                return _bisect(lambda t: jv(nu, t), x_prev, x) / k
+                return float(_bisect(lambda t: jv(nu, t), [x_prev], [x])[0]) / k
         x_prev, f_prev = x, f
         x += 0.05
     raise NumericalFailure("zero scan exhausted")

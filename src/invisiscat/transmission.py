@@ -16,6 +16,7 @@ r = R.  Scaling the ball by 1/R scales every eigenvalue by R.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,16 +68,20 @@ class RadialITP:
         return math.sqrt(1.0 + self.v0)
 
 
-def _radial_fns(n: int, m: int):
+def _radial_fns(n: int, m):
     if n == 2:
         return (lambda x: jv(m, x)), (lambda x: jvp(m, x))
     return (lambda x: spherical_jn(m, x)), (lambda x: spherical_jn(m, x, derivative=True))
 
 
-def itp_determinant(itp: RadialITP, k, mode: int | None = None):
+def itp_determinant(itp: RadialITP, k, mode=None):
     """Matching determinant d_m(k) at a wavenumber or an array of them.
 
-    Zeros are transmission eigenvalues.
+    ``mode`` defaults to ``itp.mode``; it may also be an integer array
+    that broadcasts against ``k``, as in a (modes, 1) column against a
+    row of wavenumbers, or one mode per wavenumber.  Every element is
+    computed as the scalar call would compute it.  Zeros are
+    transmission eigenvalues.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
@@ -141,21 +146,34 @@ def find_eigenvalues(
     modes=None,
     scan_steps: int = 2048,
 ):
-    """All determinant roots below k_max per mode, by sign scan + bisection."""
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
-    if modes is None:
-        modes = [itp.mode]
-    pairs = []
-    for m in modes:
-        ks = np.linspace(k_max / scan_steps, k_max, scan_steps)
-        vals = itp_determinant(itp, ks, m)
-        sign_change = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-        for i in sign_change:
-            k_eig = _bisect(lambda k: itp_determinant(itp, k, m), float(ks[i]), float(ks[i + 1]))
-            pairs.append(_assemble_pair(itp, k_eig, m))
-    if not pairs:
+    """All determinant roots below k_max for each distinct mode, sorted by (k, mode).
+
+    One determinant call scans every mode on a (modes, scan_steps) grid
+    of wavenumbers; then every bracket with a sign change, of every mode,
+    is bisected in lockstep to the last bit, one determinant call per
+    halving step.  A mode listed twice is scanned once.  Raises
+    ``NoneFound`` when no mode has a root below k_max.
+    """
+    if not (math.isfinite(k_max) and k_max > 0):
+        raise ValueError("k_max must be finite and positive")
+    try:
+        modes = sorted({operator.index(m) for m in ([itp.mode] if modes is None else modes)})
+    except TypeError:
+        raise ValueError("angular modes must be integers") from None
+    if modes and modes[0] < 0:
+        raise ValueError("angular mode must be nonnegative")
+    ks = np.linspace(k_max / scan_steps, k_max, scan_steps)
+    mode_col = np.array(modes, dtype=int)[:, None]
+    vals = itp_determinant(itp, ks, mode_col)
+    row, col = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0)
+    if not row.size:
         raise NoneFound(f"no transmission eigenvalue below k_max = {k_max}")
+    bracket_modes = mode_col[row, 0]
+    roots = _bisect(
+        lambda k, m: itp_determinant(itp, k, m),
+        ks[col], ks[col + 1], bracket_modes, f_lo=vals[row, col],
+    )
+    pairs = [_assemble_pair(itp, k, m) for k, m in zip(roots.tolist(), bracket_modes.tolist())]
     pairs.sort(key=lambda p: (p.k_eig, p.mode))
     return pairs
 

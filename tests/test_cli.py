@@ -277,6 +277,20 @@ class TestTeigCommand:
         ks = [float(l.split(",")[2]) for l in lines[1:]]
         assert any(abs(k - 0.993997561886) < 1e-8 for k in ks)
 
+    def test_repeated_modes_write_each_root_once(self, tmp_path):
+        cfg = tmp_path / "itp.json"
+        cfg.write_text(json.dumps({"radius": 1.0, "contrast": 15.0}))
+        tables = []
+        for modes in ("2,0,0", "0,2"):
+            out = tmp_path / f"eigs_{modes}.csv"
+            args = ["teig", str(cfg), "--kmax", "3", "--modes", modes, "--out", str(out)]
+            assert main(args) == EXIT_OK
+            tables.append(out.read_text())
+        assert tables[0] == tables[1]
+        rows = [line.split(",") for line in tables[0].strip().splitlines()[1:]]
+        mode0 = [int(r[1]) for r in rows if r[0] == "0"]
+        assert mode0 == list(range(1, len(mode0) + 1)) and len(mode0) == 2
+
     def test_bad_config(self, tmp_path):
         cfg = tmp_path / "itp.json"
         cfg.write_text(json.dumps({"radius": 1.0}))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from invisiscat import transmission
 from invisiscat.geometry import BallComponent, CappedComponent, Domain, make_curvature_cap
 from invisiscat.medium import HerglotzWave, MediumScene, scattered_far_field, solve_ls
-from invisiscat.quadrature import _bisect
 from invisiscat.transmission import (
     EigenPair,
     NoneFound,
@@ -61,15 +61,26 @@ class TestDeterminant:
         with pytest.raises(NoneFound):
             find_eigenvalues(itp, 0.2)
 
-    def test_roots_bisected_to_adjacent_floats(self):
+    @pytest.mark.parametrize(
+        "scene, k_max, modes",
+        [
+            (dict(R=1.0, v0=15.0, n=3), 4.0, [0, 1, 2]),
+            (dict(R=1.0, v0=15.0, n=2), 4.0, [0, 1, 2]),
+            (dict(R=2.0, v0=15.0, n=2), 2.0, [0]),
+            (dict(R=1.3, v0=40.0, n=2), 6.0, [0, 1, 2, 3, 5]),
+        ],
+        ids=["3d", "2d", "2d_R2", "many_roots"],
+    )
+    def test_roots_bisected_to_adjacent_floats(self, scene, k_max, modes):
         # n = 3, mode 0 has a triple zero at k = pi, where j_0(k) and
         # j_0(4k) vanish together.  Near it the determinant rounds to
         # exact zeros on a plateau, so a solver that stops at the first
         # exact zero lands outside the 1e-9 bracket.
-        itp = RadialITP(R=1.0, v0=15.0, n=3)
-        k_max, modes, steps = 4.0, [0, 1, 2], 2048
+        itp = RadialITP(**scene)
+        steps = 2048
         pairs = find_eigenvalues(itp, k_max, modes=modes)
-        assert any(p.mode == 0 and abs(p.k_eig - np.pi) < 1e-8 * np.pi for p in pairs)
+        if itp.n == 3:
+            assert any(p.mode == 0 and abs(p.k_eig - np.pi) < 1e-8 * np.pi for p in pairs)
         for p in pairs:
             lo, hi = itp_determinant(itp, [p.k_eig * (1 - 1e-9), p.k_eig * (1 + 1e-9)], p.mode)
             assert lo * hi <= 0.0, (p.mode, p.k_eig)
@@ -92,11 +103,45 @@ class TestDeterminant:
             assert np.array_equal(vals, [itp_determinant(itp, float(k), m) for k in ks])
             det = lambda k, m=m: itp_determinant(itp, k, m)
             for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
-                lo, hi = float(ks[i]), float(ks[i + 1])
-                root = _bisect(det, lo, hi)
-                assert root == fixed_step_bisection(det, lo, hi)
-                want.append((root, m))
+                want.append((fixed_step_bisection(det, float(ks[i]), float(ks[i + 1])), m))
         assert sorted(want) == [(p.k_eig, p.mode) for p in pairs]
+        assert all(type(p.k_eig) is float and type(p.mode) is int for p in pairs)
+
+    def test_array_modes_match_scalar_calls(self):
+        itp = RadialITP(R=1.0, v0=15.0, n=3)
+        ks = np.linspace(0.1, 4.0, 7)
+        modes = np.array([0, 1, 2])
+        grid = itp_determinant(itp, ks, modes[:, None])
+        assert np.array_equal(grid, [itp_determinant(itp, ks, int(m)) for m in modes])
+        paired = itp_determinant(itp, ks[:3], modes)
+        assert np.array_equal(paired, [itp_determinant(itp, ks[i], int(modes[i])) for i in range(3)])
+
+    def test_lockstep_bisection_call_count(self, monkeypatch):
+        # One scan call, then one call per halving step for all brackets
+        # together: about 45, where bisecting root by root takes about 400.
+        calls = []
+        determinant = transmission.itp_determinant
+        monkeypatch.setattr(
+            transmission, "itp_determinant", lambda *a, **kw: calls.append(1) or determinant(*a, **kw)
+        )
+        pairs = find_eigenvalues(RadialITP(R=1.0, v0=15.0, n=3), 4.0, modes=[0, 1, 2])
+        assert len(pairs) == 9
+        assert len(calls) <= 64
+
+    def test_duplicate_modes_scanned_once(self):
+        itp = RadialITP(R=1.0, v0=15.0)
+        once = find_eigenvalues(itp, 4.0, modes=[0, 2])
+        twice = find_eigenvalues(itp, 4.0, modes=[2, 0, 0, 2])
+        assert [(p.k_eig, p.mode) for p in twice] == [(p.k_eig, p.mode) for p in once]
+
+    @pytest.mark.parametrize(
+        "k_max, modes",
+        [(float("nan"), None), (float("inf"), None), (4.0, [-1]), (4.0, [0.5])],
+        ids=["k_max_nan", "k_max_inf", "mode_negative", "mode_fraction"],
+    )
+    def test_rejects_bad_input(self, k_max, modes):
+        with pytest.raises(ValueError):
+            find_eigenvalues(RadialITP(R=1.0, v0=15.0), k_max, modes=modes)
 
 
 class TestEigenPairs:

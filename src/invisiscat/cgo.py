@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import ConfigError
-from .gridquad import _polar, cap_lid_nodes, cap_window_columns
+from .geometry import _polar, cap_lid_nodes, cap_window_columns
 from .holder import PrecondViolated
 from .quadrature import ParaboloidCap, integrate, sphere_measure
 

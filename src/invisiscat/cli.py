@@ -27,7 +27,14 @@ import sys
 
 import numpy as np
 
+from .cgo import CgoVector, cgo_over_parabola, cgo_sliced
 from .errors import ConfigError, NumericalFailure
+from .experiments import SUITES, write_outputs
+from .medium import scattered_far_field, solve_ls
+from .quadrature import AnnularParaboloid, ParaboloidCap, integrate
+from .scenes import load_itp, load_medium_scene, load_source_scene, read_json
+from .source import MIN_DIRS, far_field, solve_field
+from .transmission import NoneFound, find_eigenvalues
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -94,9 +101,6 @@ def _check_suite_value(flag: str, default, value) -> None:
 
 
 def cmd_source(args) -> int:
-    from .scenes import load_source_scene, read_json
-    from .source import MIN_DIRS, far_field, solve_field
-
     _require(args.dirs >= MIN_DIRS, "--dirs", f"at least {MIN_DIRS}", args.dirs)
     _require(args.grid >= 1, "--grid", "at least 1", args.grid)
     scene = load_source_scene(read_json(args.scene))
@@ -113,9 +117,6 @@ def cmd_source(args) -> int:
 
 
 def cmd_medium(args) -> int:
-    from .medium import scattered_far_field, solve_ls
-    from .scenes import load_medium_scene, read_json
-
     _require(args.dirs >= 1, "--dirs", "at least 1", args.dirs)
     spacing = args.spacing
     _require(spacing is None or _positive(spacing), "--spacing", "finite and positive", spacing)
@@ -134,9 +135,6 @@ def cmd_medium(args) -> int:
 
 
 def cmd_teig(args) -> int:
-    from .scenes import load_itp, read_json
-    from .transmission import NoneFound, find_eigenvalues
-
     _require(_positive(args.kmax), "--kmax", "finite and positive", args.kmax)
     modes = args.modes.split(",")
     _require(
@@ -163,9 +161,6 @@ def cmd_teig(args) -> int:
 
 
 def cmd_cgo_verify(args) -> int:
-    from .cgo import CgoVector, cgo_over_parabola, cgo_sliced
-    from .quadrature import AnnularParaboloid, ParaboloidCap, integrate
-
     _require(_positive(args.tol), "--tol", "finite and positive", args.tol)
     _require(args.samples >= 1, "--samples", "at least 1", args.samples)
     _require(args.seed >= 0, "--seed", "nonnegative", args.seed)
@@ -200,9 +195,6 @@ def cmd_cgo_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .experiments import SUITES, write_outputs
-    from .scenes import read_json
-
     if args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     suite = SUITES[args.suite]

@@ -36,11 +36,11 @@ from .geometry import (
     CappedComponent,
     Domain,
     StarComponent,
+    cap_window_columns,
     make_curvature_cap,
     sphere_directions,
 )
 from .holder import SampledFunction, holder_norm
-from .gridquad import cap_window_columns
 from .kernels import far_field_constant
 from .manufactured import LensBump
 from .medium import MediumScene, PlaneWave, estimate_c0, scatter_visibility_ratio, scattered_far_field, solve_ls

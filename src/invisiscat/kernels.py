@@ -25,6 +25,10 @@ where the padded density is zero, and the inverse pass along axis d
 skips those past N_e on each earlier axis e, which are discarded.  That
 saves a quarter of the FFT work in the plane and 42% of it in space.
 
+A support grid's coverage (the fraction of each cell inside the
+scatterer) comes from the components themselves, each through its
+``coverage`` method in ``geometry``; this module names no component.
+
 The grid is a tensor product of its axes, so exp(z . x) = prod_d
 exp(z_d x_d) on it, and plane-wave sums over the nodes (incident fields,
 far-field moments) reduce to per-axis factor matrices and one matrix
@@ -50,7 +54,6 @@ import scipy.fft
 from scipy.special import digamma, j0, jv, y0, yv
 
 from .errors import NumericalFailure
-from .quadrature import _leggauss
 
 __all__ = [
     "far_field_constant",
@@ -172,102 +175,17 @@ def _row_kron(factors: list) -> np.ndarray:
     return out
 
 
-def _ball_cells(comp, centers: np.ndarray, h: float):
-    """Masks of the cells that lie surely inside the ball and that it may cut.
-
-    The margin 0.75 h sqrt(n) exceeds the half-diagonal h sqrt(n) / 2, so
-    a cell whose center is farther than it from the sphere is entirely on
-    one side.
-    """
-    margin = 0.75 * h * math.sqrt(centers.shape[1])
-    d = np.sqrt(np.sum((centers - comp.center) ** 2, axis=1))
-    full = d <= comp.radius - margin
-    edge = ~full & (d < comp.radius + margin)
-    return full, edge
-
-
-def _coverage_ball(comp, centers: np.ndarray, h: float) -> np.ndarray:
-    """Disk coverage; cells near the circle use the strip rule.
-
-    Strip rule: for each x the chord [max(y0, cy - s), min(y1, cy + s)]
-    with s = sqrt(R^2 - (x - cx)^2), integrated across the cell by the
-    24-point midpoint rule in x, for all edge cells at once.
-    """
-    sub = 24
-    (cx, cy), R = comp.center, comp.radius
-    full, edge = _ball_cells(comp, centers, h)
-    frac = np.where(full, 1.0, 0.0)
-    x, y = centers[edge, 0], centers[edge, 1]
-    x0, x1 = x - h / 2, x + h / 2
-    # C order, so each row sums in the same (pairwise) order as a 1-d array.
-    xs = np.ascontiguousarray(np.linspace(x0, x1, sub + 1, axis=1))
-    xm = 0.5 * (xs[:, :-1] + xs[:, 1:])
-    d2 = R * R - (xm - cx) ** 2
-    s = np.sqrt(np.maximum(d2, 0.0))
-    lo = np.maximum((y - h / 2)[:, None], cy - s)
-    hi = np.minimum((y + h / 2)[:, None], cy + s)
-    chord = np.maximum(hi - lo, 0.0) * (d2 > 0)
-    frac[edge] = np.sum(chord, axis=1) * ((x1 - x0) / sub) / (h * h)
-    return frac
-
-
-def _coverage_ball_subsample(comp, centers: np.ndarray, h: float) -> np.ndarray:
-    """Ball coverage; only cells the sphere may cut run the 8^n subsample.
-
-    Every subsample point of a cell classified full (empty) lies inside
-    (outside) the ball, so the result equals the subsample on every cell.
-    """
-    full, edge = _ball_cells(comp, centers, h)
-    frac = np.where(full, 1.0, 0.0)
-    frac[edge] = _coverage_subsample(comp, centers[edge], h)
-    return frac
-
-
-def _coverage_capped(comp, centers: np.ndarray, h: float) -> np.ndarray:
-    """Column coverage: exact vertical extent integrated across the cell."""
-    gl_x, gl_w = _leggauss(6)
-    frac = np.zeros(centers.shape[0])
-    local = centers - comp.apex
-    for node, wgt in zip(gl_x, gl_w):
-        xq = local[:, 0] + 0.5 * h * node
-        lo, hi, empty = comp.column_bounds(xq[:, None])
-        ya = local[:, 1] - h / 2
-        yb = local[:, 1] + h / 2
-        seg = np.maximum(np.minimum(yb, hi) - np.maximum(ya, lo), 0.0)
-        seg[empty] = 0.0
-        frac += 0.5 * wgt * seg / h
-    return frac
-
-
-def _coverage_subsample(comp, centers: np.ndarray, h: float, sub: int = 8):
-    """Fraction of each cell's sub^n midpoint subsample inside ``comp``."""
-    d = centers.shape[1]
-    offs = (np.arange(sub) + 0.5) / sub - 0.5
-    mesh = np.meshgrid(*([offs] * d), indexing="ij")
-    offsets = np.stack([m.ravel() for m in mesh], axis=-1) * h
-    frac = np.zeros(centers.shape[0])
-    for off in offsets:
-        frac += comp.inside(centers + off)
-    return frac / offsets.shape[0]
-
-
 def make_support_grid(
     domain, spacing: float, pad: float = 0.0, max_cells: float = math.inf
 ) -> SupportGrid:
     """Rasterize the domain on a regular cell-centered grid.
 
-    Coverage is the fraction of each cell inside the support, summed over
-    the components and clipped to [0, 1].  Each component gets the most
-    accurate rule available: for 2-d disks a 24-strip midpoint rule
-    across the cells that the circle may cut (``_coverage_ball``), for
-    2-d cap-bottomed bodies 6-point Gauss columns with the exact vertical
-    extent (``_coverage_capped``), and an 8^n subsample otherwise.  3-d
-    balls run the subsample only on the cells the sphere may cut.  A grid
-    of more than ``max_cells`` cells, of less than one cell per axis or
-    of no finite size raises NumericalFailure before anything is built.
+    Coverage is the fraction of each cell inside the support: each
+    component's ``coverage(centers, spacing)``, summed over the
+    components and clipped to [0, 1].  A grid of more than ``max_cells``
+    cells, of less than one cell per axis or of no finite size raises
+    NumericalFailure before anything is built.
     """
-    from .geometry import BallComponent, CappedComponent
-
     lo, hi = domain.bounding_box(pad=pad + spacing)
     with np.errstate(all="ignore"):
         extent = (hi - lo) / spacing
@@ -281,22 +199,13 @@ def make_support_grid(
     axes = [lo[d] + (np.arange(n_ax[d]) + 0.5) * spacing for d in range(domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    coverage = np.zeros(pts.shape[0])
-    for comp in domain.components:
-        if isinstance(comp, BallComponent):
-            rule = _coverage_ball if comp.dim == 2 else _coverage_ball_subsample
-            coverage += rule(comp, pts, spacing)
-        elif isinstance(comp, CappedComponent) and comp.dim == 2:
-            coverage += _coverage_capped(comp, pts, spacing)
-        else:
-            coverage += _coverage_subsample(comp, pts, spacing)
-    coverage = np.clip(coverage, 0.0, 1.0)
+    coverage = sum(comp.coverage(pts, spacing) for comp in domain.components)
     return SupportGrid(
         points=pts,
         shape=tuple(n_ax),
         spacing=spacing,
         axes=tuple(axes),
-        coverage=coverage,
+        coverage=np.clip(coverage, 0.0, 1.0),
     )
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
-from .geometry import sphere_directions
+from .geometry import BallComponent, Domain, sphere_directions
 from .source import FarField, _check_wavenumber
 
 __all__ = [
@@ -231,8 +231,6 @@ def estimate_c0(
     _check_wavenumber(k)
     if n_probe < 1:
         raise ValueError("need at least one probe")
-    from .geometry import BallComponent, Domain
-
     dom = Domain([BallComponent([0.0] * n, R_m, dim=n)])
     grid = make_support_grid(dom, 2.0 * R_m / resolution)
     conv = GridConvolver(grid, k)

@@ -429,21 +429,21 @@ class GraphCap(Region):
     dim: int = 2
 
     def _rim_radius(self, direction: np.ndarray) -> np.ndarray:
-        """Radii r(theta) with omega(r * direction) = h, vectorized bisection."""
+        """Radii r(theta) with omega(r * direction) = h, bisected to the last bit.
+
+        The bracket's lower end has omega <= K_hi r^2 < h, so the
+        bisection keeps the upper end exactly where omega(mid) >= h.
+        """
         k_lo, k_hi = self.K_bracket
         lo = np.full(direction.shape[0], 0.95 * math.sqrt(self.h / k_hi))
         hi = np.full(direction.shape[0], min(1.05 * math.sqrt(self.h / k_lo), self.b))
-        f_hi = self.omega(direction * hi[:, None]) - self.h
+
+        def f(r, d):
+            return self.omega(d * r[:, None]) - self.h
+
         # Columns whose graph never reaches h are clamped at b.
-        open_col = f_hi < 0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f_mid = self.omega(direction * mid[:, None]) - self.h
-            take_hi = f_mid >= 0
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        r = 0.5 * (lo + hi)
-        return np.where(open_col, self.b, r)
+        open_col = f(hi, direction) < 0
+        return np.where(open_col, self.b, _bisect(f, lo, hi, direction))
 
     def charts(self):
         om, h = self.omega, self.h

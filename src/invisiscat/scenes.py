@@ -198,6 +198,11 @@ def _length(spec: dict, key: str) -> float:
     return r
 
 
+_CAPPED_DEFAULTS = {
+    "cubic": 0.0, "L": 1.0, "M": 2.0, "delta": 0.5, "bulk_width": 0.35, "bulk_height": 0.5,
+}
+
+
 def _component(spec, dim: int):
     kind = _object(spec, "domain component").get("kind")
     if kind == "ball":
@@ -227,18 +232,19 @@ def _component(spec, dim: int):
         center = _point(spec, "center", dim) if "center" in spec else np.zeros(dim)
         return StarComponent(center, radial, dim=dim)
     if kind == "capped":
+        spec = {**_CAPPED_DEFAULTS, **spec}
         cap = make_curvature_cap(
             _length(spec, "K"),
-            spec.get("cubic", 0.0),
-            L=spec.get("L", 1.0),
-            M=spec.get("M", 2.0),
-            delta=spec.get("delta", 0.5),
+            _number(spec, "cubic"),
+            L=_length(spec, "L"),
+            M=_length(spec, "M"),
+            delta=_length(spec, "delta"),
             n=dim,
         )
         return CappedComponent(
             cap,
-            bulk_width=spec.get("bulk_width", 0.35),
-            bulk_height=spec.get("bulk_height", 0.5),
+            bulk_width=_length(spec, "bulk_width"),
+            bulk_height=_length(spec, "bulk_height"),
             apex=None if spec.get("apex") is None else _point(spec, "apex", dim),
         )
     raise SceneError(f"unknown domain kind {kind!r}")

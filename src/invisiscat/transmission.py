@@ -52,14 +52,20 @@ class RadialITP:
     mode: int = 0
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError("radius must be finite and positive")
+        if not math.isfinite(self.v0):
+            raise ValueError("contrast v0 must be finite")
         if 1.0 + self.v0 <= 0:
             raise ValueError("refractive index 1 + v0 must be positive")
         if self.v0 == 0:
             raise ValueError("v0 = 0 degenerates the matching determinant")
         if self.n not in (2, 3):
             raise ValueError("dimensions 2 and 3 supported")
+        try:
+            self.mode = operator.index(self.mode)
+        except TypeError:
+            raise ValueError("angular mode must be an integer") from None
         if self.mode < 0:
             raise ValueError("angular mode must be nonnegative")
 

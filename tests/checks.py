@@ -25,10 +25,11 @@ from invisiscat.geometry import (
     BoxComponent,
     CappedComponent,
     Domain,
+    _coverage_subsample,
+    cap_lid_nodes,
+    cap_window_columns,
 )
-from invisiscat.gridquad import cap_lid_nodes, cap_window_columns
 from invisiscat.holder import PrecondViolated, SampledFunction, holder_norm
-from invisiscat.kernels import _coverage_subsample
 from invisiscat.manufactured import LensBump
 from invisiscat.radial import mie_mode_coefficients, suggested_mode_count
 from invisiscat.scenes import SceneError
@@ -129,7 +130,7 @@ def cell_weights(domain, f: SampledFunction) -> np.ndarray:
     """Quadrature weights of ``holder.sample_on_grid``'s nodes.
 
     A node's weight is its cell measure times the cell's coverage on the
-    6^n subsample of ``kernels._coverage_subsample``, so cut cells get
+    6^n subsample of ``geometry._coverage_subsample``, so cut cells get
     fractional weight.
     """
     return f.spacing**domain.dim * _coverage_subsample(domain, f.points, f.spacing, sub=6)

@@ -446,6 +446,16 @@ _CONFIG_ERRORS = {
     "capped_K_text": _row(
         {"s.json": _small_scene(domain={"kind": "capped", "K": "a"})}, "source", "{tmp}/s.json"
     ),
+    **{
+        f"capped_{key}_{value}": _row(
+            {"s.json": _small_scene(domain={"kind": "capped", "K": 8, key: value})},
+            "source", "{tmp}/s.json",
+        )
+        for key, value in (
+            ("bulk_height", -1), ("cubic", float("nan")), ("delta", float("nan")),
+            ("L", float("inf")),
+        )
+    },
     "intensity_division_by_zero": _row(
         {"s.json": _small_scene(intensity={"kind": "expression", "expr": "1/0"})},
         "source", "{tmp}/s.json",

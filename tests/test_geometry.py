@@ -195,6 +195,15 @@ class TestComponents:
         assert abs(vol - want) < 1e-6 * want
         assert np.all(comp.inside(pts))
 
+    @pytest.mark.parametrize("width, height", [
+        (0.35, -1.0), (0.35, 0.0), (0.35, math.inf), (math.nan, 0.5), (0.01, 0.5),
+    ])
+    def test_capped_bulk_sizes_checked(self, width, height):
+        # Finite positive sizes, and a bulk wider than the cap rim (0.0995 here).
+        cap = make_curvature_cap(10.0, 1.0, n=2)
+        with pytest.raises(ConfigError):
+            CappedComponent(cap, bulk_width=width, bulk_height=height)
+
     @pytest.mark.parametrize("count", [256, 1024])
     def test_capped_lid_sampled(self, count):
         # Shelf halves, walls and lid each get a fifth of the non-graph samples.

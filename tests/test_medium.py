@@ -7,10 +7,15 @@ import pytest
 import scipy.fft
 
 from invisiscat import medium
-from invisiscat.geometry import BallComponent, Domain
+from invisiscat.geometry import (
+    BallComponent,
+    CappedComponent,
+    Domain,
+    _coverage_subsample,
+    make_curvature_cap,
+)
 from invisiscat.kernels import (
     GridConvolver,
-    _coverage_subsample,
     far_field_constant,
     green_cell_integral,
     green_kernel,
@@ -25,6 +30,7 @@ from invisiscat.medium import (
     scattered_far_field,
     solve_ls,
 )
+from invisiscat.quadrature import integrate
 from invisiscat.radial import mie_disk_far_field
 
 from checks import mie_total_field
@@ -240,6 +246,23 @@ class TestBallCoverage3d:
         want = _coverage_subsample(comp, grid.points, h)
         assert 0 < np.count_nonzero((want > 0) & (want < 1)) < len(want) // 2
         np.testing.assert_array_equal(grid.coverage, want)
+
+
+class TestCappedCoverage2d:
+    """2-d cap-bottomed bodies: Gauss columns with the exact vertical extent."""
+
+    def test_area_converges_to_oracle(self):
+        cap = make_curvature_cap(10.0, 0.2, n=2)
+        comp = CappedComponent(cap, apex=[0.013, -0.021])
+        lens = integrate(lambda p: np.ones(p.shape[0]), cap.as_graph_region(), tol=1e-12).real
+        want = lens + 2.0 * comp.bulk_width * comp.bulk_height
+        err = []
+        for h in (0.03, 0.015):
+            grid = make_support_grid(Domain([comp]), h)
+            err.append(abs(np.sum(grid.coverage) * h * h - want))
+        # First order at least: 2 bulk_width / h is not an integer, so the
+        # columns of the cells on the right wall straddle its jump.
+        assert err[1] < 0.6 * err[0]
 
 
 class TestSeparableSums:

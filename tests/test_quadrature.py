@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from invisiscat.cgo import cgo_sliced
+from invisiscat.geometry import make_curvature_cap
 from invisiscat.quadrature import (
     AnnularParaboloid,
     Ball,
@@ -110,6 +111,52 @@ class TestGraphCap:
         val_g = integrate(ONE, g, tol=1e-8)
         val_c = integrate(ONE, ParaboloidCap(K, h, dim=3), tol=1e-8)
         assert abs(val_g - val_c) < 1e-7 * abs(val_c)
+
+
+def fixed_step_rim(g, direction):
+    """The 80-step bisection ``GraphCap._rim_radius`` once ran, kept as reference."""
+    k_lo, k_hi = g.K_bracket
+    lo = np.full(direction.shape[0], 0.95 * math.sqrt(g.h / k_hi))
+    hi = np.full(direction.shape[0], min(1.05 * math.sqrt(g.h / k_lo), g.b))
+    open_col = g.omega(direction * hi[:, None]) - g.h < 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        take_hi = g.omega(direction * mid[:, None]) - g.h >= 0
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+    return np.where(open_col, g.b, 0.5 * (lo + hi))
+
+
+def _rim_cases():
+    """Graph caps with their rim directions: admissible curvature caps and the chart graphs."""
+    th = np.linspace(-math.pi, math.pi, 15)
+    dirs = {2: np.array([[1.0], [-1.0]]), 3: np.stack([np.cos(th), np.sin(th)], axis=-1)}
+    cases = [
+        (make_curvature_cap(float(K), float(ratio * K), n=n).as_graph_region(), dirs[n])
+        for n in (2, 3)
+        for K in np.geomspace(math.e, 1e4, 8)
+        for ratio in np.linspace(-0.05, 0.2, 4)
+    ]
+    K, c3 = 3.0, 0.5
+    for dim in (2, 3):
+        g = GraphCap(_cubic_graph(K, c3), 0.6, 0.4, dim=dim, K_bracket=(K, K + c3 * 0.6))
+        cases.append((g, dirs[dim]))
+    # b below the rim: every column is clamped at b.
+    cases.append((GraphCap(_cubic_graph(K, 0.0), 0.2, 0.4, dim=3, K_bracket=(K, K)), dirs[3]))
+    return cases
+
+
+class TestRimRadius:
+    def test_matches_fixed_step_bisection(self):
+        for g, direction in _rim_cases():
+            np.testing.assert_array_equal(g._rim_radius(direction), fixed_step_rim(g, direction))
+
+    def test_stops_at_adjacent_floats(self):
+        for g, direction in _rim_cases():
+            omega, calls = g.omega, []
+            g.omega = lambda xp: calls.append(1) or omega(xp)
+            g._rim_radius(direction)
+            assert 0 < len(calls) <= 60
 
 
 class TestProperties:

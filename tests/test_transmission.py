@@ -26,6 +26,16 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             RadialITP(R=1.0, v0=0.0)
 
+    @pytest.mark.parametrize("params", [
+        {"R": float("nan"), "v0": 15.0},
+        {"R": float("inf"), "v0": 15.0},
+        {"R": 1.0, "v0": float("nan")},
+        {"R": 1.0, "v0": 15.0, "mode": 0.5},
+    ], ids=["R_nan", "R_inf", "v0_nan", "mode_half"])
+    def test_rejects_bad_parameters(self, params):
+        with pytest.raises(ValueError):
+            RadialITP(**params)
+
     def test_reference_root(self):
         itp = RadialITP(R=1.0, v0=15.0)
         pairs = find_eigenvalues(itp, 1.2)

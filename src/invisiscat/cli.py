@@ -33,7 +33,7 @@ from .experiments import SUITES, write_outputs
 from .medium import scattered_far_field, solve_ls
 from .quadrature import AnnularParaboloid, ParaboloidCap, integrate
 from .scenes import load_itp, load_medium_scene, load_source_scene, read_json
-from .source import MIN_DIRS, far_field, solve_field
+from .source import _FIELD_MAX_CELLS, MIN_DIRS, far_field, solve_field
 from .transmission import NoneFound, find_eigenvalues
 
 EXIT_OK = 0
@@ -104,6 +104,8 @@ def cmd_source(args) -> int:
     _require(args.dirs >= MIN_DIRS, "--dirs", f"at least {MIN_DIRS}", args.dirs)
     _require(args.grid >= 1, "--grid", "at least 1", args.grid)
     scene = load_source_scene(read_json(args.scene))
+    ok = args.grid**scene.n <= _FIELD_MAX_CELLS
+    _require(ok, "--grid", f"at most {_FIELD_MAX_CELLS} points in all (grid^{scene.n})", args.grid)
     ff = far_field(scene, args.dirs)
     if args.farfield:
         ff.to_csv(args.farfield)

@@ -43,7 +43,15 @@ from .geometry import (
 from .holder import SampledFunction, holder_norm
 from .kernels import far_field_constant
 from .manufactured import LensBump
-from .medium import MediumScene, PlaneWave, estimate_c0, scatter_visibility_ratio, scattered_far_field, solve_ls
+from .medium import (
+    MediumScene,
+    PlaneWave,
+    default_spacing,
+    estimate_c0,
+    scatter_visibility_ratio,
+    scattered_far_field,
+    solve_ls,
+)
 from .source import FarField, SourceScene, far_field, radiationless_radius, visibility_ratio
 
 __all__ = [
@@ -521,9 +529,12 @@ def run_curvature_uniqueness_demo(
     capped = Domain([comp])
     h, hw, hh = comp.cap.h, comp.bulk_width, comp.bulk_height
     bulk_only = Domain([BoxComponent([-hw, h], [hw, h + hh])])
-    ff_capped = _medium_far_field(capped, v0, k)
-    ff_capped_again = _medium_far_field(capped, v0, k)
-    ff_bulk = _medium_far_field(bulk_only, v0, k)
+    # One spacing for both bodies, so their shared walls rasterize alike
+    # and the difference is the lens's own far field.
+    spacing = default_spacing(MediumScene(capped, v0, k, PlaneWave([1.0, 0.0])))
+    ff_capped = _medium_far_field(capped, v0, k, spacing=spacing)
+    ff_capped_again = _medium_far_field(capped, v0, k, spacing=spacing)
+    ff_bulk = _medium_far_field(bulk_only, v0, k, spacing=spacing)
 
     tri = lambda th: 0.6 * (1.0 + 0.12 * np.cos(3.0 * th))
     tri_a = Domain([StarComponent([0.0, 0.0], tri)])

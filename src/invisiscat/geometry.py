@@ -19,7 +19,9 @@ polar graphs, cap-bottomed bodies); every component knows how to test
 membership, sample points on its boundary, produce accurate volume
 quadrature nodes and give the fraction of each cell of a regular grid
 that it covers (``Component.coverage``, which ``kernels.make_support_grid``
-sums).
+sums).  One coverage rule serves every shape: cells the boundary cannot
+reach (``_cells``) count 1 or 0; the others integrate the exact vertical
+extent (``_column``, 2-d) by 24 strips, else count an 8^n subsample.
 
 The fixed node rules for cap windows, ``cap_window_columns`` and
 ``cap_lid_nodes``, are deliberately tied to a mesh spacing h, unlike the
@@ -260,6 +262,11 @@ def cap_lid_nodes(cap: CurvatureCap, spacing: float):
 # ---------------------------------------------------------------------------
 
 
+# Most directions sphere_directions gives; far-field arrays are directions
+# times quadrature nodes or grid lines, so past this they reach gigabytes.
+_MAX_DIRECTIONS = 2**20
+
+
 def sphere_directions(n: int, n_dirs: int):
     """Uniform angular grid on S^(n-1): (directions, weights, angles).
 
@@ -267,8 +274,11 @@ def sphere_directions(n: int, n_dirs: int):
     grid of m midpoint polar rings times 2m azimuths with
     m = max(4, int(sqrt(n_dirs / 2))) and sin(phi) area weights; the
     angles are (theta, phi) pairs, theta-major.  The weights sum to the
-    measure of the sphere up to the midpoint rule's error.
+    measure of the sphere up to the midpoint rule's error.  A count
+    outside 1 to ``_MAX_DIRECTIONS`` raises ConfigError.
     """
+    if not 1 <= n_dirs <= _MAX_DIRECTIONS:
+        raise ConfigError(f"need 1 to {_MAX_DIRECTIONS} directions, got {n_dirs!r}")
     if n == 2:
         th = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
         dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -355,19 +365,51 @@ def _coverage_subsample(region, centers: np.ndarray, h: float, sub: int = 8):
     return frac / offsets.shape[0]
 
 
+def _radial_cells(centers: np.ndarray, center, r_in: float, r_out: float, h: float):
+    """(full, cut) for a boundary between radii r_in and r_out around ``center``.
+
+    0.75 h sqrt(n) exceeds the reach of the 8^n subsample (7h/16 per axis).
+    """
+    margin = 0.75 * h * math.sqrt(centers.shape[1])
+    d = np.sqrt(np.sum((centers - center) ** 2, axis=1))
+    full = d <= r_in - margin
+    return full, ~full & (d < r_out + margin)
+
+
 class Component:
     dim: int
+    _column = None  # 2-d: x -> (lo, hi, live), the exact vertical extent above x
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _cells(self, centers: np.ndarray, h: float):
+        """(full, cut) masks; every cell may be cut unless a shape knows better."""
+        return np.zeros(len(centers), dtype=bool), np.ones(len(centers), dtype=bool)
+
     def coverage(self, centers: np.ndarray, h: float) -> np.ndarray:
         """Fraction of each grid cell (``centers``, side h) inside the component.
 
-        The default is the share of an 8^n midpoint subsample of the cell
-        that ``inside`` accepts.
+        Uncut cells count 1 or 0.  A cut cell integrates the chord
+        [max(y0, lo), min(y1, hi)] of its ``_column`` by the 24-point
+        midpoint rule in x, or else counts its 8^n midpoint subsample.
         """
-        return _coverage_subsample(self, centers, h)
+        full, cut = self._cells(centers, h)
+        frac = np.where(full, 1.0, 0.0)
+        if self.dim != 2 or self._column is None:
+            frac[cut] = _coverage_subsample(self, centers[cut], h)
+            return frac
+        sub = 24
+        x, y = centers[cut, 0], centers[cut, 1]
+        x0, x1 = x - h / 2, x + h / 2
+        # C order, so each row sums in the same (pairwise) order as a 1-d array.
+        xs = np.ascontiguousarray(np.linspace(x0, x1, sub + 1, axis=1))
+        lo, hi, live = self._column(0.5 * (xs[:, :-1] + xs[:, 1:]))
+        lo = np.maximum((y - h / 2)[:, None], lo)
+        hi = np.minimum((y + h / 2)[:, None], hi)
+        chord = np.maximum(hi - lo, 0.0) * live
+        frac[cut] = np.sum(chord, axis=1) * ((x1 - x0) / sub) / (h * h)
+        return frac
 
     def boundary_points(self, count: int):
         """About ``count`` points sampled on the boundary, shape (m, dim)."""
@@ -399,40 +441,14 @@ class BallComponent(Component):
     def inside(self, pts):
         return np.sum((pts - self.center) ** 2, axis=1) < self.radius**2
 
-    def coverage(self, centers, h):
-        """Cell coverage, exact on the cells that the sphere cannot cut.
+    def _cells(self, centers, h):
+        return _radial_cells(centers, self.center, self.radius, self.radius, h)
 
-        A cell whose center lies farther than 0.75 h sqrt(n), more than
-        the half-diagonal, from the sphere is entirely inside or outside.
-        The cells the sphere may cut use, in 2-d, the 24-strip rule: the
-        chord [max(y0, cy - s), min(y1, cy + s)] with
-        s = sqrt(R^2 - (x - cx)^2), integrated across the cell by the
-        24-point midpoint rule in x.  In 3-d they use the 8^n subsample;
-        it agrees with the exact 0 or 1 on every other cell, so the
-        result equals the subsample on every cell.
-        """
-        margin = 0.75 * h * math.sqrt(self.dim)
-        d = np.sqrt(np.sum((centers - self.center) ** 2, axis=1))
-        full = d <= self.radius - margin
-        edge = ~full & (d < self.radius + margin)
-        frac = np.where(full, 1.0, 0.0)
-        if self.dim != 2:
-            frac[edge] = _coverage_subsample(self, centers[edge], h)
-            return frac
-        sub = 24
+    def _column(self, x):
         (cx, cy), R = self.center, self.radius
-        x, y = centers[edge, 0], centers[edge, 1]
-        x0, x1 = x - h / 2, x + h / 2
-        # C order, so each row sums in the same (pairwise) order as a 1-d array.
-        xs = np.ascontiguousarray(np.linspace(x0, x1, sub + 1, axis=1))
-        xm = 0.5 * (xs[:, :-1] + xs[:, 1:])
-        d2 = R * R - (xm - cx) ** 2
+        d2 = R * R - (x - cx) ** 2
         s = np.sqrt(np.maximum(d2, 0.0))
-        lo = np.maximum((y - h / 2)[:, None], cy - s)
-        hi = np.minimum((y + h / 2)[:, None], cy + s)
-        chord = np.maximum(hi - lo, 0.0) * (d2 > 0)
-        frac[edge] = np.sum(chord, axis=1) * ((x1 - x0) / sub) / (h * h)
-        return frac
+        return cy - s, cy + s, d2 > 0
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -503,11 +519,12 @@ class BoxComponent(Component):
     def inside(self, pts):
         return np.all((pts > self.lo) & (pts < self.hi), axis=1)
 
+    def _column(self, x):
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        return y0, y1, (x > x0) & (x < x1)
+
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
-
-    def diameter(self):
-        return float(np.linalg.norm(self.hi - self.lo))
 
     def boundary_points(self, count=1024):
         if self.dim != 2:
@@ -559,11 +576,13 @@ class StarComponent(Component):
         th = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         return self.radial(th)
 
-    def _rmax(self):
-        return float(np.max(self._radii()))
+    def _cells(self, centers, h):
+        # 4096 samples miss a mild star's extreme radii by far less than h/16.
+        r = self._radii()
+        return _radial_cells(centers, self.center, float(np.min(r)), float(np.max(r)), h)
 
     def bounding_box(self):
-        rm = self._rmax()
+        rm = float(np.max(self._radii()))
         return self.center - rm, self.center + rm
 
     def _curve(self, count):
@@ -602,7 +621,7 @@ class StarComponent(Component):
 class CappedComponent(Component):
     """Cap-bottomed body: graph lens glued under a cylindrical bulk.
 
-    The body is { omega(x') < x_n < h } union { |x'| < bulk_width,
+    The body is { |x'| < rim, omega(x') < x_n < h } union { |x'| < bulk_width,
     h <= x_n < h + bulk_height }, apex at ``apex``.  Inside the
     admissibility cylinder B(0,b) x (-h,h) it coincides exactly with
     { omega < x_n < h }, so the apex is an admissible curvature point of
@@ -626,15 +645,12 @@ class CappedComponent(Component):
         if self.bulk_width <= self.cap.rim_radius:
             raise ConfigError("bulk must cover the cap rim")
 
-    def _local(self, pts):
-        return pts - self.apex
-
     def inside(self, pts):
-        q = self._local(pts)
+        q = pts - self.apex
         xp, xn = q[:, :-1], q[:, -1]
         w = self.cap.omega(xp)
         r = np.sqrt(np.sum(xp * xp, axis=1))
-        lens = (xn > w) & (xn < self.cap.h)
+        lens = (r < self.cap.rim_radius) & (xn > w) & (xn < self.cap.h)
         bulk = (
             (r < self.bulk_width)
             & (xn >= self.cap.h)
@@ -660,27 +676,25 @@ class CappedComponent(Component):
         empty = r >= self.bulk_width
         return lo, hi, empty
 
-    def coverage(self, centers, h):
-        """Cell coverage; in 2-d, exact column extents across each cell.
+    def _column(self, x):
+        ax, ay = self.apex
+        lo, hi, empty = self.column_bounds((x - ax).reshape(-1, 1))
+        return (lo + ay).reshape(x.shape), (hi + ay).reshape(x.shape), ~empty.reshape(x.shape)
 
-        The 2-d rule integrates the exact vertical extent of the body
-        (``column_bounds``) clipped to the cell over the cell's width by
-        6-point Gauss-Legendre; 3-d bodies use the 8^n subsample.
+    def _cells(self, centers, h):
+        """(full, cut) from the columns at the cell's nearest and farthest |x'|.
+
+        lo(|x'|) never falls (an admissible omega rises to h at the rim).
         """
-        if self.dim != 2:
-            return super().coverage(centers, h)
-        gl_x, gl_w = _leggauss(6)
-        frac = np.zeros(centers.shape[0])
-        local = centers - self.apex
-        for node, wgt in zip(gl_x, gl_w):
-            xq = local[:, 0] + 0.5 * h * node
-            lo, hi, empty = self.column_bounds(xq[:, None])
-            ya = local[:, 1] - h / 2
-            yb = local[:, 1] + h / 2
-            seg = np.maximum(np.minimum(yb, hi) - np.maximum(ya, lo), 0.0)
-            seg[empty] = 0.0
-            frac += 0.5 * wgt * seg / h
-        return frac
+        q = centers - self.apex
+        a = np.abs(q[:, :-1])
+        near = np.sqrt(np.sum(np.maximum(a - h / 2, 0.0) ** 2, axis=1))
+        far = np.sqrt(np.sum((a + h / 2) ** 2, axis=1))
+        lo_near, top, out_near = self.column_bounds(near[:, None])
+        lo_far, _, out_far = self.column_bounds(far[:, None])
+        y0, y1 = q[:, -1] - h / 2, q[:, -1] + h / 2
+        full = ~out_far & (y0 > lo_far) & (y1 < top)
+        return full, ~full & ~(out_near | (y1 <= lo_near) | (y0 >= top))
 
     def boundary_points(self, count=1024):
         rim = self.cap.rim_radius

@@ -402,6 +402,15 @@ _CONFIG_ERRORS = {
     "medium_spacing_nan": _row(_SCENE, "medium", "{tmp}/s.json", "--spacing", "nan"),
     "medium_dirs_0": _row(_SCENE, "medium", "{tmp}/s.json", "--dirs", "0"),
     "medium_dirs_negative": _row(_SCENE, "medium", "{tmp}/s.json", "--dirs", "-5"),
+    "source_dirs_1e13": _row(_SCENE, "source", "{tmp}/s.json", "--dirs", "10000000000000"),
+    "medium_dirs_1e13": _row(_SCENE, "medium", "{tmp}/s.json", "--dirs", "10000000000000"),
+    "source_grid_1e8": _row(
+        _SCENE, "source", "{tmp}/s.json", "--fields", "{tmp}/u.csv", "--grid", "100000000"
+    ),
+    "herglotz_n_quad_1e13": _row(
+        {"s.json": _small_scene(incident={"kind": "herglotz", "density": "1", "n_quad": 10**13})},
+        "medium", "{tmp}/s.json",
+    ),
     "teig_modes_letter": _row(
         _ITP, "teig", "{tmp}/itp.json", "--kmax", "3", "--modes", "a", "--out", "{tmp}/e.csv"
     ),

@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 import invisiscat.experiments as ex
+from invisiscat.geometry import BoxComponent, Domain
+from invisiscat.medium import MediumScene, PlaneWave, default_spacing
 
 
 class TestInfrastructure:
@@ -174,6 +176,25 @@ class TestCurvatureUniqueness:
         row = [r for r in res.rows if r["pair"] == "capped_vs_bulk"][0]
         assert row["difference"] > res.calibration["difference_floor"]
         assert row["gap_condition_honored"]
+
+    def test_cap_difference_is_converged(self):
+        # Both bodies on one grid: the difference is the lens's far field,
+        # the same within 1% at the default spacing s0 and at s0/2.
+        k, v0 = 0.3, 0.5
+        comp = ex._capped_component(100.0, 0.75)
+        h, hw, hh = comp.cap.h, comp.bulk_width, comp.bulk_height
+        capped = Domain([comp])
+        bulk = Domain([BoxComponent([-hw, h], [hw, h + hh])])
+        s0 = default_spacing(MediumScene(capped, v0, k, PlaneWave([1.0, 0.0])))
+        diff = [
+            ex._medium_far_field(capped, v0, k, spacing=s).relative_l2_difference(
+                ex._medium_far_field(bulk, v0, k, spacing=s)
+            )
+            for s in (s0, s0 / 2)
+        ]
+        assert abs(diff[0] - diff[1]) <= 0.01 * diff[1]
+        res = ex.run_curvature_uniqueness_demo(k=k, v0=v0)
+        assert [r["difference"] for r in res.rows if r["pair"] == "capped_vs_bulk"] == diff[:1]
 
     def test_identical_zero(self):
         res = ex.run_curvature_uniqueness_demo()

@@ -225,6 +225,17 @@ class TestComponents:
         got = comp.inside(pts)
         assert np.array_equal(got, want)
 
+    def test_capped_inside_matches_columns(self):
+        # An admissible negative cubic bends omega back below h far past the
+        # rim (|x'| > 0.889 for c3 = -11); the lens ends at the rim all the
+        # same, as column_bounds, which the cell coverage reads, says.
+        comp = CappedComponent(make_curvature_cap(10.0, -11.0, n=2))
+        rng = np.random.default_rng(5)
+        pts = rng.uniform([-1.2, -0.1], [1.2, 0.7], size=(20000, 2))
+        lo, hi, empty = comp.column_bounds(pts[:, :1])
+        want = ~empty & (pts[:, 1] > lo) & (pts[:, 1] < hi)
+        assert np.array_equal(comp.inside(pts), want)
+
 
 class TestConnectivity:
     def test_ball_boundary_point(self):

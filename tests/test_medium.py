@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from invisiscat import medium
+from invisiscat import geometry, medium
 from invisiscat.geometry import (
     BallComponent,
     CappedComponent,
@@ -249,20 +249,36 @@ class TestBallCoverage3d:
 
 
 class TestCappedCoverage2d:
-    """2-d cap-bottomed bodies: Gauss columns with the exact vertical extent."""
+    """2-d cap-bottomed bodies: 24 strips with the exact vertical extent."""
 
     def test_area_converges_to_oracle(self):
         cap = make_curvature_cap(10.0, 0.2, n=2)
         comp = CappedComponent(cap, apex=[0.013, -0.021])
         lens = integrate(lambda p: np.ones(p.shape[0]), cap.as_graph_region(), tol=1e-12).real
         want = lens + 2.0 * comp.bulk_width * comp.bulk_height
-        err = []
         for h in (0.03, 0.015):
             grid = make_support_grid(Domain([comp]), h)
-            err.append(abs(np.sum(grid.coverage) * h * h - want))
-        # First order at least: 2 bulk_width / h is not an integer, so the
-        # columns of the cells on the right wall straddle its jump.
-        assert err[1] < 0.6 * err[0]
+            assert abs(np.sum(grid.coverage) * h * h - want) <= 1e-6, h
+
+
+class TestCappedCoverage3d:
+    """3-d cap-bottomed bodies run the subsample on the cells they may cut only."""
+
+    def test_matches_full_subsample(self, monkeypatch):
+        comp, h = CappedComponent(make_curvature_cap(10.0, 0.2, n=3)), 0.04
+        seen = []
+
+        def counted(region, centers, spacing):
+            seen.append(centers.shape[0])
+            return _coverage_subsample(region, centers, spacing)
+
+        monkeypatch.setattr(geometry, "_coverage_subsample", counted)
+        grid = make_support_grid(Domain([comp]), h)
+        want = _coverage_subsample(comp, grid.points, h)
+        # 1,037 of the 6,800 cells are cut; 1,348 are subsampled.
+        cut = np.count_nonzero((want > 0) & (want < 1))
+        assert 0 < cut <= sum(seen) <= min(1.5 * cut, 0.2 * len(want))
+        np.testing.assert_array_equal(grid.coverage, want)
 
 
 class TestSeparableSums:

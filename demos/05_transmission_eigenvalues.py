@@ -24,7 +24,7 @@ pairs = find_eigenvalues(itp, 3.0, modes=[0, 1, 2])
 counts = {}
 for p in pairs:
     counts[p.mode] = counts.get(p.mode, 0) + 1
-    ratio = boundary_vanishing_ratio(p, itp, alpha=0.5)
+    ratio = boundary_vanishing_ratio(p, alpha=0.5)
     print(f"{p.mode:5d} {counts[p.mode]:6d} {p.k_eig:16.12f} {ratio:12.5f}")
 
 print("\nScaling law: eigenvalues of radius R are 1/R times those of radius 1:")

@@ -54,7 +54,7 @@ __all__ = [
 
 @dataclass
 class CgoVector:
-    """Harmonic exponential direction: rho . rho = 0, Re rho_n < 0."""
+    """Harmonic exponential exp(rho . x), rho . rho = 0, Re rho_n < 0; also an incident wave."""
 
     rho: np.ndarray
 
@@ -82,6 +82,10 @@ class CgoVector:
     @property
     def n(self) -> int:
         return self.rho.size
+
+    def terms(self, k: float, n: int):
+        """exp(rho . x) as an incident wave: exponent rho, coefficient 1."""
+        return self.rho[None, :], np.ones(1)
 
     def field(self, pts: np.ndarray) -> np.ndarray:
         # Two real products: a complex one (zgemv) wakes a second BLAS
@@ -256,7 +260,6 @@ def curvature_estimate_rhs(
     M: float,
     n: int,
     k: float,
-    norms: dict | None = None,
 ) -> float:
     """Four-term visibility bound at tau = 4 K ln(K^gamma).
 
@@ -266,9 +269,10 @@ def curvature_estimate_rhs(
         + (ln K)^(3/2) K^(1 - n/2 - alpha + gamma)
         + (ln K)^((n+3)/2) K^(1 - beta - 3 gamma)
 
-    scaled by max(1, |phi|_Calpha, |w|_C1beta).  The trailing term
-    equals (ln K)^((n+3)/2) K^(-mu/2), so the bound tends to zero as
-    K -> infinity but is not monotone near K = e.  For n >= 2 it is
+    with no norm factor: the caller scales, as ``run_curvature_source``
+    does by dividing the apex intensity by max(1, |phi|_Calpha).  The
+    trailing term equals (ln K)^((n+3)/2) K^(-mu/2), so the bound tends
+    to zero as K -> infinity but is not monotone near K = e.  For n >= 2 it is
     strictly decreasing for ln K >= (n+3)/mu: each term (ln K)^p K^(-q)
     with q > 0 decreases once ln K > p/q, and those turning points are
     (n-1)/(3 mu), none for t2, at most 3/mu and (n+3)/mu.
@@ -287,7 +291,4 @@ def curvature_estimate_rhs(
     t2 = K ** (gamma - delta)
     t3 = ln_k**1.5 * K ** (1.0 - n / 2.0 - alpha + gamma)
     t4 = ln_k ** ((n + 3) / 2.0) * K ** (1.0 - beta - 3.0 * gamma)
-    scale = 1.0
-    if norms:
-        scale = max(1.0, norms.get("phi_Calpha", 0.0), norms.get("w_C1beta", 0.0))
-    return scale * (t1 + t2 + t3 + t4)
+    return t1 + t2 + t3 + t4

@@ -30,10 +30,11 @@ import numpy as np
 from .cgo import CgoVector, cgo_over_parabola, cgo_sliced
 from .errors import ConfigError, NumericalFailure
 from .experiments import SUITES, write_outputs
+from .kernels import _MAX_CELLS
 from .medium import scattered_far_field, solve_ls
 from .quadrature import AnnularParaboloid, ParaboloidCap, integrate
 from .scenes import load_itp, load_medium_scene, load_source_scene, read_json
-from .source import _FIELD_MAX_CELLS, MIN_DIRS, far_field, solve_field
+from .source import MIN_DIRS, far_field, solve_field
 from .transmission import NoneFound, find_eigenvalues
 
 EXIT_OK = 0
@@ -104,8 +105,8 @@ def cmd_source(args) -> int:
     _require(args.dirs >= MIN_DIRS, "--dirs", f"at least {MIN_DIRS}", args.dirs)
     _require(args.grid >= 1, "--grid", "at least 1", args.grid)
     scene = load_source_scene(read_json(args.scene))
-    ok = args.grid**scene.n <= _FIELD_MAX_CELLS
-    _require(ok, "--grid", f"at most {_FIELD_MAX_CELLS} points in all (grid^{scene.n})", args.grid)
+    ok = args.grid**scene.n <= _MAX_CELLS
+    _require(ok, "--grid", f"at most {_MAX_CELLS} points in all (grid^{scene.n})", args.grid)
     ff = far_field(scene, args.dirs)
     if args.farfield:
         ff.to_csv(args.farfield)

@@ -38,7 +38,6 @@ from .geometry import (
     StarComponent,
     cap_window_columns,
     make_curvature_cap,
-    sphere_directions,
 )
 from .holder import SampledFunction, holder_norm
 from .kernels import far_field_constant
@@ -52,7 +51,14 @@ from .medium import (
     scattered_far_field,
     solve_ls,
 )
-from .source import FarField, SourceScene, far_field, radiationless_radius, visibility_ratio
+from .source import (
+    FarField,
+    SourceScene,
+    _point_far_field,
+    far_field,
+    radiationless_radius,
+    visibility_ratio,
+)
 
 __all__ = [
     "SuiteResult",
@@ -242,21 +248,6 @@ def _capped_component(K: float, delta: float) -> CappedComponent:
     return CappedComponent(cap, bulk_width=width, bulk_height=0.5)
 
 
-def _lens_source_far_field_sup(comp, bump, k: float, n_dirs: int) -> float:
-    """Far-field sup of the lens-supported dual source.
-
-    The source (Delta + k^2) w vanishes above the lens, so the window
-    column rule (which resolves the graph and lid exactly) is the
-    accurate quadrature here.
-    """
-    dirs, _, _ = sphere_directions(2, n_dirs)
-    pts, w = cap_window_columns(comp.cap, comp.cap.h / 96.0)
-    vals = bump.phi(pts, k)
-    phase = np.exp(-1j * k * (dirs @ (pts + comp.apex).T))
-    ff = far_field_constant(2, k) * (phase @ (w * vals))
-    return float(np.max(np.abs(ff)))
-
-
 def run_curvature_source(
     K_list=(math.e, 10.0, 100.0, 1000.0),
     alpha: float = 0.75,
@@ -275,8 +266,12 @@ def run_curvature_source(
         ff_const = far_field(scene, n_dirs).sup_norm()
         # Radiationless dual: w in H^2_0(Omega), phi = (Delta+k^2) w has an
         # exactly vanishing far field; its apex intensity obeys the bound.
+        # phi vanishes above the lens, so the window column rule, which
+        # resolves the graph and lid exactly, is the accurate quadrature.
         bump = LensBump(comp.cap)
-        ff_dual = _lens_source_far_field_sup(comp, bump, k, n_dirs)
+        lens, lens_w = cap_window_columns(comp.cap, comp.cap.h / 96.0)
+        weighted = lens_w * bump.phi(lens, k)
+        ff_dual = _point_far_field(lens + comp.apex, weighted, k, 2, n_dirs).sup_norm()
         spacing = comp.cap.h / 48.0
         wpts, _ = cap_window_columns(comp.cap, spacing)
         phi_samples = SampledFunction(

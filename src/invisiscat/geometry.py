@@ -196,6 +196,10 @@ def make_curvature_cap(
     return cap
 
 
+# Points on which nesting_check compares omega with the two paraboloids.
+_NESTING_SAMPLES = 10**4
+
+
 @dataclass
 class NestingReport:
     violations: int
@@ -203,17 +207,16 @@ class NestingReport:
     samples: int
 
 
-def nesting_check(cap: CurvatureCap, samples: int = 10**4) -> NestingReport:
+def nesting_check(cap: CurvatureCap) -> NestingReport:
     """Grid check of K_-|x'|^2 <= omega(x') <= K_+|x'|^2 on |x'| < b.
 
     Equivalent to the inclusions
     {K_+|x'|^2 < x_n < h}  subset  Omega_{b,h}  subset  {K_-|x'|^2 < x_n < h}.
     """
     if cap.n == 2:
-        t = np.linspace(-cap.b, cap.b, samples)[:, None]
-        xp = t
+        xp = np.linspace(-cap.b, cap.b, _NESTING_SAMPLES)[:, None]
     else:
-        m = int(math.sqrt(samples))
+        m = int(math.sqrt(_NESTING_SAMPLES))
         xp = _polar(
             np.linspace(0.0, cap.b, m), np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
         )
@@ -473,11 +476,11 @@ class AnnulusComponent(Component):
     center: Sequence[float]
     r_inner: float
     r_outer: float
-    dim: int = 2
+    dim = 2
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        if self.dim != 2:
+        if self.center.shape != (2,):
             raise ValueError("annulus components are 2-d")
         if not (0 < self.r_inner < self.r_outer):
             raise ValueError("need 0 < r_inner < r_outer")
@@ -556,11 +559,11 @@ class StarComponent(Component):
 
     center: Sequence[float]
     radial: Callable[[np.ndarray], np.ndarray]
-    dim: int = 2
+    dim = 2
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        if self.dim != 2:
+        if self.center.shape != (2,):
             raise ValueError("star components are 2-d")
         r = self._radii()
         if not np.all((r > 0) & np.isfinite(r)):

@@ -130,6 +130,11 @@ def green_cell_integral(n: int, k: float, h: float) -> complex:
 # Regular support grids with coverage weights
 # ---------------------------------------------------------------------------
 
+# Most cells a support grid may hold: restarted GMRES in medium.solve_ls
+# keeps 101 Krylov vectors, 1.6 kB per cell, so this bounds the basis near
+# 6.5 GB.
+_MAX_CELLS = 4 * 10**6
+
 
 @dataclass
 class SupportGrid:
@@ -175,14 +180,12 @@ def _row_kron(factors: list) -> np.ndarray:
     return out
 
 
-def make_support_grid(
-    domain, spacing: float, pad: float = 0.0, max_cells: float = math.inf
-) -> SupportGrid:
+def make_support_grid(domain, spacing: float, pad: float = 0.0) -> SupportGrid:
     """Rasterize the domain on a regular cell-centered grid.
 
     Coverage is the fraction of each cell inside the support: each
     component's ``coverage(centers, spacing)``, summed over the
-    components and clipped to [0, 1].  A grid of more than ``max_cells``
+    components and clipped to [0, 1].  A grid of more than ``_MAX_CELLS``
     cells, of less than one cell per axis or of no finite size raises
     NumericalFailure before anything is built.
     """
@@ -190,10 +193,10 @@ def make_support_grid(
     with np.errstate(all="ignore"):
         extent = (hi - lo) / spacing
         cells = float(np.prod(extent))
-    if not (np.all(extent >= 1.0) and math.isfinite(cells) and cells <= max_cells):
+    if not (np.all(extent >= 1.0) and math.isfinite(cells) and cells <= _MAX_CELLS):
         raise NumericalFailure(
             f"a support grid of spacing {spacing!r} needs {cells:.3g} cells, "
-            f"outside 1 to {max_cells:.3g}"
+            f"outside 1 to {_MAX_CELLS:.3g}"
         )
     n_ax = [int(math.ceil(e)) for e in extent]
     axes = [lo[d] + (np.arange(n_ax[d]) + 0.5) * spacing for d in range(domain.dim)]

@@ -16,11 +16,11 @@ lower bound of the resolvent norm C0 on a ball) is for reports only;
 the solver never calls it.
 
 The scattered far field is u^s_inf = -k^2 C_{n,k} F(V u)(k xhat),
-evaluated by the grid's cell quadrature.  An incident wave is given only
-by its exponential sum sum_q c_q exp(z_q . x) (``terms``): on a support
-grid the incident field and the far-field moments use the grid's
-separable plane-wave sums, and at other points the sum is evaluated
-directly.
+evaluated by the grid's cell quadrature.  An incident wave (also
+``cgo.CgoVector``) is given only by its exponential sum sum_q c_q
+exp(z_q . x) (``terms``): on a support grid the incident field and the
+far-field moments use the grid's separable plane-wave sums, and at other
+points the sum is evaluated directly.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
 from .geometry import BallComponent, Domain, sphere_directions
-from .source import FarField, _check_wavenumber
+from .source import FarField, _check_finite, _check_wavenumber
 
 __all__ = [
     "NotContractive",
     "PlaneWave",
     "HerglotzWave",
-    "CgoIncident",
     "MediumScene",
     "LsSolution",
     "solve_ls",
@@ -48,10 +47,6 @@ __all__ = [
     "scattered_far_field",
     "scatter_visibility_ratio",
 ]
-
-# Most cells solve_ls may put on its grid: restarted GMRES keeps 101
-# Krylov vectors, 1.6 kB per cell, so this bounds the basis near 6.5 GB.
-_LS_MAX_CELLS = 4 * 10**6
 
 # Power iterations per probe in estimate_c0.
 _C0_ITERATIONS = 25
@@ -93,16 +88,6 @@ class HerglotzWave:
 
 
 @dataclass
-class CgoIncident:
-    """Harmonic exponential exp(rho . x); grows along -Re rho directions."""
-
-    rho: np.ndarray
-
-    def terms(self, k: float, n: int):
-        return np.asarray(self.rho, dtype=complex)[None, :], np.ones(1)
-
-
-@dataclass
 class MediumScene:
     """Penetrable scatterer: support, contrast, wavenumber, incident field."""
 
@@ -124,7 +109,7 @@ class MediumScene:
         else:
             vals = np.full(pts.shape[0], complex(self.phi))
         if np.any(vals.imag < -1e-12):
-            raise ValueError("contrast must satisfy Im V >= 0")
+            raise ConfigError("contrast must satisfy Im V >= 0")
         return vals
 
     def incident_values(self, pts: np.ndarray | SupportGrid) -> np.ndarray:
@@ -168,14 +153,16 @@ def solve_ls(
     otherwise restarted GMRES from zero.  ``residuals`` then holds the
     Picard residuals, GMRES's relative residual estimate after each of its
     iterations, and the final true residual.  Raises ``NotContractive``
-    when neither route reaches the tolerance, and NumericalFailure for a
-    grid of more than ``_LS_MAX_CELLS`` cells.
+    when neither route reaches the tolerance, NumericalFailure for a grid
+    of more than ``kernels._MAX_CELLS`` cells, and ConfigError when
+    V * coverage is not finite on the grid.
     """
     if spacing is None:
         spacing = default_spacing(scene)
-    grid = make_support_grid(scene.domain, spacing, pad=spacing, max_cells=_LS_MAX_CELLS)
-    conv = GridConvolver(grid, scene.k)
+    grid = make_support_grid(scene.domain, spacing, pad=spacing)
     v_eff = scene.contrast(grid.points) * grid.coverage
+    _check_finite(v_eff, "contrast")
+    conv = GridConvolver(grid, scene.k)
     u_inc = scene.incident_values(grid)
     k2 = scene.k**2
     scale = float(np.linalg.norm(u_inc))

@@ -14,7 +14,7 @@ Domain kinds: ball, annulus, box, star, capped, union.  Intensity and
 contrast kinds: constant (scalar or [re, im]), expression (grammar
 below, coordinates x1..xn), grid (npz with origin/spacing/values,
 nearest-cell lookup, zero outside).  Incident kinds: plane_wave,
-herglotz (density expression in the angle t), cgo (tau).
+herglotz (density expression in the angle t), cgo (tau > 0).
 
 Expression grammar (ASCII only):
 
@@ -54,7 +54,8 @@ from .geometry import (
     make_curvature_cap,
 )
 from .errors import ConfigError
-from .medium import CgoIncident, HerglotzWave, MediumScene, PlaneWave
+from .cgo import CgoVector
+from .medium import HerglotzWave, MediumScene, PlaneWave
 from .source import SourceScene
 from .transmission import RadialITP
 
@@ -209,10 +210,7 @@ def _component(spec, dim: int):
         return BallComponent(_point(spec, "center", dim), _length(spec, "radius"), dim=dim)
     if kind == "annulus":
         return AnnulusComponent(
-            _point(spec, "center", dim),
-            _length(spec, "r_inner"),
-            _length(spec, "r_outer"),
-            dim=dim,
+            _point(spec, "center", dim), _length(spec, "r_inner"), _length(spec, "r_outer")
         )
     if kind == "box":
         return BoxComponent(_point(spec, "lo", dim), _point(spec, "hi", dim))
@@ -230,7 +228,7 @@ def _component(spec, dim: int):
             return out
 
         center = _point(spec, "center", dim) if "center" in spec else np.zeros(dim)
-        return StarComponent(center, radial, dim=dim)
+        return StarComponent(center, radial)
     if kind == "capped":
         spec = {**_CAPPED_DEFAULTS, **spec}
         cap = make_curvature_cap(
@@ -306,13 +304,9 @@ def _incident(spec, dim: int):
             raise SceneError(f"n_quad must be a positive integer, got {n_quad!r}")
         return HerglotzWave(parse_angle_expression(spec["density"]), n_quad=n_quad)
     if kind == "cgo":
-        tau = _number(spec, "tau")
         if int(spec.get("dimension", dim)) != dim:
             raise SceneError("cgo incident dimension differs from the scene's")
-        rho = np.zeros(dim, dtype=complex)
-        rho[0] = 1j * tau
-        rho[-1] = -tau
-        return CgoIncident(rho)
+        return CgoVector.canonical(_number(spec, "tau"), dim)
     raise SceneError(f"unknown incident kind {kind!r}")
 
 

@@ -44,9 +44,6 @@ __all__ = [
 # faster.
 _BLOCK_ENTRIES = 2**14
 
-# Most cells the field quadrature grid of solve_field may hold.
-_FIELD_MAX_CELLS = 4 * 10**6
-
 # Radius, in grid cells, of the ball around a target that solve_field
 # integrates in polar form instead of summing cells.
 _NEAR_RADIUS_CELLS = 2.0
@@ -63,6 +60,12 @@ def _check_wavenumber(k: float) -> None:
     """Raise ConfigError unless the wavenumber k is finite and positive."""
     if not (math.isfinite(k) and k > 0):
         raise ConfigError(f"wavenumber must be finite and positive, got {k!r}")
+
+
+def _check_finite(density: np.ndarray, what: str) -> None:
+    """Raise ConfigError unless every value of a density a solver integrates is finite."""
+    if not np.all(np.isfinite(density)):
+        raise ConfigError(f"{what} is not finite on the solver's nodes")
 
 
 @dataclass
@@ -144,8 +147,18 @@ class FarField:
             json.dump(payload, fh, indent=1, sort_keys=True)
 
 
+def _point_far_field(
+    pts: np.ndarray, weighted: np.ndarray, k: float, n: int, n_dirs: int
+) -> FarField:
+    """C_{n,k} sum_j e^{-ik xhat . y_j} weighted_j on ``n_dirs`` directions xhat."""
+    dirs, w_dirs, angles = sphere_directions(n, n_dirs)
+    phase = np.exp(-1j * k * (dirs @ pts.T))
+    vals = far_field_constant(n, k) * (phase @ weighted)
+    return FarField(directions=dirs, values=vals, k=k, weights=w_dirs, angles=angles)
+
+
 def far_field(scene: SourceScene, n_dirs: int = 64) -> FarField:
-    """Far-field pattern by direct quadrature of the oscillatory integral."""
+    """Far-field pattern by direct quadrature; ConfigError if the intensity is not finite."""
     if n_dirs < MIN_DIRS:
         raise ConfigError(f"need at least {MIN_DIRS} directions, got {n_dirs!r}")
     target = scene.quad_target()
@@ -154,12 +167,10 @@ def far_field(scene: SourceScene, n_dirs: int = 64) -> FarField:
             f"resolving {target} nodes per axis across the support exceeds "
             "the oscillatory quadrature budget"
         )
-    dirs, w_dirs, angles = sphere_directions(scene.n, n_dirs)
     pts, w = scene.domain.quad_nodes(target)
-    f = scene.intensity(pts)
-    phase = np.exp(-1j * scene.k * (dirs @ pts.T))
-    vals = far_field_constant(scene.n, scene.k) * (phase @ (w * f))
-    return FarField(directions=dirs, values=vals, k=scene.k, weights=w_dirs, angles=angles)
+    weighted = w * scene.intensity(pts)
+    _check_finite(weighted, "intensity")
+    return _point_far_field(pts, weighted, scene.k, scene.n, n_dirs)
 
 
 def solve_field(
@@ -176,14 +187,16 @@ def solve_field(
     ``_NEAR_RADIUS_CELLS`` grid cells of a target are left out of its sum,
     and a target that has such a live cell gets polar-coordinate
     quadrature of the kernel singularity over that ball instead.  A grid
-    of more than ``_FIELD_MAX_CELLS`` cells raises NumericalFailure.
+    of more than ``kernels._MAX_CELLS`` cells raises NumericalFailure, and
+    an intensity times coverage that is not finite raises ConfigError.
     """
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if spacing is None:
         lam = 2.0 * math.pi / scene.k
         spacing = min(lam / 20.0, scene.domain.diameter() / 48.0)
-    grid = make_support_grid(scene.domain, spacing, max_cells=_FIELD_MAX_CELLS)
+    grid = make_support_grid(scene.domain, spacing)
     f_grid = scene.intensity(grid.points) * grid.coverage
+    _check_finite(f_grid, "intensity")
     live = np.flatnonzero(f_grid)
     cells, f_live = grid.points[live], f_grid[live]
     w_cell = grid.spacing**scene.n

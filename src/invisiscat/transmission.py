@@ -44,12 +44,11 @@ class NoneFound(NumericalFailure):
 
 @dataclass
 class RadialITP:
-    """Radial transmission problem: ball radius, constant contrast, mode."""
+    """Radial transmission problem: ball radius, constant contrast, dimension."""
 
     R: float
     v0: float
     n: int = 2
-    mode: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 0):
@@ -62,12 +61,6 @@ class RadialITP:
             raise ValueError("v0 = 0 degenerates the matching determinant")
         if self.n not in (2, 3):
             raise ValueError("dimensions 2 and 3 supported")
-        try:
-            self.mode = operator.index(self.mode)
-        except TypeError:
-            raise ValueError("angular mode must be an integer") from None
-        if self.mode < 0:
-            raise ValueError("angular mode must be nonnegative")
 
     @property
     def index_ratio(self) -> float:
@@ -80,10 +73,10 @@ def _radial_fns(n: int, m):
     return (lambda x: spherical_jn(m, x)), (lambda x: spherical_jn(m, x, derivative=True))
 
 
-def itp_determinant(itp: RadialITP, k, mode=None):
+def itp_determinant(itp: RadialITP, k, mode=0):
     """Matching determinant d_m(k) at a wavenumber or an array of them.
 
-    ``mode`` defaults to ``itp.mode``; it may also be an integer array
+    ``mode`` is the angular mode m; it may also be an integer array
     that broadcasts against ``k``, as in a (modes, 1) column against a
     row of wavenumbers, or one mode per wavenumber.  Every element is
     computed as the scalar call would compute it.  Zeros are
@@ -92,8 +85,7 @@ def itp_determinant(itp: RadialITP, k, mode=None):
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise ValueError("wavenumber must be positive")
-    m = itp.mode if mode is None else mode
-    jm, jmp = _radial_fns(itp.n, m)
+    jm, jmp = _radial_fns(itp.n, mode)
     k1 = k * itp.index_ratio
     return jm(k * itp.R) * k1 * jmp(k1 * itp.R) - jm(k1 * itp.R) * k * jmp(
         k * itp.R
@@ -149,7 +141,7 @@ def _assemble_pair(itp: RadialITP, k: float, m: int) -> EigenPair:
 def find_eigenvalues(
     itp: RadialITP,
     k_max: float,
-    modes=None,
+    modes=(0,),
     scan_steps: int = 2048,
 ):
     """All determinant roots below k_max for each distinct mode, sorted by (k, mode).
@@ -163,7 +155,7 @@ def find_eigenvalues(
     if not (math.isfinite(k_max) and k_max > 0):
         raise ValueError("k_max must be finite and positive")
     try:
-        modes = sorted({operator.index(m) for m in ([itp.mode] if modes is None else modes)})
+        modes = sorted({operator.index(m) for m in modes})
     except TypeError:
         raise ValueError("angular modes must be integers") from None
     if modes and modes[0] < 0:
@@ -201,16 +193,20 @@ def _sample_mode_on_ball(pair: EigenPair, spacing: float) -> SampledFunction:
 
 
 def boundary_vanishing_ratio(
-    pair: EigenPair, itp: RadialITP, alpha: float, spacing: float | None = None
+    pair: EigenPair, alpha: float, spacing: float | None = None
 ) -> float:
-    """|u(R)| over (2R)^alpha |V|_Calpha / inf|V| after C^alpha normalization."""
+    """|u(R)| over (2R)^alpha |V|_Calpha / inf|V| after C^alpha normalization.
+
+    R is the radius of the pair's own problem, ``pair.itp``.
+    """
+    R = pair.itp.R
     if spacing is None:
-        spacing = itp.R / 24.0
+        spacing = R / 24.0
     f = _sample_mode_on_ball(pair, spacing)
     norm = holder_norm(f, alpha)
-    u_R = abs(pair.u(np.array([itp.R]))[0]) / norm
+    u_R = abs(pair.u(np.array([R]))[0]) / norm
     # Constant contrast: |V|_Calpha / inf |V| = 1.
-    return u_R / (2.0 * itp.R) ** alpha
+    return u_R / (2.0 * R) ** alpha
 
 
 def eigen_incident_density(pair: EigenPair):

@@ -390,14 +390,3 @@ class TestCurvatureBound:
                 curvature_estimate_rhs(K, alpha, delta, 1.0, 2.0, n, 1.0) / env
             )
         assert max(ratios) < 4.0 + 1e-9  # four terms each below the envelope
-
-    def test_norm_scaling(self):
-        base = curvature_estimate_rhs(10.0, 0.5, 0.5, 1.0, 2.0, 2, 1.0)
-        scaled = curvature_estimate_rhs(
-            10.0, 0.5, 0.5, 1.0, 2.0, 2, 1.0, norms={"phi_Calpha": 7.0}
-        )
-        assert abs(scaled - 7.0 * base) < 1e-12
-        small = curvature_estimate_rhs(
-            10.0, 0.5, 0.5, 1.0, 2.0, 2, 1.0, norms={"phi_Calpha": 0.3}
-        )
-        assert small == base

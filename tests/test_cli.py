@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from invisiscat.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from invisiscat.experiments import SUITES
+from invisiscat.scenes import load_domain
 
 
 @pytest.fixture
@@ -381,6 +382,20 @@ def _row(files, *argv):
     return files, list(argv)
 
 
+def _patchy_grid_row(command, field, elsewhere):
+    """``command`` on the small scene with ``field`` read from an npz grid that
+    holds 0.1 in every cell the scene loader samples (the nodes of
+    ``quad_nodes(16)``) and ``elsewhere`` in every other cell."""
+    pts, _ = load_domain(_SMALL_SCENE["domain"], 2).quad_nodes(16)
+    values = np.full((81, 81), elsewhere, dtype=complex)
+    values[tuple(np.round((pts + 0.4) / 0.01).astype(int).T)] = 0.1
+    files = {
+        "g.npz": {"origin": np.array([-0.4, -0.4]), "spacing": 0.01, "values": values},
+        "s.json": _small_scene(**{field: {"kind": "grid", "path": "g.npz"}}),
+    }
+    return _row(files, command, "{tmp}/s.json")
+
+
 def _experiment(suite, cfg):
     """``invisiscat experiment`` on ``suite`` with config ``cfg``."""
     return _row({"cfg.json": cfg}, "experiment", suite, "{tmp}/cfg.json", "--out", "{tmp}")
@@ -407,6 +422,15 @@ _CONFIG_ERRORS = {
     "source_grid_1e8": _row(
         _SCENE, "source", "{tmp}/s.json", "--fields", "{tmp}/u.csv", "--grid", "100000000"
     ),
+    "cgo_tau_0": _row(
+        {"s.json": _small_scene(incident={"kind": "cgo", "tau": 0})}, "medium", "{tmp}/s.json"
+    ),
+    "cgo_tau_negative": _row(
+        {"s.json": _small_scene(incident={"kind": "cgo", "tau": -1})}, "medium", "{tmp}/s.json"
+    ),
+    "source_grid_nan_off_sample": _patchy_grid_row("source", "intensity", np.nan),
+    "medium_grid_nan_off_sample": _patchy_grid_row("medium", "contrast", np.nan),
+    "medium_grid_negative_imag_off_sample": _patchy_grid_row("medium", "contrast", -0.5j),
     "herglotz_n_quad_1e13": _row(
         {"s.json": _small_scene(incident={"kind": "herglotz", "density": "1", "n_quad": 10**13})},
         "medium", "{tmp}/s.json",
@@ -513,9 +537,13 @@ _CONFIG_ERRORS = {
 
 
 @pytest.mark.parametrize("files, argv", _CONFIG_ERRORS.values(), ids=_CONFIG_ERRORS.keys())
-def test_config_errors_exit_2_without_traceback(tmp_path, capsys, files, argv):
+def test_config_errors_exit_2_without_traceback(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)  # scenes name their npz files relative to it
     for name, content in files.items():
-        (tmp_path / name).write_text(json.dumps(content))
+        if name.endswith(".npz"):
+            np.savez(tmp_path / name, **content)
+        else:
+            (tmp_path / name).write_text(json.dumps(content))
     assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from invisiscat import geometry, medium
+from invisiscat import geometry, kernels, medium
+from invisiscat.cgo import CgoVector
+from invisiscat.errors import NumericalFailure
 from invisiscat.geometry import (
     BallComponent,
     CappedComponent,
@@ -315,7 +317,7 @@ class TestSeparableSums:
         for incident, want in (
             (herglotz, np.exp(pts @ z.T) @ c),
             (PlaneWave(direction), np.exp(1j * k * pts @ (direction / np.linalg.norm(direction)))),
-            (medium.CgoIncident(rho), np.exp(pts @ rho)),
+            (CgoVector(rho), np.exp(pts @ rho)),
         ):
             scene = MediumScene(dom, 0.2, k, incident)
             assert rel_err(scene.incident_values(grid), want) < 1e-13
@@ -340,6 +342,12 @@ class TestEstimateC0:
         a = estimate_c0(0.5, 1.0, 2, n_probe=4, resolution=32)
         b = estimate_c0(0.5, 1.0, 2, n_probe=4, resolution=64)
         assert abs(a - b) <= 0.1 * max(a, b)
+
+    def test_grid_within_cell_budget(self, monkeypatch):
+        # resolution 32 puts 34^2 = 1156 cells on the grid.
+        monkeypatch.setattr(kernels, "_MAX_CELLS", 1000, raising=False)
+        with pytest.raises(NumericalFailure):
+            estimate_c0(0.5, 1.0, 2, n_probe=1, resolution=32)
 
     def test_monotone_in_radius(self):
         small = estimate_c0(0.5, 0.5, 2, n_probe=4, resolution=40)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invisiscat.cgo import CgoVector
 from invisiscat.scenes import (
     SceneError,
     load_domain,
@@ -252,6 +253,24 @@ class TestSceneLoading:
         scene = load_medium_scene(cfg)
         vals = scene.incident_values(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert abs(vals[0] - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cgo_incident(self, dim):
+        cfg = {
+            "dimension": dim,
+            "wavenumber": 0.5,
+            "domain": {"kind": "ball", "center": [0] * dim, "radius": 1.0},
+            "contrast": {"kind": "constant", "value": 0.1},
+            "incident": {"kind": "cgo", "tau": 1.5},
+        }
+        scene = load_medium_scene(cfg)
+        assert isinstance(scene.incident, CgoVector)
+        rho = np.zeros(dim, dtype=complex)
+        rho[0], rho[-1] = 1.5j, -1.5
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(20, dim))
+        want = np.exp(pts @ rho)
+        got = scene.incident_values(pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_grid_intensity(self, tmp_path):
         path = tmp_path / "grid.npz"

@@ -30,8 +30,7 @@ class TestDeterminant:
         {"R": float("nan"), "v0": 15.0},
         {"R": float("inf"), "v0": 15.0},
         {"R": 1.0, "v0": float("nan")},
-        {"R": 1.0, "v0": 15.0, "mode": 0.5},
-    ], ids=["R_nan", "R_inf", "v0_nan", "mode_half"])
+    ], ids=["R_nan", "R_inf", "v0_nan"])
     def test_rejects_bad_parameters(self, params):
         with pytest.raises(ValueError):
             RadialITP(**params)
@@ -188,14 +187,14 @@ class TestBoundaryVanishing:
     def test_constant_contrast_ratio(self):
         itp = RadialITP(R=1.0, v0=15.0)
         pair = find_eigenvalues(itp, 1.2)[0]
-        got = boundary_vanishing_ratio(pair, itp, 0.5)
+        got = boundary_vanishing_ratio(pair, 0.5)
         # Direct recomputation: |u(R)| / (norm * (2R)^alpha).
         assert got > 0
 
     def test_normalization_invariance(self):
         itp = RadialITP(R=1.0, v0=15.0)
         pair = find_eigenvalues(itp, 1.2)[0]
-        base = boundary_vanishing_ratio(pair, itp, 0.5)
+        base = boundary_vanishing_ratio(pair, 0.5)
         scaled = EigenPair(
             k_eig=pair.k_eig,
             mode=pair.mode,
@@ -205,14 +204,14 @@ class TestBoundaryVanishing:
             w_deriv=lambda r: 2.0 * pair.w_deriv(r),
             u_deriv=lambda r: 2.0 * pair.u_deriv(r),
         )
-        assert abs(boundary_vanishing_ratio(scaled, itp, 0.5) - base) < 1e-12
+        assert abs(boundary_vanishing_ratio(scaled, 0.5) - base) < 1e-12
 
     def test_shrinking_family_bounded(self):
         ratios = []
         for R in (1.0, 0.5, 0.25):
             itp = RadialITP(R=R, v0=15.0)
             pair = find_eigenvalues(itp, 1.2 / R)[0]
-            ratios.append(boundary_vanishing_ratio(pair, itp, 0.5, spacing=R / 24))
+            ratios.append(boundary_vanishing_ratio(pair, 0.5, spacing=R / 24))
         # Scale invariance of the normalized ratio: a single constant
         # bounds the family.
         assert max(ratios) <= 2.0 * min(ratios)

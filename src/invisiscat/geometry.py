@@ -172,9 +172,13 @@ def make_curvature_cap(
         raise ConfigError(f"curvature parameter must be finite with K >= e, got {K!r}")
     cn = compute_cn(n)
     f = abs(cubic_coeff) * _CUBIC_THIRD_DERIV_SUP
+    try:
+        power = K ** (2.0 - delta)
+    except OverflowError:
+        raise ConfigError(f"curvature parameter K = {K!r} overflows K^(2 - delta)") from None
     budget = min(
         (M - 1.0) * K * K / (cn * M**1.5),
-        L * K ** (2.0 - delta) / (2.0 * cn * math.sqrt(M)),
+        L * power / (2.0 * cn * math.sqrt(M)),
     )
     if f > budget:
         raise InadmissiblePerturbation(
@@ -438,6 +442,10 @@ class BallComponent(Component):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
+        if self.center.shape != (self.dim,):
+            raise ConfigError(
+                f"ball centre must have {self.dim} coordinates, got {self.center.tolist()!r}"
+            )
         if not self.radius > 0:
             raise ConfigError(f"ball radius must be positive, got {self.radius!r}")
 

@@ -3,6 +3,8 @@
 The discrete C^alpha norm is sup|f| plus a seminorm maximized over a
 pair subsample: every pair within four grid spacings, which catches
 jumps at the grid scale, plus a fixed seeded batch of long-range pairs.
+A constant sample has seminorm exactly 0 and returns sup|f| without a
+pair search.
 For alpha < 1 a smooth field's quotient grows with |x - y|, so the
 seminorm is a lower bound set by the seeded sample (x_1 on the unit disk,
 alpha 1/2: 1.369, 1.392, 1.403 at h = 1/16, 1/32, 1/64, against sqrt(2)).
@@ -87,13 +89,17 @@ def holder_norm(f: SampledFunction, alpha: float) -> float:
     """Discrete C^alpha norm: sup|f| + subsampled Hoelder seminorm.
 
     A lower bound of the continuum norm that converges under grid
-    refinement for alpha in (0, 1].
+    refinement for alpha in (0, 1].  When every sampled value equals the
+    first, the seminorm is exactly 0 and sup|f| is returned without a
+    pair search.
     """
     if not (0 < alpha <= 1):
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha!r}")
     if f.points.shape[0] < 2:
         return float(np.max(np.abs(f.values))) if f.points.shape[0] else 0.0
     sup = float(np.max(np.abs(f.values)))
+    if np.all(f.values == f.values[0]):
+        return sup
     pairs = _pair_indices(f.points, f.spacing)
     d = np.sqrt(
         np.sum((f.points[pairs[:, 0]] - f.points[pairs[:, 1]]) ** 2, axis=1)

@@ -520,11 +520,13 @@ _CONFIG_ERRORS = {
     **{
         f"experiment_{suite}_K_{name}": _experiment(suite, {"K_list": [K]})
         for suite in ("curvature_source", "medium_visibility")
-        for name, K in (("below_e", 1.0), ("nan", float("nan")), ("inf", float("inf")))
+        for name, K in (
+            ("below_e", 1.0), ("nan", float("nan")), ("inf", float("inf")), ("1e300", 1e300),
+        )
     },
     **{
         f"experiment_curvature_uniqueness_K_{name}": _experiment("curvature_uniqueness", {"K": K})
-        for name, K in (("2", 2), ("nan", float("nan")), ("inf", float("inf")))
+        for name, K in (("2", 2), ("nan", float("nan")), ("inf", float("inf")), ("1e300", 1e300))
     },
     "experiment_medium_visibility_dirs_0": _experiment("medium_visibility", {"n_dirs": 0}),
     "experiment_schiffer_counting_seed_negative": _experiment("schiffer_counting", {"seed": -1}),

@@ -62,6 +62,12 @@ class TestMakeCurvatureCap:
         with pytest.raises(InadmissiblePerturbation):
             make_curvature_cap(math.e, 1e6, L=1.0, M=2.0, delta=0.5)
 
+    @pytest.mark.parametrize("K, delta", [(1e300, 0.5), (1e160, 0.01)])
+    def test_overflowing_power_is_config_error(self, K, delta):
+        # K^(2 - delta) overflows a float: a config error, not an OverflowError.
+        with pytest.raises(ConfigError, match="overflows"):
+            make_curvature_cap(K, 0.0, delta=delta)
+
     def test_invariants_hold(self):
         for K in [math.e, 10.0, 100.0, 1000.0]:
             cap = make_curvature_cap(K, 0.05 * K, L=2.0, M=2.0, delta=0.5)
@@ -141,6 +147,12 @@ class TestComponents:
         pts = c.boundary_points(512)
         assert pts.shape == (512, 2)
         assert np.allclose(np.linalg.norm(pts - [1, 2], axis=1), 0.7)
+
+    @pytest.mark.parametrize("center, dim", [([0.0, 0.0, 0.0], 2), ([0.0, 0.0], 3), ([0.0], 2)])
+    def test_ball_centre_length_checked(self, center, dim):
+        # Caught at construction, not as a broadcast error in the first grid build.
+        with pytest.raises(ConfigError, match="coordinates"):
+            BallComponent(center, 0.5, dim=dim)
 
     def test_star_mesh_circle_reduces_to_ball(self):
         c = StarComponent([0.0, 0.0], lambda th: np.full_like(th, 1.3))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from invisiscat import holder
 from invisiscat.geometry import BallComponent, Domain, StarComponent
 from invisiscat.holder import (
     PrecondViolated,
@@ -80,6 +81,52 @@ class TestHolderNorm:
         got = holder_norm(f, alpha)
         assert got <= want + 1e-12
         assert got >= 0.98 * want
+
+
+def constant_samples(dim, value):
+    """A complex constant on the grid nodes of a ball; 3205 nodes for the 2-D disk."""
+    if dim == 1:
+        return line_samples(lambda x: np.full(x.shape, value), 1e-3)
+    dom = Domain([BallComponent([0.0] * dim, 1.0, dim=dim)])
+    spacing = {2: 1.0 / 32, 3: 1.0 / 8}[dim]
+    return sample_on_grid(dom, lambda p: np.full(p.shape[0], value), spacing)
+
+
+def pair_search_norm(f, alpha):
+    """sup|f| plus the quotient maximized over holder_norm's pair sample."""
+    pairs = holder._pair_indices(f.points, f.spacing)
+    d = np.sqrt(np.sum((f.points[pairs[:, 0]] - f.points[pairs[:, 1]]) ** 2, axis=1))
+    num = np.abs(f.values[pairs[:, 0]] - f.values[pairs[:, 1]])
+    return float(np.max(np.abs(f.values))) + float(np.max(num / d**alpha))
+
+
+class TestConstantShortcut:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_returns_sup_without_pair_search(self, dim, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a constant sample ran the pair search")
+
+        monkeypatch.setattr(holder, "_pair_indices", no_search)
+        value = 0.3 - 1.7j
+        f = constant_samples(dim, value)
+        assert f.points.shape[0] == {1: 1001, 2: 3205, 3: 2103}[dim]
+        assert holder_norm(f, 0.5) == abs(value)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bit_identical_to_pair_search(self, dim):
+        f = constant_samples(dim, -2.1 + 0.4j)
+        assert holder_norm(f, 0.75) == pair_search_norm(f, 0.75)
+
+    def test_one_ulp_runs_the_pair_search(self, monkeypatch):
+        calls = []
+        search = holder._pair_indices
+        monkeypatch.setattr(holder, "_pair_indices", lambda *a: calls.append(1) or search(*a))
+        f = constant_samples(2, 1.0 + 0.0j)
+        f.values[1234] = np.nextafter(1.0, 2.0)
+        got = holder_norm(f, 0.5)
+        assert calls == [1]
+        assert got > np.max(np.abs(f.values))
+        assert got == pair_search_norm(f, 0.5)
 
 
 class TestBoundarySup:

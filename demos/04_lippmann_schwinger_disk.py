@@ -25,7 +25,7 @@ k, v0, R = 0.5, 1.0, 1.0
 dom = Domain([BallComponent([0.0, 0.0], R)])
 scene = MediumScene(dom, v0, k, PlaneWave([1.0, 0.0]))
 
-c0 = estimate_c0(k, R, 2, n_probe=4, resolution=40)
+c0 = estimate_c0(k, R, 2, resolution=40)
 print(f"resolvent norm estimate C0 = {c0:.4f}")
 print(f"contraction number k^2 C0 |V| = {k*k*c0*v0:.4f}")
 

@@ -320,7 +320,7 @@ def run_medium_visibility(
 ) -> SuiteResult:
     """Plane-wave scattering from shrinking disks and capped media."""
     cal = load_calibration()["medium_visibility"]
-    c0 = estimate_c0(k, max(max(radii), 1.0), 2, n_probe=3, resolution=32)
+    c0 = estimate_c0(k, max(max(radii), 1.0), 2, resolution=32)
     jobs = (
         [("control", 0.0, None)]
         + [("disk", r, None) for r in radii]

@@ -176,8 +176,12 @@ def make_curvature_cap(
         power = K ** (2.0 - delta)
     except OverflowError:
         raise ConfigError(f"curvature parameter K = {K!r} overflows K^(2 - delta)") from None
+    try:
+        m_power = M**1.5
+    except OverflowError:
+        raise ConfigError(f"pinching ratio M = {M!r} overflows M^(3/2)") from None
     budget = min(
-        (M - 1.0) * K * K / (cn * M**1.5),
+        (M - 1.0) * K * K / (cn * m_power),
         L * power / (2.0 * cn * math.sqrt(M)),
     )
     if f > budget:

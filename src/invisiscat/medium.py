@@ -11,9 +11,9 @@ the Picard/Neumann iteration from u^i and keeps it while each residual
 is at most half the previous one, so the contraction it relies on is
 the one it observes.  Otherwise, or after 200 steps, it switches to
 restarted GMRES from zero and reports ``NotContractive`` if the
-residual cannot be driven down.  ``estimate_c0`` (a power-iteration
-lower bound of the resolvent norm C0 on a ball) is for reports only;
-the solver never calls it.
+residual cannot be driven down.  ``estimate_c0`` (the discrete
+resolvent norm on a ball, from ``scipy.sparse.linalg.svds``) is for
+reports only; the solver never calls it.
 
 The scattered far field is u^s_inf = -k^2 C_{n,k} F(V u)(k xhat),
 evaluated by the grid's cell quadrature.  An incident wave (also
@@ -47,9 +47,6 @@ __all__ = [
     "scattered_far_field",
     "scatter_visibility_ratio",
 ]
-
-# Power iterations per probe in estimate_c0.
-_C0_ITERATIONS = 25
 
 
 class NotContractive(NumericalFailure):
@@ -202,52 +199,40 @@ def solve_ls(
     return LsSolution(grid, u, u_inc, v_eff, residuals, "gmres")
 
 
-def estimate_c0(
-    k: float,
-    R_m: float,
-    n: int = 2,
-    n_probe: int = 10,
-    resolution: int = 48,
-) -> float:
-    """Power-iteration lower bound of |(Delta+k^2)^{-1}|_{L^2(B) -> L^2(B)}.
+def estimate_c0(k: float, R_m: float, n: int = 2, resolution: int = 48) -> float:
+    """Discrete |(Delta+k^2)^{-1}|_{L^2(B) -> L^2(B)} on the ball B(0, R_m).
 
-    The adjoint with respect to the coverage-weighted inner product is
-    the conjugate kernel applied to the coverage-scaled density, which
-    reduces to conjugated convolution.
+    The largest singular value, from ``scipy.sparse.linalg.svds``, of the
+    grid resolvent on the live cells in the coverage-weighted L^2 norm:
+    x -> s * conv(s * x) with s = sqrt(coverage), the cell measure being
+    folded into the kernel table.  The kernel is symmetric, so the
+    adjoint is the conjugated operator.  ConfigError for ``resolution``
+    below 2, which leaves a single live cell.
     """
     _check_wavenumber(k)
-    if n_probe < 1:
-        raise ValueError("need at least one probe")
+    if not resolution >= 2:
+        raise ConfigError(f"need resolution >= 2 cells across the ball, got {resolution!r}")
+    import scipy.sparse.linalg  # deferred: only reports need C0
+
     dom = Domain([BallComponent([0.0] * n, R_m, dim=n)])
     grid = make_support_grid(dom, 2.0 * R_m / resolution)
     conv = GridConvolver(grid, k)
-    cov = grid.coverage
-    w = grid.weights
+    live = np.flatnonzero(grid.coverage)
+    s = np.sqrt(grid.coverage[live])
 
-    def apply_a(f):
-        return conv.apply(cov * f)
+    def matvec(x):
+        f = np.zeros(grid.coverage.size, dtype=complex)
+        f[live] = s * np.ravel(x)
+        return s * conv.apply(f)[live]
 
-    def apply_at(g):
-        return np.conj(conv.apply(cov * np.conj(g)))
-
-    rng = np.random.default_rng(31415)
-    best = 0.0
-    for _ in range(n_probe):
-        v = rng.normal(size=cov.size) + 1j * rng.normal(size=cov.size)
-        v *= cov > 0
-        for _ in range(_C0_ITERATIONS):
-            av = apply_a(v)
-            v_new = apply_at(av)
-            nrm = math.sqrt(float(np.sum(w * np.abs(v_new) ** 2)))
-            if nrm == 0:
-                break
-            v = v_new / nrm
-        av = apply_a(v)
-        num = float(np.sum(w * np.abs(av) ** 2))
-        den = float(np.sum(w * np.abs(v) ** 2))
-        if den > 0:
-            best = max(best, math.sqrt(num / den))
-    return best
+    op = scipy.sparse.linalg.LinearOperator(
+        (live.size,) * 2, matvec=matvec, rmatvec=lambda y: np.conj(matvec(np.conj(y))),
+        dtype=complex,
+    )
+    sigma = scipy.sparse.linalg.svds(
+        op, k=1, return_singular_vectors=False, v0=np.ones(live.size, dtype=complex)
+    )
+    return float(sigma[0])
 
 
 def scattered_far_field(scene: MediumScene, sol: LsSolution, n_dirs: int = 64) -> FarField:

@@ -226,25 +226,25 @@ def solve_field(
 def radiationless_radius(k: float, n: int, branch_index: int = 1) -> float:
     """Radius r_0 = j_(n/2, m) / k of the m-th radiationless constant ball.
 
-    The zero of J_(n/2) is bracketed on a coarse scan and bisected.
+    J_(n/2) is sampled every 0.05 up to (m + n/4 + 1) pi, beyond
+    j_(n/2, m) <= (m + n/4 - 1/4) pi, but never past 1000, and its m-th
+    sign change is bisected.  NumericalFailure if the samples hold fewer
+    than m sign changes.
     """
     _check_wavenumber(k)
     if branch_index < 1:
         raise ValueError("branch_index counts positive zeros from 1")
     nu = n / 2.0
-    found = 0
-    x_prev = 1e-6
-    f_prev = jv(nu, x_prev)
-    x = 0.05
-    while x < 1000.0:
-        f = jv(nu, x)
-        if f_prev * f < 0:
-            found += 1
-            if found == branch_index:
-                return float(_bisect(lambda t: jv(nu, t), [x_prev], [x])[0]) / k
-        x_prev, f_prev = x, f
-        x += 0.05
-    raise NumericalFailure("zero scan exhausted")
+    # The integer min keeps a huge branch_index from overflowing a float.
+    x_max = min((min(branch_index, 1000) + n / 4.0 + 1.0) * math.pi, 1000.0)
+    x = np.concatenate(([1e-6], 0.05 * np.arange(1, math.ceil(x_max / 0.05))))
+    f = jv(nu, x)
+    change = np.flatnonzero(f[:-1] * f[1:] < 0)
+    if change.size < branch_index:
+        raise NumericalFailure("zero scan exhausted")
+    i = change[branch_index - 1]
+    root = _bisect(lambda t: jv(nu, t), x[[i]], x[[i + 1]], f_lo=f[[i]])
+    return float(root[0]) / k
 
 
 def visibility_ratio(

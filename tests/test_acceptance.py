@@ -190,7 +190,7 @@ class TestCriterion4IdentityConvergence:
 class TestCriterion5LippmannSchwinger:
     def test_contraction_and_mie(self):
         k, v0, R = 0.5, 0.1, 1.0
-        c0 = estimate_c0(k, R, 2, n_probe=4, resolution=40)
+        c0 = estimate_c0(k, R, 2, resolution=40)
         threshold = k * k * c0 * v0
         scene = MediumScene(
             Domain([BallComponent([0.0, 0.0], R)]), v0, k, PlaneWave([1.0, 0.0])

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, file outputs, idempotency."""
 
+import contextlib
+import functools
+import inspect
+import io
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invisiscat import cli
 from invisiscat.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from invisiscat.experiments import SUITES
 from invisiscat.scenes import load_domain
@@ -486,7 +491,7 @@ _CONFIG_ERRORS = {
         )
         for key, value in (
             ("bulk_height", -1), ("cubic", float("nan")), ("delta", float("nan")),
-            ("L", float("inf")),
+            ("L", float("inf")), ("M", 1e300),
         )
     },
     "intensity_division_by_zero": _row(
@@ -587,3 +592,55 @@ def test_scene_fuzz_never_escapes_main(tmp_path_factory, field, value):
     path.write_text(json.dumps(cfg))
     for command in ("source", "medium"):
         assert main([command, str(path), "--dirs", "8"]) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
+def _of_default_kind(default, value) -> bool:
+    """Whether a JSON value is of the kind of a suite parameter's default."""
+
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float):
+        return number(value)
+    return isinstance(value, list) and all(map(number, value))
+
+
+@st.composite
+def _bad_suite_configs(draw):
+    """A suite and a one-key config naming an unknown key or holding a value of the wrong kind."""
+    name = draw(st.sampled_from(sorted(SUITES)))
+    params = inspect.signature(SUITES[name]).parameters
+    if draw(st.booleans()):
+        key = draw(st.text(max_size=8).filter(lambda s: s not in params))
+        return name, {key: draw(_JSON_VALUES)}
+    key = draw(st.sampled_from(sorted(params)))
+    default = params[key].default
+    return name, {key: draw(_JSON_VALUES.filter(lambda v: not _of_default_kind(default, v)))}
+
+
+def _refuse(suite):
+    """``suite``'s signature on a function that fails the test if it is called."""
+
+    @functools.wraps(suite)
+    def refuse(**cfg):
+        raise AssertionError(f"{suite.__name__} started on a rejected config {cfg!r}")
+
+    return refuse
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_bad_suite_configs())
+def test_suite_config_fuzz_exits_2_before_the_suite_runs(tmp_path_factory, case):
+    """An unknown key or a value not of its default's kind: exit 2, no traceback, no suite run."""
+    name, cfg = case
+    tmp = tmp_path_factory.mktemp("suite_fuzz")
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setitem(cli.SUITES, name, _refuse(SUITES[name]))
+        code = main(["experiment", name, str(tmp / "cfg.json"), "--out", str(tmp)])
+    assert code == EXIT_CONFIG
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()

@@ -8,7 +8,7 @@ import scipy.fft
 
 from invisiscat import geometry, kernels, medium
 from invisiscat.cgo import CgoVector
-from invisiscat.errors import NumericalFailure
+from invisiscat.errors import ConfigError, NumericalFailure
 from invisiscat.geometry import (
     BallComponent,
     CappedComponent,
@@ -53,7 +53,7 @@ class TestSolveLs:
 
     def test_contractive_ratio(self):
         k, v0 = 0.5, 0.1
-        c0 = estimate_c0(k, 1.0, 2, n_probe=4, resolution=40)
+        c0 = estimate_c0(k, 1.0, 2, resolution=40)
         scene = disk_scene(v0=v0, k=k)
         sol = solve_ls(scene, tol=1e-11)
         ratios = sol.convergence_ratios()
@@ -338,20 +338,48 @@ class TestSeparableSums:
 
 
 class TestEstimateC0:
+    @pytest.mark.parametrize("n, resolution", [(2, 8), (3, 6)])
+    def test_matches_dense_svd(self, n, resolution):
+        k, R = 0.5, 1.0
+        dom = Domain([BallComponent([0.0] * n, R, dim=n)])
+        grid = make_support_grid(dom, 2.0 * R / resolution)
+        conv = GridConvolver(grid, k)
+        live = np.flatnonzero(grid.coverage)
+        cols = []
+        for cell in live:
+            e = np.zeros(grid.coverage.size, dtype=complex)
+            e[cell] = 1.0
+            cols.append(conv.apply(e)[live])
+        kernel = np.column_stack(cols)
+        assert np.allclose(kernel, kernel.T, rtol=0.0, atol=1e-15)
+        s = np.sqrt(grid.coverage[live])
+        want = np.linalg.svd(s[:, None] * kernel * s[None, :], compute_uv=False)[0]
+        assert estimate_c0(k, R, n, resolution=resolution) == pytest.approx(want, rel=1e-12)
+
+    def test_suite_value_pinned(self):
+        # medium_visibility's call, behind its contraction column k^2 C0 |V|.
+        c0 = estimate_c0(0.4, 1.0, 2, resolution=32)
+        assert c0 == pytest.approx(0.973587884961861, rel=1e-14)
+
+    @pytest.mark.parametrize("resolution", [1.9, 1, 0, -2, float("nan")])
+    def test_resolution_below_two_rejected(self, resolution):
+        with pytest.raises(ConfigError, match="resolution"):
+            estimate_c0(0.5, 1.0, 2, resolution=resolution)
+
     def test_grid_consistency(self):
-        a = estimate_c0(0.5, 1.0, 2, n_probe=4, resolution=32)
-        b = estimate_c0(0.5, 1.0, 2, n_probe=4, resolution=64)
+        a = estimate_c0(0.5, 1.0, 2, resolution=32)
+        b = estimate_c0(0.5, 1.0, 2, resolution=64)
         assert abs(a - b) <= 0.1 * max(a, b)
 
     def test_grid_within_cell_budget(self, monkeypatch):
         # resolution 32 puts 34^2 = 1156 cells on the grid.
         monkeypatch.setattr(kernels, "_MAX_CELLS", 1000, raising=False)
         with pytest.raises(NumericalFailure):
-            estimate_c0(0.5, 1.0, 2, n_probe=1, resolution=32)
+            estimate_c0(0.5, 1.0, 2, resolution=32)
 
     def test_monotone_in_radius(self):
-        small = estimate_c0(0.5, 0.5, 2, n_probe=4, resolution=40)
-        big = estimate_c0(0.5, 1.5, 2, n_probe=4, resolution=40)
+        small = estimate_c0(0.5, 0.5, 2, resolution=40)
+        big = estimate_c0(0.5, 1.5, 2, resolution=40)
         assert big > small
 
     def test_l2_below_h2_mapping_norm(self):

@@ -188,6 +188,11 @@ class TestDomainLoading:
         capped = load_domain({"kind": "capped", "K": 10.0, "cubic": 0.1}, 2)
         assert capped.components[0].cap.K == 10.0
 
+    def test_capped_overflowing_M_is_named(self):
+        # M^(3/2) overflows a float; the message names M, not the errno.
+        with pytest.raises(SceneError, match=r"\bM = 1e\+300\b"):
+            load_domain({"kind": "capped", "K": 8, "M": 1e300}, 2)
+
     def test_bad_kind(self):
         with pytest.raises(SceneError):
             load_domain({"kind": "pentagon"}, 2)

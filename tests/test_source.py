@@ -1,7 +1,9 @@
 """Source scattering: far fields, radiationless balls, field asymptotics."""
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import hankel1
@@ -123,6 +125,22 @@ class TestRadiationlessRadius:
         r1 = radiationless_radius(1.0, 2, 2)
         assert abs(bessel_j(1.0, r1)) < 1e-9
         assert r1 > radiationless_radius(1.0, 2, 1)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [0.3, 1.0, 2.0])
+    def test_matches_mpmath_zeros(self, n, k):
+        with mpmath.workdps(30):
+            for m in range(1, 7):
+                want = float(mpmath.besseljzero(mpmath.mpf(n) / 2, m) / k)
+                assert radiationless_radius(k, n, m) == pytest.approx(want, rel=4e-16, abs=0)
+
+    @pytest.mark.parametrize("branch_index", [10**9, 10**400])
+    def test_huge_branch_index_fails_fast(self, branch_index):
+        # The scan stops at 1000 whatever the branch asked for.
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="zero scan exhausted"):
+            radiationless_radius(1.0, 2, branch_index)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSolveField:

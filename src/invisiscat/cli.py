@@ -132,7 +132,8 @@ def cmd_medium(args) -> int:
         _write_field_csv(args.fields, sol.grid.points, sol.u)
     print(
         f"scattered far-field sup norm: {ff.sup_norm()!r} "
-        f"({sol.method}, {len(sol.residuals)} residuals logged)"
+        f"({sol.method}, {len(sol.residuals)} residuals logged, applies "
+        f"{sol.applies['complex64']} complex64 + {sol.applies['complex128']} complex128)"
     )
     return EXIT_OK
 

@@ -24,6 +24,10 @@ forward pass along axis d skips the lines past N_e on each later axis e,
 where the padded density is zero, and the inverse pass along axis d
 skips those past N_e on each earlier axis e, which are discarded.  That
 saves a quarter of the FFT work in the plane and 42% of it in space.
+``apply`` follows the dtype of its density: a complex64 density runs the
+same pass in single precision against a complex64 copy of the kernel
+transform and returns complex64, at about half the cost; a float64 or
+complex128 density runs in complex128.
 
 A support grid's coverage (the fraction of each cell inside the
 scatterer) comes from the components themselves, each through its
@@ -131,8 +135,8 @@ def green_cell_integral(n: int, k: float, h: float) -> complex:
 # ---------------------------------------------------------------------------
 
 # Most cells a support grid may hold: restarted GMRES in medium.solve_ls
-# keeps 101 Krylov vectors, 1.6 kB per cell, so this bounds the basis near
-# 6.5 GB.
+# keeps 101 Krylov vectors, complex64 (0.8 kB per cell, a basis near
+# 3.2 GB) except on its complex128 fallback (1.6 kB per cell, near 6.5 GB).
 _MAX_CELLS = 4 * 10**6
 
 
@@ -149,6 +153,15 @@ class SupportGrid:
     @property
     def weights(self) -> np.ndarray:
         return self.coverage * self.spacing ** len(self.shape)
+
+    def on_support(self, values) -> np.ndarray:
+        """values(points) * coverage, complex, calling ``values`` only at the
+        centres of the cells the support touches (coverage > 0); every other
+        cell holds 0."""
+        out = np.zeros(self.coverage.shape, dtype=complex)
+        live = np.flatnonzero(self.coverage)
+        out[live] = values(self.points[live]) * self.coverage[live]
+        return out
 
     def _factors(self, z: np.ndarray) -> list:
         """exp(z[q, d] x_d) along each axis d, as (N_d, Q) matrices."""
@@ -236,6 +249,7 @@ class GridConvolver:
             dst[d] = slice(L - s + 1, L)
             table[tuple(dst)] = table[tuple(src)]
         self._kernel_hat = scipy.fft.fftn(table, overwrite_x=True)
+        self._kernel_hat64 = self._kernel_hat.astype(np.complex64)
         self._scale = 1.0 / math.prod(self._fft_shape)
 
     def apply(self, density_flat: np.ndarray) -> np.ndarray:
@@ -245,12 +259,15 @@ class GridConvolver:
         measure h^n is folded into the kernel table.  The pruned per-axis
         transforms (module docstring) run in ``fftn``'s axis order, and
         1/prod(L) follows the first inverse pass, where ``ifftn`` applies
-        it, so the rounding matches ``ifftn``'s.
+        it, so the rounding matches ``ifftn``'s.  A complex64 density is
+        transformed in single precision against the complex64 copy of the
+        kernel and returns complex64; a float64 or complex128 density runs
+        in complex128.
         """
         x = density_flat.reshape(self.grid.shape)
         for d, L in enumerate(self._fft_shape):
             x = scipy.fft.fft(x, n=L, axis=d)
-        x *= self._kernel_hat
+        x *= self._kernel_hat64 if x.dtype == np.complex64 else self._kernel_hat
         for d, N in enumerate(self.grid.shape):
             x = scipy.fft.ifft(x, axis=d, norm="forward", overwrite_x=True)
             if d == 0:

@@ -15,6 +15,22 @@ residual cannot be driven down.  ``estimate_c0`` (the discrete
 resolvent norm on a ball, from ``scipy.sparse.linalg.svds``) is for
 reports only; the solver never calls it.
 
+Precision.  The FFT applies run in complex64, about half the cost of a
+complex128 apply, under complex128 residuals: mixed-precision iterative
+refinement after Moler (J. ACM 14, 1967) and Carson & Higham (SIAM J.
+Sci. Comput. 40, 2018).  Picard runs in correction form, u_{j+1} = u_j
++ r_j and r_{j+1} = -k^2 K(V r_j), with K applied to the residual in
+complex64 and u accumulated in complex128.  A complex128 refresh
+r = u^i - (I + k^2 K V) u takes the place of a step once the tracked
+residual is predicted to fall 1e-5 below the last refreshed one, or to
+reach ``tol``, and only a refreshed residual ends a solve.  GMRES runs
+in rounds: each restart cycle is one complex64 GMRES solve for the
+correction, whose right-hand side is the complex128 residual, and each
+round ends with a new complex128 residual.  When a refresh or a round
+fails to halve the complex128 residual, the solve falls back to
+complex128 applies: Picard from where it stands, GMRES from zero.
+A k^2 V beyond complex64's range runs in complex128 throughout.
+
 The scattered far field is u^s_inf = -k^2 C_{n,k} F(V u)(k xhat),
 evaluated by the grid's cell quadrature.  An incident wave (also
 ``cgo.CgoVector``) is given only by its exponential sum sum_q c_q
@@ -125,10 +141,21 @@ class LsSolution:
     contrast_eff: np.ndarray
     residuals: list
     method: str
+    applies: dict  # {"complex64": n, "complex128": m}: convolutions run in each precision
 
     def convergence_ratios(self) -> np.ndarray:
         r = np.asarray(self.residuals)
         return r[1:] / r[:-1] if r.size > 1 else np.empty(0)
+
+
+# Picard refreshes its tracked residual with a complex128 one once the
+# tracked residual is predicted to fall this far below the last refreshed
+# one: complex64 applies leave it off by about 1e-7 of that residual.
+_REFRESH_DROP = 1e-5
+# Smallest relative residual one complex64 GMRES round is asked to reach:
+# its estimates run into the complex64 rounding of the applies not far
+# below this, and the next round's complex128 residual takes over.
+_ROUND_RTOL = 1e-5
 
 
 def default_spacing(scene: MediumScene) -> float:
@@ -148,55 +175,108 @@ def solve_ls(
     Picard iteration from u^i with logged residuals, for as long as each
     residual is at most half the previous one and for at most 200 steps;
     otherwise restarted GMRES from zero.  ``residuals`` then holds the
-    Picard residuals, GMRES's relative residual estimate after each of its
-    iterations, and the final true residual.  Raises ``NotContractive``
-    when neither route reaches the tolerance, NumericalFailure for a grid
-    of more than ``kernels._MAX_CELLS`` cells, and ConfigError when
-    V * coverage is not finite on the grid.
+    Picard residuals, GMRES's relative residual estimates (scaled to
+    |u^i|) after each of its iterations, and the final true residual.
+    Both routes run their applies in complex64 under complex128 residuals
+    (module docstring); ``applies`` counts the applies made in each
+    precision.  A solve ends with a complex128 residual of at most ``tol``
+    (Picard) or ``10 tol`` (GMRES), or raises ``NotContractive``.  Raises
+    NumericalFailure for a grid of more than ``kernels._MAX_CELLS`` cells.
+    V is read only at the centres of the cells the support touches
+    (coverage > 0): it must be finite at each of them, and need not be
+    elsewhere on the grid.  Where it is not, or where Im V < 0,
+    ConfigError.
     """
     if spacing is None:
         spacing = default_spacing(scene)
     grid = make_support_grid(scene.domain, spacing, pad=spacing)
-    v_eff = scene.contrast(grid.points) * grid.coverage
+    v_eff = grid.on_support(scene.contrast)
     _check_finite(v_eff, "contrast")
     conv = GridConvolver(grid, scene.k)
     u_inc = scene.incident_values(grid)
     k2 = scene.k**2
     scale = float(np.linalg.norm(u_inc))
-    if scale == 0.0:
-        return LsSolution(grid, u_inc.copy(), u_inc, v_eff, [0.0], "picard")  # u = 0 exactly
+    applies = {"complex64": 0, "complex128": 0}
+    if scale == 0.0:  # u = 0 exactly
+        return LsSolution(grid, u_inc.copy(), u_inc, v_eff, [0.0], "picard", applies)
+    # The iterations solve for u / |u^i|, so that complex64 values stay
+    # near 1 whatever the incident amplitude.
+    b = u_inc / scale
+    with np.errstate(over="ignore"):
+        k2v_single = (k2 * v_eff).astype(np.complex64)
+    # A k^2 V beyond complex64's range keeps every apply in complex128.
+    mixed = bool(np.all(np.isfinite(k2v_single)))
 
-    def apply_A(u):
-        return u + k2 * conv.apply(v_eff * u)
+    def k2_conv(x):
+        """k^2 K(V x), in the precision of x."""
+        applies[x.dtype.name] += 1
+        if x.dtype == np.complex64:
+            return conv.apply(k2v_single * x)
+        return k2 * conv.apply(v_eff * x)
 
+    def residual(u):
+        r = b - u - k2_conv(u)
+        return r, float(np.linalg.norm(r))
+
+    def solution(u, method):
+        return LsSolution(grid, scale * u, u_inc, v_eff, residuals, method, applies)
+
+    # Picard in correction form: u_{j+1} = u_j + r_j, r_{j+1} = -k^2 K(V r_j),
+    # from u = 0, whose residual b is exact.
     residuals = []
-    u = u_inc.copy()
+    u, r = np.zeros_like(b), b
+    res = ref = ratio = 1.0  # ref: the last complex128 residual
     for _ in range(200):
-        # One convolution serves both the residual and the update.
-        w = k2 * conv.apply(v_eff * u)
-        res = float(np.linalg.norm(u + w - u_inc)) / scale
-        residuals.append(res)
-        if res <= tol:
-            return LsSolution(grid, u, u_inc, v_eff, residuals, "picard")
-        if len(residuals) > 1 and res > 0.5 * residuals[-2]:
+        u = u + r
+        fresh = not mixed or res * ratio <= max(tol, _REFRESH_DROP * ref)
+        if not fresh:
+            r = -k2_conv(r.astype(np.complex64, copy=False))
+            new = float(np.linalg.norm(r))
+            fresh = new <= tol  # a tracked residual never ends a solve: refresh it in place
+        if fresh:
+            r, new = residual(u)
+        residuals.append(new)
+        if fresh and new <= tol:
+            return solution(u, "picard")
+        if fresh and mixed:
+            # complex64 applies that no longer halve it: complex128 from here on.
+            mixed, ref = new <= 0.5 * ref, new
+        elif len(residuals) > 1 and not new <= 0.5 * residuals[-2]:
             break  # Not halving per step: GMRES takes over.
-        u = u_inc - w
+        ratio, res = new / res, new
     import scipy.sparse.linalg  # deferred: most solves end in Picard
 
-    op = scipy.sparse.linalg.LinearOperator(
-        (grid.points.shape[0],) * 2, matvec=apply_A, dtype=complex
-    )
-    u, info = scipy.sparse.linalg.gmres(
-        op, u_inc, rtol=tol, atol=0.0, restart=100, maxiter=40,
-        callback=residuals.append, callback_type="pr_norm",
-    )
-    res = float(np.linalg.norm(apply_A(u) - u_inc)) / scale
+    def operator(dtype):
+        return scipy.sparse.linalg.LinearOperator(
+            (b.size,) * 2, matvec=lambda x: x + k2_conv(x), dtype=dtype
+        )
+
+    def gmres(op, rhs, rtol, res_rhs, maxiter=40):
+        return scipy.sparse.linalg.gmres(
+            op, rhs, rtol=rtol, atol=0.0, restart=100, maxiter=maxiter,
+            callback=lambda est: residuals.append(est * res_rhs), callback_type="pr_norm",
+        )
+
+    # Refinement rounds, from zero: one complex64 GMRES cycle on the
+    # normalized complex128 residual, then a new complex128 residual.
+    u, r, res = np.zeros_like(b), b, 1.0
+    while mixed:
+        d, _ = gmres(operator(np.complex64), (r / res).astype(np.complex64),
+                     max(tol / res, _ROUND_RTOL), res, maxiter=1)
+        u = u + res * d
+        r, new = residual(u)
+        if new <= 10.0 * tol:
+            residuals.append(new)
+            return solution(u, "gmres")
+        mixed, res = new <= 0.5 * res, new
+    u, info = gmres(operator(complex), b, tol, 1.0)
+    _, res = residual(u)
     residuals.append(res)
     if info != 0 or res > 10.0 * tol:
         raise NotContractive(
             f"residual {res:.3e} above tolerance {tol:.1e} (gmres info {info})"
         )
-    return LsSolution(grid, u, u_inc, v_eff, residuals, "gmres")
+    return solution(u, "gmres")
 
 
 def estimate_c0(k: float, R_m: float, n: int = 2, resolution: int = 48) -> float:

@@ -88,7 +88,11 @@ class SourceScene:
         return np.full(pts.shape[0], complex(self.phi))
 
     def source_values(self, pts: np.ndarray) -> np.ndarray:
-        return self.intensity(pts) * self.domain.inside(pts)
+        """The source chi_Omega phi, reading phi only at points inside the support."""
+        inside = self.domain.inside(pts)
+        out = np.zeros(pts.shape[0], dtype=complex)
+        out[inside] = self.intensity(pts[inside])
+        return out
 
     def quad_target(self) -> int:
         # >= 10 nodes per wavelength across the largest component scale,
@@ -186,16 +190,20 @@ def solve_field(
     reduced along the cell axis by a numpy sum.  Cells within
     ``_NEAR_RADIUS_CELLS`` grid cells of a target are left out of its sum,
     and a target that has such a live cell gets polar-coordinate
-    quadrature of the kernel singularity over that ball instead.  A grid
-    of more than ``kernels._MAX_CELLS`` cells raises NumericalFailure, and
-    an intensity times coverage that is not finite raises ConfigError.
+    quadrature of the kernel singularity over that ball instead.  The
+    intensity is read only at the centres of the cells the support touches
+    (coverage > 0) and at the polar nodes inside the support: it must be
+    finite at each of those centres, and need not be elsewhere on the
+    grid.  A grid of more than ``kernels._MAX_CELLS`` cells raises
+    NumericalFailure, and an intensity that is not finite at one of those
+    centres raises ConfigError.
     """
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if spacing is None:
         lam = 2.0 * math.pi / scene.k
         spacing = min(lam / 20.0, scene.domain.diameter() / 48.0)
     grid = make_support_grid(scene.domain, spacing)
-    f_grid = scene.intensity(grid.points) * grid.coverage
+    f_grid = grid.on_support(scene.intensity)
     _check_finite(f_grid, "intensity")
     live = np.flatnonzero(f_grid)
     cells, f_live = grid.points[live], f_grid[live]

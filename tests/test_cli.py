@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, file outputs, idempotency."""
 
 import contextlib
+import dataclasses
 import functools
 import inspect
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from invisiscat import cli
 from invisiscat.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from invisiscat.experiments import SUITES
-from invisiscat.scenes import load_domain
+from invisiscat.medium import scattered_far_field, solve_ls
+from invisiscat.scenes import load_domain, load_medium_scene, load_source_scene
+from invisiscat.source import solve_field
 
 
 @pytest.fixture
@@ -221,6 +226,65 @@ class TestMediumCommand:
         scene.write_text(json.dumps(_medium_cfg(incident={"kind": "herglotz", "density": "0"})))
         assert main(["medium", str(scene), "--dirs", "16"]) == EXIT_OK
         assert "scattered far-field sup norm: 0.0 " in capsys.readouterr().out
+
+    def test_prints_applies_per_precision(self, tmp_path, capsys):
+        scene = tmp_path / "m.json"
+        scene.write_text(json.dumps(_medium_cfg()))
+        assert main(["medium", str(scene), "--dirs", "16"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(picard, " in out
+        assert re.search(r"residuals logged, applies \d+ complex64 \+ \d+ complex128\)$", out.strip())
+
+
+def _root_disk_cfg(radicand):
+    """The radius-0.4 disk with field (radicand - x1^2 - x2^2)^0.5 as intensity and contrast."""
+    field = {"kind": "expression", "expr": f"({radicand} - x1^2 - x2^2)^0.5"}
+    return _small_scene(intensity=field, contrast=field)
+
+
+def _abs_root(radicand):
+    return lambda pts: np.abs(radicand - pts[:, 0] ** 2 - pts[:, 1] ** 2) ** 0.5 * np.ones(pts.shape[0])
+
+
+class TestFieldsReadOnSupport:
+    """Solvers read a field only at the centres of the cells the support touches."""
+
+    # sqrt(0.3) reaches past every live cell of the radius-0.4 disk at
+    # h = 0.01, but not the corners of the grid's bounding box; sqrt(0.17)
+    # just clears the live cells' centres (0.407 out) but not every polar
+    # node around a target near the rim.
+    @pytest.mark.parametrize("radicand", [0.3, 0.17])
+    def test_root_finite_on_live_cells_solves(self, tmp_path, radicand):
+        scene = load_medium_scene(_root_disk_cfg(radicand))
+        sol = solve_ls(scene, spacing=0.01)
+        with np.errstate(invalid="ignore"):
+            on_box = scene.contrast(sol.grid.points)
+        assert np.any(np.isnan(on_box[sol.grid.coverage == 0]))
+        assert np.all(np.isfinite(on_box[sol.grid.coverage > 0]))
+        # The same field written with abs inside the root: the same bits.
+        twin = dataclasses.replace(scene, phi=_abs_root(radicand))
+        want = scattered_far_field(twin, solve_ls(twin, spacing=0.01), 16).values
+        assert np.array_equal(scattered_far_field(scene, sol, 16).values, want)
+        src = load_source_scene(_root_disk_cfg(radicand))
+        pts = np.array([[0.0, 0.0], [0.39, 0.05], [0.41, 0.0], [0.6, 0.6]])
+        got = solve_field(src, pts, spacing=0.01)
+        assert np.all(np.isfinite(got))
+        twin_src = dataclasses.replace(src, phi=_abs_root(radicand))
+        assert np.array_equal(got, solve_field(twin_src, pts, spacing=0.01))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(_root_disk_cfg(radicand)))
+        assert main(["medium", str(path), "--spacing", "0.01", "--dirs", "8"]) == EXIT_OK
+        assert main(["source", str(path), "--fields", str(tmp_path / "u.csv"), "--grid", "5"]) == EXIT_OK
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", [["medium"], ["source", "--fields", "u.csv", "--grid", "5"]])
+    def test_root_nan_on_live_cells_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        # sqrt(0.16) is the disk's own radius: cut cells whose centres lie
+        # outside it read NaN.
+        monkeypatch.chdir(tmp_path)
+        Path("s.json").write_text(json.dumps(_root_disk_cfg(0.16)))
+        assert main([command[0], "s.json", *command[1:]]) == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
 
 
 def _medium_cfg(**changes):

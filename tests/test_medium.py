@@ -135,6 +135,154 @@ class TestObservedSwitch:
         assert np.all(sol.convergence_ratios() <= 0.5)
 
 
+def recorded_applies(monkeypatch):
+    """Wrap GridConvolver.apply; the list it returns gets each apply's input dtype."""
+    calls = []
+    apply = GridConvolver.apply
+
+    def recording(self, density):
+        calls.append(density.dtype.name)
+        return apply(self, density)
+
+    monkeypatch.setattr(GridConvolver, "apply", recording)
+    return calls
+
+
+def complex128_residual(scene, sol):
+    """|u^i - (I + k^2 K V) u| / |u^i|, recomputed here in complex128."""
+    conv = GridConvolver(sol.grid, scene.k)
+    r = sol.u_incident - sol.u - scene.k**2 * conv.apply(sol.contrast_eff * sol.u)
+    return float(np.linalg.norm(r) / np.linalg.norm(sol.u_incident))
+
+
+def complex128_reference(scene, sol):
+    """u on the solve's own grid by complex128 GMRES at rtol 1e-14."""
+    import scipy.sparse.linalg
+
+    conv = GridConvolver(sol.grid, scene.k)
+    n = sol.u.size
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: x + scene.k**2 * conv.apply(sol.contrast_eff * x), dtype=complex
+    )
+    u, info = scipy.sparse.linalg.gmres(op, sol.u_incident, rtol=1e-14, atol=0.0, restart=200)
+    assert info == 0
+    return u
+
+
+PICARD_SCENE = dict(v0=0.1, k=0.5)  # contraction about 0.02 per step
+MIE_SCENE = dict(v0=1.0, k=0.5)  # contraction about 0.22 per step
+GMRES_SCENE = dict(v0=15.0, k=1.0)  # Picard expands
+
+
+class TestMixedPrecision:
+    """complex64 applies under complex128 residuals keep every tolerance."""
+
+    @pytest.mark.parametrize("params", [PICARD_SCENE, MIE_SCENE])
+    def test_picard_ends_on_complex128_residual_within_tol(self, params, monkeypatch):
+        calls = recorded_applies(monkeypatch)
+        scene, tol = disk_scene(**params), 1e-10
+        sol = solve_ls(scene, tol=tol, spacing=2.2 / 64)
+        monkeypatch.undo()
+        assert sol.method == "picard"
+        assert sol.residuals[-1] <= tol
+        assert complex128_residual(scene, sol) <= tol
+        assert rel_err(sol.u, complex128_reference(scene, sol)) <= 1e-9
+        # Refreshes replace steps: at most one apply more than residuals logged.
+        assert sol.applies == {"complex64": calls.count("complex64"),
+                               "complex128": calls.count("complex128")}
+        assert len(calls) <= len(sol.residuals) + 1
+        assert sol.applies["complex64"] > sol.applies["complex128"]
+        assert calls[-1] == "complex128"  # the residual that ends the solve
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    def test_picard_ends_on_a_refresh_at_any_tol(self, tol, monkeypatch):
+        # Tolerances that the tracked residual reaches between the refreshes
+        # of its 1e-5 schedule: the solve still ends on a complex128 residual.
+        calls = recorded_applies(monkeypatch)
+        scene = disk_scene(**MIE_SCENE)
+        sol = solve_ls(scene, tol=tol, spacing=2.2 / 64)
+        monkeypatch.undo()
+        assert sol.method == "picard"
+        assert calls[-1] == "complex128"
+        assert complex128_residual(scene, sol) <= tol
+        assert len(calls) <= len(sol.residuals) + 1
+
+    def test_gmres_ends_on_complex128_residual_within_ten_tol(self, monkeypatch):
+        calls = recorded_applies(monkeypatch)
+        scene, tol = disk_scene(**GMRES_SCENE), 1e-10
+        sol = solve_ls(scene, tol=tol, spacing=2.2 / 64)
+        monkeypatch.undo()
+        assert sol.method == "gmres"
+        assert complex128_residual(scene, sol) <= 10.0 * tol
+        assert math.isclose(sol.residuals[-1], complex128_residual(scene, sol), rel_tol=1e-6)
+        assert rel_err(sol.u, complex128_reference(scene, sol)) <= 1e-9
+        assert sol.applies == {"complex64": calls.count("complex64"),
+                               "complex128": calls.count("complex128")}
+        assert sol.applies["complex64"] > sol.applies["complex128"]
+        assert calls[-1] == "complex128"
+
+    @pytest.mark.parametrize("params, method", [(MIE_SCENE, "picard"), (GMRES_SCENE, "gmres")])
+    def test_noisy_complex64_applies_still_reach_tol(self, params, method, monkeypatch):
+        # Relative noise of 1e-3 on every complex64 apply: the complex128
+        # residuals see it and the refinement absorbs it.
+        apply, rng = GridConvolver.apply, np.random.default_rng(3)
+
+        def noisy(self, density):
+            out = apply(self, density)
+            if out.dtype == np.complex64:
+                out *= (1.0 + 1e-3 * rng.standard_normal(out.size)).astype(np.float32)
+            return out
+
+        monkeypatch.setattr(GridConvolver, "apply", noisy)
+        scene, tol = disk_scene(**params), 1e-10
+        sol = solve_ls(scene, tol=tol, spacing=2.2 / 64)
+        monkeypatch.undo()
+        assert sol.method == method
+        bound = tol if method == "picard" else 10.0 * tol
+        assert complex128_residual(scene, sol) <= bound
+
+    def test_useless_complex64_applies_fall_back_to_complex128(self, monkeypatch):
+        # complex64 applies off by 100% stop halving the complex128 residual,
+        # and complex128 GMRES finishes the solve.
+        calls, apply, rng = [], GridConvolver.apply, np.random.default_rng(3)
+
+        def garbled(self, density):
+            calls.append(density.dtype.name)
+            out = apply(self, density)
+            if out.dtype == np.complex64:
+                out *= (1.0 + rng.standard_normal(out.size)).astype(np.float32)
+            return out
+
+        monkeypatch.setattr(GridConvolver, "apply", garbled)
+        scene, tol = disk_scene(**GMRES_SCENE), 1e-10
+        sol = solve_ls(scene, tol=tol, spacing=2.2 / 64)
+        monkeypatch.undo()
+        assert sol.method == "gmres"
+        assert complex128_residual(scene, sol) <= 10.0 * tol
+        # The fallback's GMRES iterations: the solve ends on a run of
+        # complex128 applies, where a refinement round ends on one.
+        tail = len(calls) - max(i for i, dt in enumerate(calls) if dt == "complex64") - 1
+        assert tail > 2
+
+    def test_incident_amplitude_scales_out(self):
+        # The iterations run on u / |u^i|: a 1e-30 incident wave takes the
+        # same steps as a unit one, with no complex64 underflow.
+        dom = Domain([BallComponent([0.0, 0.0], 1.0)])
+        sols = [solve_ls(MediumScene(dom, 1.0, 0.5, HerglotzWave(lambda th, a=a: np.full(th.shape[0], a))),
+                         spacing=2.2 / 64) for a in (1.0, 1e-30)]
+        assert sols[1].applies == sols[0].applies
+        assert np.allclose(sols[1].residuals, sols[0].residuals, rtol=1e-9, atol=1e-14)
+        assert rel_err(sols[1].u * 1e30, sols[0].u) <= 1e-12
+
+    def test_contrast_beyond_complex64_range_runs_in_complex128(self, monkeypatch):
+        # k^2 V = 1e39 overflows complex64: no apply runs in it.
+        calls = recorded_applies(monkeypatch)
+        dom = Domain([BallComponent([0.0, 0.0], 0.4)])
+        with pytest.raises(medium.NotContractive):
+            solve_ls(MediumScene(dom, 1e39, 1.0, PlaneWave([1.0, 0.0])), spacing=0.1)
+        assert calls and set(calls) == {"complex128"}
+
+
 def two_disk_grid():
     """A non-square 2-D grid: two disjoint disks side by side.
 
@@ -177,6 +325,18 @@ def rel_err(got, want):
 
 class TestGridConvolverOracle:
     """FFT convolution against the direct O(N^2) Nystroem sum."""
+
+    @pytest.mark.parametrize("make_grid", [two_disk_grid, cube_grid])
+    def test_complex64_density_applies_in_complex64(self, make_grid):
+        _, grid = make_grid()
+        conv = GridConvolver(grid, 1.7)
+        rng = np.random.default_rng(7)
+        density = rng.normal(size=grid.points.shape[0]) + 1j * rng.normal(size=grid.points.shape[0])
+        want = conv.apply(density)
+        assert want.dtype == np.complex128
+        got = conv.apply(density.astype(np.complex64))
+        assert got.dtype == np.complex64
+        assert rel_err(got, want) <= 1e-6
 
     @pytest.mark.parametrize("make_grid", [two_disk_grid, cube_grid])
     def test_matches_direct_sum(self, make_grid):

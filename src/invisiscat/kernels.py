@@ -134,9 +134,10 @@ def green_cell_integral(n: int, k: float, h: float) -> complex:
 # Regular support grids with coverage weights
 # ---------------------------------------------------------------------------
 
-# Most cells a support grid may hold: restarted GMRES in medium.solve_ls
+# Most cells a support grid may hold: a GMRES round in medium.solve_ls
 # keeps 101 Krylov vectors, complex64 (0.8 kB per cell, a basis near
-# 3.2 GB) except on its complex128 fallback (1.6 kB per cell, near 6.5 GB).
+# 3.2 GB) or, once the solve has moved to complex128, 1.6 kB per cell
+# (near 6.5 GB).
 _MAX_CELLS = 4 * 10**6
 
 

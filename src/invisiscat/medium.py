@@ -6,30 +6,25 @@ contrast V = chi_Omega phi solves
     u = u^i - k^2 (Delta + k^2)^{-1} (V u),
 
 discretized as a Nystroem system on a regular grid with the
-FFT-applied, diagonal-corrected resolvent kernel.  The solver starts
-the Picard/Neumann iteration from u^i and keeps it while each residual
-is at most half the previous one, so the contraction it relies on is
-the one it observes.  Otherwise, or after 200 steps, it switches to
-restarted GMRES from zero and reports ``NotContractive`` if the
-residual cannot be driven down.  ``estimate_c0`` (the discrete
-resolvent norm on a ball, from ``scipy.sparse.linalg.svds``) is for
-reports only; the solver never calls it.
+FFT-applied, diagonal-corrected resolvent kernel.  ``estimate_c0`` (the
+discrete resolvent norm on a ball, from ``scipy.sparse.linalg.svds``)
+is for reports only; the solver never calls it.
 
-Precision.  The FFT applies run in complex64, about half the cost of a
-complex128 apply, under complex128 residuals: mixed-precision iterative
-refinement after Moler (J. ACM 14, 1967) and Carson & Higham (SIAM J.
-Sci. Comput. 40, 2018).  Picard runs in correction form, u_{j+1} = u_j
-+ r_j and r_{j+1} = -k^2 K(V r_j), with K applied to the residual in
-complex64 and u accumulated in complex128.  A complex128 refresh
-r = u^i - (I + k^2 K V) u takes the place of a step once the tracked
-residual is predicted to fall 1e-5 below the last refreshed one, or to
-reach ``tol``, and only a refreshed residual ends a solve.  GMRES runs
-in rounds: each restart cycle is one complex64 GMRES solve for the
-correction, whose right-hand side is the complex128 residual, and each
-round ends with a new complex128 residual.  When a refresh or a round
-fails to halve the complex128 residual, the solve falls back to
-complex128 applies: Picard from where it stands, GMRES from zero.
-A k^2 V beyond complex64's range runs in complex128 throughout.
+Rounds.  The solver is one loop of iterative-refinement rounds, after
+Moler (J. ACM 14, 1967) and Carson & Higham (SIAM J. Sci. Comput. 40,
+2018).  Each round computes a correction for r/|r| in the working
+precision and ends on a new complex128 residual r = u^i - (I + k^2 K V)
+u.  The correction comes from Picard, the Neumann terms t_{j+1} =
+-k^2 K(V t_j) of t_0 = r/|r|, while each logged residual is at most
+half the previous one, so the contraction it relies on is the one it
+observes; a round adds terms while the next is predicted to exceed its
+target, tol/|r| and in complex64 at least 1e-5.  Otherwise the
+correction is one GMRES(100) restart cycle, GMRES starting from u = 0.
+The working precision starts as complex64, at about half the cost of a
+complex128 FFT apply, unless k^2 V is beyond its range.  One rule
+bounds every solve: a round that fails to halve the complex128 residual
+moves the working precision to complex128, and in complex128 raises
+``NotContractive``.
 
 The scattered far field is u^s_inf = -k^2 C_{n,k} F(V u)(k xhat),
 evaluated by the grid's cell quadrature.  An incident wave (also
@@ -148,13 +143,9 @@ class LsSolution:
         return r[1:] / r[:-1] if r.size > 1 else np.empty(0)
 
 
-# Picard refreshes its tracked residual with a complex128 one once the
-# tracked residual is predicted to fall this far below the last refreshed
-# one: complex64 applies leave it off by about 1e-7 of that residual.
-_REFRESH_DROP = 1e-5
-# Smallest relative residual one complex64 GMRES round is asked to reach:
-# its estimates run into the complex64 rounding of the applies not far
-# below this, and the next round's complex128 residual takes over.
+# Smallest relative residual one complex64 round is asked to reach: the
+# complex64 rounding of its applies shows not far below this, and the
+# round's complex128 residual takes over from there.
 _ROUND_RTOL = 1e-5
 
 
@@ -172,20 +163,18 @@ def solve_ls(
 ) -> LsSolution:
     """Solve the Lippmann-Schwinger system on a support grid.
 
-    Picard iteration from u^i with logged residuals, for as long as each
-    residual is at most half the previous one and for at most 200 steps;
-    otherwise restarted GMRES from zero.  ``residuals`` then holds the
-    Picard residuals, GMRES's relative residual estimates (scaled to
-    |u^i|) after each of its iterations, and the final true residual.
-    Both routes run their applies in complex64 under complex128 residuals
-    (module docstring); ``applies`` counts the applies made in each
-    precision.  A solve ends with a complex128 residual of at most ``tol``
-    (Picard) or ``10 tol`` (GMRES), or raises ``NotContractive``.  Raises
-    NumericalFailure for a grid of more than ``kernels._MAX_CELLS`` cells.
-    V is read only at the centres of the cells the support touches
-    (coverage > 0): it must be finite at each of them, and need not be
-    elsewhere on the grid.  Where it is not, or where Im V < 0,
-    ConfigError.
+    Rounds of iterative refinement (module docstring): Picard while each
+    residual is at most half the previous one, otherwise GMRES from zero.
+    ``residuals`` holds the Picard residuals, then GMRES's relative
+    residual estimates (scaled to |u^i|) after each of its iterations and
+    the final complex128 residual; ``applies`` counts the applies made in
+    each precision.  A solve ends with a complex128 residual of at most
+    ``tol`` (Picard) or ``10 tol`` (GMRES), or raises ``NotContractive``
+    once a complex128 round fails to halve it.  Raises NumericalFailure
+    for a grid of more than ``kernels._MAX_CELLS`` cells.  V is read only
+    at the centres of the cells the support touches (coverage > 0) and
+    u^i at every node; each must be finite where it is read, and so must
+    the norm of u^i.  Otherwise, or where Im V < 0, ConfigError.
     """
     if spacing is None:
         spacing = default_spacing(scene)
@@ -193,19 +182,23 @@ def solve_ls(
     v_eff = grid.on_support(scene.contrast)
     _check_finite(v_eff, "contrast")
     conv = GridConvolver(grid, scene.k)
-    u_inc = scene.incident_values(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_inc = scene.incident_values(grid)
+        _check_finite(u_inc, "incident field")
+        scale = float(np.linalg.norm(u_inc))
+    if not math.isfinite(scale):
+        raise ConfigError("the incident field's norm on the solver's nodes is not finite")
     k2 = scene.k**2
-    scale = float(np.linalg.norm(u_inc))
     applies = {"complex64": 0, "complex128": 0}
     if scale == 0.0:  # u = 0 exactly
         return LsSolution(grid, u_inc.copy(), u_inc, v_eff, [0.0], "picard", applies)
-    # The iterations solve for u / |u^i|, so that complex64 values stay
-    # near 1 whatever the incident amplitude.
+    # The rounds solve for u / |u^i|, each for its correction scaled to
+    # |r| = 1, so that complex64 values stay near 1.
     b = u_inc / scale
     with np.errstate(over="ignore"):
         k2v_single = (k2 * v_eff).astype(np.complex64)
     # A k^2 V beyond complex64's range keeps every apply in complex128.
-    mixed = bool(np.all(np.isfinite(k2v_single)))
+    dtype = np.complex64 if np.all(np.isfinite(k2v_single)) else np.complex128
 
     def k2_conv(x):
         """k^2 K(V x), in the precision of x."""
@@ -214,69 +207,60 @@ def solve_ls(
             return conv.apply(k2v_single * x)
         return k2 * conv.apply(v_eff * x)
 
-    def residual(u):
-        r = b - u - k2_conv(u)
-        return r, float(np.linalg.norm(r))
-
-    def solution(u, method):
-        return LsSolution(grid, scale * u, u_inc, v_eff, residuals, method, applies)
-
-    # Picard in correction form: u_{j+1} = u_j + r_j, r_{j+1} = -k^2 K(V r_j),
-    # from u = 0, whose residual b is exact.
     residuals = []
-    u, r = np.zeros_like(b), b
-    res = ref = ratio = 1.0  # ref: the last complex128 residual
-    for _ in range(200):
-        u = u + r
-        fresh = not mixed or res * ratio <= max(tol, _REFRESH_DROP * ref)
-        if not fresh:
-            r = -k2_conv(r.astype(np.complex64, copy=False))
-            new = float(np.linalg.norm(r))
-            fresh = new <= tol  # a tracked residual never ends a solve: refresh it in place
-        if fresh:
-            r, new = residual(u)
-        residuals.append(new)
-        if fresh and new <= tol:
-            return solution(u, "picard")
-        if fresh and mixed:
-            # complex64 applies that no longer halve it: complex128 from here on.
-            mixed, ref = new <= 0.5 * ref, new
-        elif len(residuals) > 1 and not new <= 0.5 * residuals[-2]:
-            break  # Not halving per step: GMRES takes over.
-        ratio, res = new / res, new
-    import scipy.sparse.linalg  # deferred: most solves end in Picard
-
-    def operator(dtype):
-        return scipy.sparse.linalg.LinearOperator(
-            (b.size,) * 2, matvec=lambda x: x + k2_conv(x), dtype=dtype
-        )
-
-    def gmres(op, rhs, rtol, res_rhs, maxiter=40):
-        return scipy.sparse.linalg.gmres(
-            op, rhs, rtol=rtol, atol=0.0, restart=100, maxiter=maxiter,
-            callback=lambda est: residuals.append(est * res_rhs), callback_type="pr_norm",
-        )
-
-    # Refinement rounds, from zero: one complex64 GMRES cycle on the
-    # normalized complex128 residual, then a new complex128 residual.
+    method, ratio = "picard", 1.0  # ratio: the last logged Picard residual over the one before
     u, r, res = np.zeros_like(b), b, 1.0
-    while mixed:
-        d, _ = gmres(operator(np.complex64), (r / res).astype(np.complex64),
-                     max(tol / res, _ROUND_RTOL), res, maxiter=1)
-        u = u + res * d
-        r, new = residual(u)
-        if new <= 10.0 * tol:
+    while True:
+        # One round: a correction d for r / res in dtype, then a new
+        # complex128 residual.
+        size = 1.0  # |t_j| of the last logged Picard term
+        rtol = tol / res if dtype == np.complex128 else max(tol / res, _ROUND_RTOL)
+        if method == "picard":
+            # Neumann terms t_{j+1} = -k^2 K(V t_j) from t_0 = r / res, while
+            # the next one is predicted to matter.
+            d = r / res
+            t = d.astype(dtype)
+            while size * ratio > rtol:
+                t = -k2_conv(t)
+                new = float(np.linalg.norm(t))
+                d += t
+                if res * new <= tol:
+                    break  # the round's complex128 residual is logged in its place
+                residuals.append(res * new)
+                if len(residuals) > 1 and not residuals[-1] <= 0.5 * residuals[-2]:
+                    method = "gmres"
+                    break
+                ratio, size = new / size, new
+            if method == "gmres":  # not halving per step: GMRES, from zero
+                del d, t  # before GMRES builds its basis
+                u, r, res = np.zeros_like(b), b, 1.0
+                continue
+        else:
+            import scipy.sparse.linalg  # deferred: most solves end in Picard
+
+            op = scipy.sparse.linalg.LinearOperator(
+                (b.size,) * 2, matvec=lambda x: x + k2_conv(x), dtype=dtype
+            )
+            d, _ = scipy.sparse.linalg.gmres(
+                op, (r / res).astype(dtype), rtol=rtol, atol=0.0, restart=100, maxiter=1,
+                callback=lambda est: residuals.append(est * res), callback_type="pr_norm",
+            )
+        u += res * d
+        r = b - u - k2_conv(u)
+        new = float(np.linalg.norm(r))
+        done = new <= (tol if method == "picard" else 10.0 * tol)
+        if method == "picard" or done:
             residuals.append(new)
-            return solution(u, "gmres")
-        mixed, res = new <= 0.5 * res, new
-    u, info = gmres(operator(complex), b, tol, 1.0)
-    _, res = residual(u)
-    residuals.append(res)
-    if info != 0 or res > 10.0 * tol:
-        raise NotContractive(
-            f"residual {res:.3e} above tolerance {tol:.1e} (gmres info {info})"
-        )
-    return solution(u, "gmres")
+        if done:
+            return LsSolution(grid, scale * u, u_inc, v_eff, residuals, method, applies)
+        if not new <= 0.5 * res:
+            if dtype == np.complex128:
+                raise NotContractive(
+                    f"residual {new:.3e} above tolerance {tol:.1e}: "
+                    f"a complex128 {method} round did not halve it"
+                )
+            dtype = np.complex128  # complex64 applies that no longer halve it
+        ratio, res = new / (res * size), new
 
 
 def estimate_c0(k: float, R_m: float, n: int = 2, resolution: int = 48) -> float:

@@ -497,6 +497,20 @@ _CONFIG_ERRORS = {
     "cgo_tau_negative": _row(
         {"s.json": _small_scene(incident={"kind": "cgo", "tau": -1})}, "medium", "{tmp}/s.json"
     ),
+    # CGO incident fields e^{tau x_1} on the unit disk, which the scene
+    # loader samples only inside the disk: at tau = 600 every value on the
+    # solver's grid is finite but their norm overflows, and at tau = 700
+    # the cells past the disk overflow.
+    "cgo_tau_600_norm_overflows": _row(
+        {"s.json": _small_scene(domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                                incident={"kind": "cgo", "tau": 600})},
+        "medium", "{tmp}/s.json",
+    ),
+    "cgo_tau_700_field_overflows": _row(
+        {"s.json": _small_scene(domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                                incident={"kind": "cgo", "tau": 700})},
+        "medium", "{tmp}/s.json",
+    ),
     "source_grid_nan_off_sample": _patchy_grid_row("source", "intensity", np.nan),
     "medium_grid_nan_off_sample": _patchy_grid_row("medium", "contrast", np.nan),
     "medium_grid_negative_imag_off_sample": _patchy_grid_row("medium", "contrast", -0.5j),
@@ -619,6 +633,19 @@ def test_config_errors_exit_2_without_traceback(tmp_path, monkeypatch, capsys, f
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_medium_cgo_incident_below_overflow_solves(tmp_path):
+    """tau = 300 on the unit disk, half the exponent of the rows above: a finite far field."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_small_scene(
+        domain={"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        incident={"kind": "cgo", "tau": 300},
+    )))
+    ff = tmp_path / "ff.csv"
+    assert main(["medium", str(path), "--farfield", str(ff)]) == EXIT_OK
+    values = np.loadtxt(ff, delimiter=",", skiprows=1)
+    assert values.size and np.all(np.isfinite(values))
 
 
 def test_medium_solves_a_fine_grid(tmp_path):

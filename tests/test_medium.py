@@ -283,6 +283,42 @@ class TestMixedPrecision:
         assert calls and set(calls) == {"complex128"}
 
 
+class TestRefinementRounds:
+    """One loop of refinement rounds: bounded when it fails, no costlier when it solves."""
+
+    @pytest.mark.parametrize("R, v0, spacing", [(0.4, 29357.0, 0.02), (1.0, 300.0, 2.2 / 64),
+                                                (1.0, 3000.0, 2.2 / 64)])
+    def test_non_contractive_scene_ends_early(self, R, v0, spacing, monkeypatch):
+        # A complex64 GMRES round that fails to halve the residual hands
+        # over to complex128, and a complex128 round that fails raises:
+        # about three restart cycles of 101 applies in all.  A fallback of
+        # 40 complex128 cycles from zero would take over 4200.
+        calls = recorded_applies(monkeypatch)
+        with pytest.raises(medium.NotContractive):
+            solve_ls(disk_scene(v0=v0, k=1.0, R=R), spacing=spacing)
+        assert 0 < len(calls) <= 600
+
+    @pytest.mark.parametrize("R, v0, k, spacing, most", [
+        (1.0, 15.0, 1.0, 2.2 / 64, 34),
+        (1.0, 50.0, 1.0, 2.2 / 64, 68),
+        (1.0, 100.0, 1.0, 2.2 / 64, 133),
+        (0.4, 300.0, 1.0, 0.01, 63),
+        (0.4, 1000.0, 1.0, 0.01, 126),
+        (1.0, 30.0, 2.0, 2.2 / 96, 201),
+    ])
+    def test_gmres_scenes_solve_within_their_apply_counts(self, R, v0, k, spacing, most,
+                                                          monkeypatch):
+        # ``most``: the applies of two Picard probes, then complex64 GMRES
+        # rounds with a separate complex128 GMRES fallback, on each scene.
+        calls = recorded_applies(monkeypatch)
+        scene, tol = disk_scene(v0=v0, k=k, R=R), 1e-10
+        sol = solve_ls(scene, tol=tol, spacing=spacing)
+        monkeypatch.undo()
+        assert sol.method == "gmres"
+        assert complex128_residual(scene, sol) <= 10.0 * tol
+        assert len(calls) <= most
+
+
 def two_disk_grid():
     """A non-square 2-D grid: two disjoint disks side by side.
 

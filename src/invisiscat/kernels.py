@@ -24,10 +24,6 @@ forward pass along axis d skips the lines past N_e on each later axis e,
 where the padded density is zero, and the inverse pass along axis d
 skips those past N_e on each earlier axis e, which are discarded.  That
 saves a quarter of the FFT work in the plane and 42% of it in space.
-``apply`` follows the dtype of its density: a complex64 density runs the
-same pass in single precision against a complex64 copy of the kernel
-transform and returns complex64, at about half the cost; a float64 or
-complex128 density runs in complex128.
 
 A support grid's coverage (the fraction of each cell inside the
 scatterer) comes from the components themselves, each through its
@@ -134,10 +130,11 @@ def green_cell_integral(n: int, k: float, h: float) -> complex:
 # Regular support grids with coverage weights
 # ---------------------------------------------------------------------------
 
-# Most cells a support grid may hold: a GMRES round in medium.solve_ls
-# keeps 101 Krylov vectors, complex64 (0.8 kB per cell, a basis near
-# 3.2 GB) or, once the solve has moved to complex128, 1.6 kB per cell
-# (near 6.5 GB).
+# Most cells a support grid may hold.  medium.solve_ls keeps at most
+# eight grid-sized complex128 arrays (128 B per cell) besides the kernel
+# transform and an apply's work arrays, which span the padded FFT grid of
+# 2^n times the cells: a 279k-cell disk peaks about 100 MB above the
+# imports, some 360 B per cell, so near 1.5 GB at this budget in the plane.
 _MAX_CELLS = 4 * 10**6
 
 
@@ -250,7 +247,6 @@ class GridConvolver:
             dst[d] = slice(L - s + 1, L)
             table[tuple(dst)] = table[tuple(src)]
         self._kernel_hat = scipy.fft.fftn(table, overwrite_x=True)
-        self._kernel_hat64 = self._kernel_hat.astype(np.complex64)
         self._scale = 1.0 / math.prod(self._fft_shape)
 
     def apply(self, density_flat: np.ndarray) -> np.ndarray:
@@ -260,15 +256,12 @@ class GridConvolver:
         measure h^n is folded into the kernel table.  The pruned per-axis
         transforms (module docstring) run in ``fftn``'s axis order, and
         1/prod(L) follows the first inverse pass, where ``ifftn`` applies
-        it, so the rounding matches ``ifftn``'s.  A complex64 density is
-        transformed in single precision against the complex64 copy of the
-        kernel and returns complex64; a float64 or complex128 density runs
-        in complex128.
+        it, so the rounding matches ``ifftn``'s.
         """
         x = density_flat.reshape(self.grid.shape)
         for d, L in enumerate(self._fft_shape):
             x = scipy.fft.fft(x, n=L, axis=d)
-        x *= self._kernel_hat64 if x.dtype == np.complex64 else self._kernel_hat
+        x *= self._kernel_hat
         for d, N in enumerate(self.grid.shape):
             x = scipy.fft.ifft(x, axis=d, norm="forward", overwrite_x=True)
             if d == 0:

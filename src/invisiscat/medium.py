@@ -10,21 +10,25 @@ FFT-applied, diagonal-corrected resolvent kernel.  ``estimate_c0`` (the
 discrete resolvent norm on a ball, from ``scipy.sparse.linalg.svds``)
 is for reports only; the solver never calls it.
 
-Rounds.  The solver is one loop of iterative-refinement rounds, after
-Moler (J. ACM 14, 1967) and Carson & Higham (SIAM J. Sci. Comput. 40,
-2018).  Each round computes a correction for r/|r| in the working
-precision and ends on a new complex128 residual r = u^i - (I + k^2 K V)
-u.  The correction comes from Picard, the Neumann terms t_{j+1} =
--k^2 K(V t_j) of t_0 = r/|r|, while each logged residual is at most
-half the previous one, so the contraction it relies on is the one it
-observes; a round adds terms while the next is predicted to exceed its
-target, tol/|r| and in complex64 at least 1e-5.  Otherwise the
-correction is one GMRES(100) restart cycle, GMRES starting from u = 0.
-The working precision starts as complex64, at about half the cost of a
-complex128 FFT apply, unless k^2 V is beyond its range.  One rule
-bounds every solve: a round that fails to halve the complex128 residual
-moves the working precision to complex128, and in complex128 raises
-``NotContractive``.
+Rounds.  The solver is one loop of complex128 iterative-refinement
+rounds, after Moler (J. ACM 14, 1967).  Each round computes a
+correction d for r/|r| and ends on a new residual r = u^i - (I + k^2 K
+V) u.  K is symmetric, its kernel depending on |offset| only, and V is
+diagonal, so with S = sqrt(k^2 V) (principal branch) the correction
+comes from the complex symmetric system (I + S K S) w = S r/|r| on the
+cells where V != 0, and d = r/|r| - K(S w).  Conjugate orthogonal CG
+(COCG; van der Vorst & Melissen, IEEE Trans. Magn. 26, 1990) solves it
+with four live-cell vectors and no restart, as the discrete dipole
+approximation solves its Toeplitz system (Draine & Flatau, J. Opt. Soc.
+Am. A 11, 1994).  The correction's own residual is -K S g for COCG's
+residual g, not g.  Since g = p - beta p_prev, K S g is the iteration's
+apply K S p less beta times the previous one; a round stops once
+|K S g| reaches tol/|r|, so its last apply only confirms the stop.
+One rule bounds every solve: a round of at most ``_ROUND_APPLIES`` COCG
+applies that fails to halve the residual raises ``NotContractive``.
+Besides the kernel transform and the apply's own work arrays, a solve
+holds at most eight grid-sized complex128 arrays: V, u^i, u^i/|u^i|, u,
+r, S p and the last two applies.
 
 The scattered far field is u^s_inf = -k^2 C_{n,k} F(V u)(k xhat),
 evaluated by the grid's cell quadrature.  An incident wave (also
@@ -136,17 +140,11 @@ class LsSolution:
     contrast_eff: np.ndarray
     residuals: list
     method: str
-    applies: dict  # {"complex64": n, "complex128": m}: convolutions run in each precision
-
-    def convergence_ratios(self) -> np.ndarray:
-        r = np.asarray(self.residuals)
-        return r[1:] / r[:-1] if r.size > 1 else np.empty(0)
+    applies: int  # FFT convolutions run
 
 
-# Smallest relative residual one complex64 round is asked to reach: the
-# complex64 rounding of its applies shows not far below this, and the
-# round's complex128 residual takes over from there.
-_ROUND_RTOL = 1e-5
+# Most COCG applies in a refinement round, which then adds two more.
+_ROUND_APPLIES = 200
 
 
 def default_spacing(scene: MediumScene) -> float:
@@ -163,14 +161,14 @@ def solve_ls(
 ) -> LsSolution:
     """Solve the Lippmann-Schwinger system on a support grid.
 
-    Rounds of iterative refinement (module docstring): Picard while each
-    residual is at most half the previous one, otherwise GMRES from zero.
-    ``residuals`` holds the Picard residuals, then GMRES's relative
-    residual estimates (scaled to |u^i|) after each of its iterations and
-    the final complex128 residual; ``applies`` counts the applies made in
-    each precision.  A solve ends with a complex128 residual of at most
-    ``tol`` (Picard) or ``10 tol`` (GMRES), or raises ``NotContractive``
-    once a complex128 round fails to halve it.  Raises NumericalFailure
+    Rounds of complex128 iterative refinement, each a COCG solve on the
+    live cells (module docstring).  ``residuals`` holds, round by round,
+    the correction's residual |K S g| at each COCG apply, scaled by the
+    round's |r|, then the round's new residual |r|, all relative to
+    |u^i|; ``applies`` counts the FFT applies.  A solve ends with a
+    complex128 residual of at most ``tol``, or raises ``NotContractive``
+    once a round fails to halve it.  A zero incident field or a zero
+    contrast returns u = u^i with no apply.  Raises NumericalFailure
     for a grid of more than ``kernels._MAX_CELLS`` cells.  V is read only
     at the centres of the cells the support touches (coverage > 0) and
     u^i at every node; each must be finite where it is read, and so must
@@ -181,86 +179,64 @@ def solve_ls(
     grid = make_support_grid(scene.domain, spacing, pad=spacing)
     v_eff = grid.on_support(scene.contrast)
     _check_finite(v_eff, "contrast")
-    conv = GridConvolver(grid, scene.k)
     with np.errstate(over="ignore", invalid="ignore"):
         u_inc = scene.incident_values(grid)
         _check_finite(u_inc, "incident field")
         scale = float(np.linalg.norm(u_inc))
     if not math.isfinite(scale):
         raise ConfigError("the incident field's norm on the solver's nodes is not finite")
-    k2 = scene.k**2
-    applies = {"complex64": 0, "complex128": 0}
-    if scale == 0.0:  # u = 0 exactly
-        return LsSolution(grid, u_inc.copy(), u_inc, v_eff, [0.0], "picard", applies)
-    # The rounds solve for u / |u^i|, each for its correction scaled to
-    # |r| = 1, so that complex64 values stay near 1.
+    live = np.flatnonzero(v_eff)
+    if scale == 0.0 or live.size == 0:  # u = u^i exactly
+        return LsSolution(grid, u_inc.copy(), u_inc, v_eff, [0.0], "cocg", 0)
+    # The rounds solve for u / |u^i|, each for its correction scaled to |r| = 1.
     b = u_inc / scale
-    with np.errstate(over="ignore"):
-        k2v_single = (k2 * v_eff).astype(np.complex64)
-    # A k^2 V beyond complex64's range keeps every apply in complex128.
-    dtype = np.complex64 if np.all(np.isfinite(k2v_single)) else np.complex128
-
-    def k2_conv(x):
-        """k^2 K(V x), in the precision of x."""
-        applies[x.dtype.name] += 1
-        if x.dtype == np.complex64:
-            return conv.apply(k2v_single * x)
-        return k2 * conv.apply(v_eff * x)
-
+    conv = GridConvolver(grid, scene.k)
+    k2 = scene.k**2
+    s = np.sqrt(k2 * v_eff[live])
+    f = np.zeros_like(b)  # S p on the grid; zero off the live cells
+    applies = 0
     residuals = []
-    method, ratio = "picard", 1.0  # ratio: the last logged Picard residual over the one before
     u, r, res = np.zeros_like(b), b, 1.0
     while True:
-        # One round: a correction d for r / res in dtype, then a new
-        # complex128 residual.
-        size = 1.0  # |t_j| of the last logged Picard term
-        rtol = tol / res if dtype == np.complex128 else max(tol / res, _ROUND_RTOL)
-        if method == "picard":
-            # Neumann terms t_{j+1} = -k^2 K(V t_j) from t_0 = r / res, while
-            # the next one is predicted to matter.
-            d = r / res
-            t = d.astype(dtype)
-            while size * ratio > rtol:
-                t = -k2_conv(t)
-                new = float(np.linalg.norm(t))
-                d += t
-                if res * new <= tol:
-                    break  # the round's complex128 residual is logged in its place
-                residuals.append(res * new)
-                if len(residuals) > 1 and not residuals[-1] <= 0.5 * residuals[-2]:
-                    method = "gmres"
-                    break
-                ratio, size = new / size, new
-            if method == "gmres":  # not halving per step: GMRES, from zero
-                del d, t  # before GMRES builds its basis
-                u, r, res = np.zeros_like(b), b, 1.0
-                continue
-        else:
-            import scipy.sparse.linalg  # deferred: most solves end in Picard
-
-            op = scipy.sparse.linalg.LinearOperator(
-                (b.size,) * 2, matvec=lambda x: x + k2_conv(x), dtype=dtype
-            )
-            d, _ = scipy.sparse.linalg.gmres(
-                op, (r / res).astype(dtype), rtol=rtol, atol=0.0, restart=100, maxiter=1,
-                callback=lambda est: residuals.append(est * res), callback_type="pr_norm",
-            )
-        u += res * d
-        r = b - u - k2_conv(u)
+        # COCG for (I + S K S) w = S r/res from w = 0: residual g, direction
+        # p, y = K S p.  z = K S g, the correction's residual up to sign,
+        # is y less beta times the previous y, since g = p - beta p_prev.
+        w = np.zeros(live.size, dtype=complex)
+        g = s * r[live] / res
+        p, gg, beta = g.copy(), g @ g, 0.0
+        z = np.zeros_like(b)
+        for _ in range(_ROUND_APPLIES):
+            f[live] = s * p
+            y = conv.apply(f)
+            applies += 1
+            z *= -beta
+            z += y
+            size = float(np.linalg.norm(z))
+            residuals.append(res * size)
+            if size <= tol / res:
+                break
+            q = p + s * y[live]
+            alpha = gg / (p @ q)
+            w += alpha * p
+            g -= alpha * q
+            gg_old, gg = gg, g @ g
+            beta = gg / gg_old
+            p = g + beta * p
+            z = y
+        f[live] = s * w
+        u += r - res * conv.apply(f)  # res d, with d = r/res - K(S w)
+        r = b - u - k2 * conv.apply(v_eff * u)
+        applies += 2
         new = float(np.linalg.norm(r))
-        done = new <= (tol if method == "picard" else 10.0 * tol)
-        if method == "picard" or done:
-            residuals.append(new)
-        if done:
-            return LsSolution(grid, scale * u, u_inc, v_eff, residuals, method, applies)
+        residuals.append(new)
+        if new <= tol:
+            return LsSolution(grid, scale * u, u_inc, v_eff, residuals, "cocg", applies)
         if not new <= 0.5 * res:
-            if dtype == np.complex128:
-                raise NotContractive(
-                    f"residual {new:.3e} above tolerance {tol:.1e}: "
-                    f"a complex128 {method} round did not halve it"
-                )
-            dtype = np.complex128  # complex64 applies that no longer halve it
-        ratio, res = new / (res * size), new
+            raise NotContractive(
+                f"residual {new:.3e} above tolerance {tol:.1e}: "
+                f"a round of at most {_ROUND_APPLIES} COCG applies did not halve it"
+            )
+        res = new
 
 
 def estimate_c0(k: float, R_m: float, n: int = 2, resolution: int = 48) -> float:

@@ -2,8 +2,9 @@
 
 Green-identity residuals with manufactured fields, the transmission
 eigenfunction's vanishing near a high-curvature point, flood-fill
-connectivity to infinity, the Mie series' total field and the inverse
-of ``scenes.load_domain``.  No command, suite, demo or benchmark run
+connectivity to infinity, the Mie series' total field, the ratios of a
+Lippmann-Schwinger residual log and the inverse of
+``scenes.load_domain``.  No command, suite, demo or benchmark run
 needs them, so they live here rather than in the package.
 """
 
@@ -416,6 +417,12 @@ def mie_total_field(
         out[interior] += g * a * jv(m, k1 * r[interior]) * ang[interior]
         out[exterior] += g * c * hankel1(m, k * r[exterior]) * ang[exterior]
     return out
+
+
+def convergence_ratios(residuals) -> np.ndarray:
+    """Each logged residual of ``medium.solve_ls`` over the one before it."""
+    r = np.asarray(residuals)
+    return r[1:] / r[:-1] if r.size > 1 else np.empty(0)
 
 
 # ---------------------------------------------------------------------------

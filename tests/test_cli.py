@@ -232,8 +232,8 @@ class TestMediumCommand:
         scene.write_text(json.dumps(_medium_cfg()))
         assert main(["medium", str(scene), "--dirs", "16"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "(picard, " in out
-        assert re.search(r"residuals logged, applies \d+ complex64 \+ \d+ complex128\)$", out.strip())
+        assert "(cocg, " in out
+        assert re.search(r"residuals logged, \d+ applies\)$", out.strip())
 
 
 def _root_disk_cfg(radicand):

@@ -10,11 +10,15 @@ tensor Gauss-Kronrod (G7, K15) cubature on the charts (the subregion
 scheme of Berntsen, Espelid & Genz, DCUHRE, ACM TOMS 17, 1991).
 Subdivision is driven by a priority queue on the per-box error estimate
 |K15 - G7|: the worst box is bisected along the axis with the largest
-internal variation, and both halves are evaluated together, in one
-mapping call and one integrand call.  A chart's map takes one coordinate
-array per axis, broadcast to (boxes, 15, ..., 15), so per-axis functions
-run on 15 nodes per axis rather than on all 15^d points.  All orderings
-are deterministic, so repeated runs give bit-identical results.
+Kronrod-Gauss gap, and both halves are evaluated together, in one
+mapping call and one integrand call.  The gap along an axis is the 1-D
+|K15 - G7| of each line of 15 nodes along it, summed over the lines with
+the K15 weights of the other axes; like DCUHRE's per-axis error
+indicator, it ignores variation that the rule integrates exactly.  A
+chart's map takes one coordinate array per axis, broadcast to
+(boxes, 15, ..., 15), so per-axis functions run on 15 nodes per axis
+rather than on all 15^d points.  All orderings are deterministic, so
+repeated runs give bit-identical results.
 
 The paraboloid regions are bodies bounded below by x_n = K |x'|^2.  Their
 charts use v = sqrt(x_n) as the height coordinate: the slice radii
@@ -45,8 +49,6 @@ import numpy as np
 from .errors import NumericalFailure
 
 __all__ = [
-    "Ball",
-    "Box",
     "ParaboloidCap",
     "AnnularParaboloid",
     "GraphCap",
@@ -168,7 +170,10 @@ _W7[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
 def _tensor_weights(dim: int):
-    """K15 and G7 product weights on the 15^dim nodes, first axis slowest."""
+    """K15 and G7 product weights on the 15^dim nodes, first axis slowest.
+
+    For dim 0 both are [1.0], the weight of the one empty product.
+    """
     idx = np.meshgrid(*([np.arange(15)] * dim), indexing="ij")
     w15 = np.ones(15**dim)
     w7 = np.ones(15**dim)
@@ -178,7 +183,7 @@ def _tensor_weights(dim: int):
     return w15, w7
 
 
-_WEIGHTS = {d: _tensor_weights(d) for d in (1, 2, 3)}
+_WEIGHTS = {d: _tensor_weights(d) for d in (0, 1, 2, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -213,66 +218,6 @@ class Region:
 
     def charts(self) -> Sequence[Chart]:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-@dataclass
-class Box(Region):
-    lo: Sequence[float]
-    hi: Sequence[float]
-
-    def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        self.dim = len(self.lo)
-
-    def charts(self):
-        def mapping(*u):
-            return _stack(*u), 1.0
-
-        return [Chart(self.lo, self.hi, mapping)]
-
-
-@dataclass
-class Ball(Region):
-    center: Sequence[float]
-    radius: float
-    dim: int = 2
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-
-    def charts(self):
-        c = self.center
-        if self.dim == 2:
-
-            def mapping(r, th):
-                pts = _stack(c[0] + r * np.cos(th), c[1] + r * np.sin(th))
-                return pts, r
-
-            return [
-                Chart(np.array([0.0, -math.pi]), np.array([self.radius, math.pi]), mapping)
-            ]
-        if self.dim == 3:
-
-            def mapping(r, th, ph):
-                sp = np.sin(ph)
-                pts = _stack(
-                    c[0] + r * sp * np.cos(th),
-                    c[1] + r * sp * np.sin(th),
-                    c[2] + r * np.cos(ph),
-                )
-                return pts, r * r * sp
-
-            return [
-                Chart(
-                    np.array([0.0, -math.pi, 0.0]),
-                    np.array([self.radius, math.pi, math.pi]),
-                    mapping,
-                )
-            ]
-        raise ValueError("ball regions support dim 2 or 3")
 
 
 def _paraboloid_tail_bound(tau: float, K: float, h: float, n: int) -> float:
@@ -311,6 +256,8 @@ class ParaboloidCap(Region):
             raise ValueError(
                 "unbounded paraboloid cap requires decay_rate of the integrand"
             )
+        if self.decay_rate is not None and not 0 < self.decay_rate < math.inf:
+            raise ValueError(f"decay_rate must be finite and positive, got {self.decay_rate}")
 
     def truncation_height(self, tol: float) -> float:
         if not math.isinf(self.h):
@@ -318,10 +265,15 @@ class ParaboloidCap(Region):
         tau = float(self.decay_rate)
         target = tol * 1e-3
         x_max = max(self.floor, 1.0 / tau, 1.0)
-        while _paraboloid_tail_bound(tau, self.K, x_max, self.dim) > target:
+        while (tail := _paraboloid_tail_bound(tau, self.K, x_max, self.dim)) > target:
             x_max *= 1.25
             if x_max > 1e12:
-                break
+                raise BudgetExceeded(
+                    f"decay rate {tau:.3e} needs a truncation height above 1e12 "
+                    f"(tail bound {tail:.3e} against target {target:.3e})",
+                    error=tail,
+                    evals=0,
+                )
         return x_max
 
     def charts(self, tol: float = 1e-10):
@@ -506,8 +458,11 @@ def _eval_boxes(f, chart: Chart, lo: np.ndarray, hi: np.ndarray):
     """K15 values, |K15 - G7| errors and split axes of boxes (B, d).
 
     All B boxes share one mapping call and one integrand call.  The split
-    axis of a box is the one with the largest internal variation of the
-    sampled values (sum of absolute second differences).
+    axis of a box is the one with the largest Kronrod-Gauss gap: the
+    samples contracted along the axis with W15 - W7 give each line's
+    1-D K15 - G7 difference, whose moduli are summed with the K15 weights
+    of the other axes.  The half-widths scale every axis's gap alike, so
+    they are left out.
     """
     nb, dim = lo.shape
     w15, w7 = _WEIGHTS[dim]
@@ -526,14 +481,15 @@ def _eval_boxes(f, chart: Chart, lo: np.ndarray, hi: np.ndarray):
     scale = np.prod(half, axis=1)
     i15 = np.sum(flat * w15, axis=1) * scale
     i7 = np.sum(flat * w7, axis=1) * scale
-    var = np.stack(
+    w_rest = _WEIGHTS[dim - 1][0]
+    gap = np.stack(
         [
-            np.sum(np.abs(np.diff(vals, n=2, axis=d + 1)).reshape(nb, -1), axis=1)
+            np.abs(np.moveaxis(vals, d + 1, -1) @ (_W15 - _W7)).reshape(nb, -1) @ w_rest
             for d in range(dim)
         ],
         axis=1,
     )
-    return i15, np.abs(i15 - i7), np.argmax(var, axis=1)
+    return i15, np.abs(i15 - i7), np.argmax(gap, axis=1)
 
 
 def integrate_full(

@@ -1,18 +1,18 @@
 """Independent checks and fixtures that only the tests use.
 
-Green-identity residuals with manufactured fields, the transmission
-eigenfunction's vanishing near a high-curvature point, flood-fill
-connectivity to infinity, the Mie series' total field, the ratios of a
-Lippmann-Schwinger residual log and the inverse of
-``scenes.load_domain``.  No command, suite, demo or benchmark run
-needs them, so they live here rather than in the package.
+Box and ball regions for the cubature oracle, Green-identity residuals
+with manufactured fields, the transmission eigenfunction's vanishing
+near a high-curvature point, flood-fill connectivity to infinity, the
+Mie series' total field, the ratios of a Lippmann-Schwinger residual log
+and the inverse of ``scenes.load_domain``.  No command, suite, demo or
+benchmark run needs them, so they live here rather than in the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.ndimage
@@ -32,8 +32,74 @@ from invisiscat.geometry import (
 )
 from invisiscat.holder import PrecondViolated, SampledFunction, holder_norm
 from invisiscat.manufactured import LensBump
+from invisiscat.quadrature import Chart, Region, _stack
 from invisiscat.radial import mie_mode_coefficients, suggested_mode_count
 from invisiscat.scenes import SceneError
+
+
+# ---------------------------------------------------------------------------
+# Box and ball regions for the cubature oracle
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Box(Region):
+    lo: Sequence[float]
+    hi: Sequence[float]
+
+    def __post_init__(self):
+        self.lo = np.asarray(self.lo, dtype=float)
+        self.hi = np.asarray(self.hi, dtype=float)
+        self.dim = len(self.lo)
+
+    def charts(self):
+        def mapping(*u):
+            return _stack(*u), 1.0
+
+        return [Chart(self.lo, self.hi, mapping)]
+
+
+@dataclass
+class Ball(Region):
+    center: Sequence[float]
+    radius: float
+    dim: int = 2
+
+    def __post_init__(self):
+        self.center = np.asarray(self.center, dtype=float)
+        if self.radius <= 0:
+            raise ValueError("ball radius must be positive")
+
+    def charts(self):
+        c = self.center
+        if self.dim == 2:
+
+            def mapping(r, th):
+                pts = _stack(c[0] + r * np.cos(th), c[1] + r * np.sin(th))
+                return pts, r
+
+            return [
+                Chart(np.array([0.0, -math.pi]), np.array([self.radius, math.pi]), mapping)
+            ]
+        if self.dim == 3:
+
+            def mapping(r, th, ph):
+                sp = np.sin(ph)
+                pts = _stack(
+                    c[0] + r * sp * np.cos(th),
+                    c[1] + r * sp * np.sin(th),
+                    c[2] + r * np.cos(ph),
+                )
+                return pts, r * r * sp
+
+            return [
+                Chart(
+                    np.array([0.0, -math.pi, 0.0]),
+                    np.array([self.radius, math.pi, math.pi]),
+                    mapping,
+                )
+            ]
+        raise ValueError("ball regions support dim 2 or 3")
 
 
 # ---------------------------------------------------------------------------

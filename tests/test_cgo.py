@@ -19,10 +19,11 @@ from invisiscat.holder import PrecondViolated
 from invisiscat.manufactured import CapBump
 from invisiscat.quadrature import (
     AnnularParaboloid,
-    Box,
     ParaboloidCap,
     integrate,
 )
+
+from checks import Box
 
 
 def random_cgo(rng, n, tau_range=(0.5, 20.0)):

@@ -19,7 +19,7 @@ from invisiscat.geometry import (
     make_curvature_cap,
     nesting_check,
 )
-from invisiscat.quadrature import Ball, integrate
+from invisiscat.quadrature import integrate
 
 from checks import ResolutionTooCoarse, connected_to_infinity
 

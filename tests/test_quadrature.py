@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from invisiscat.cgo import cgo_sliced
+from invisiscat.cgo import CgoVector, cgo_over_parabola, cgo_sliced
+from invisiscat.cli import build_parser
 from invisiscat.geometry import make_curvature_cap
 from invisiscat.quadrature import (
     AnnularParaboloid,
-    Ball,
-    Box,
     BudgetExceeded,
     GraphCap,
     ParaboloidCap,
@@ -18,6 +17,8 @@ from invisiscat.quadrature import (
     integrate,
     integrate_full,
 )
+
+from checks import Ball, Box
 
 ONE = lambda pts: np.ones(pts.shape[0])
 
@@ -215,6 +216,58 @@ class TestProperties:
         v1, e1, n1 = integrate_full(f, region, tol=1e-10)
         v2, e2, n2 = integrate_full(f, region, tol=1e-10)
         assert v1 == v2 and e1 == e2 and n1 == n2
+
+
+class TestSplitRule:
+    def test_exact_axis_is_never_split(self):
+        # The K15 rule is exact in y for 1 + 1000 y^12, so every split goes
+        # along x, where e^{40ix} oscillates: the box sequence is the 1-D
+        # one, with 15 nodes per line in y.
+        f2 = lambda p: np.exp(40j * p[:, 0]) * (1 + 1000 * p[:, 1] ** 12)
+        f1 = lambda p: (1 + 1000 / 13) * np.exp(40j * p[:, 0])
+        v2, _, n2 = integrate_full(f2, Box([0, 0], [1, 1]), tol=1e-10)
+        v1, _, n1 = integrate_full(f1, Box([0], [1]), tol=1e-10)
+        assert n2 == 15 * n1
+        assert abs(v2 - v1) <= 1e-12 * abs(v1)
+
+    def test_cgo_verify_3d_caps_evaluation_ceiling(self):
+        # The 25 paraboloid draws of `invisiscat cgo-verify --n 3` at its
+        # default seed and tolerance, in its draw order.
+        args = build_parser().parse_args(["cgo-verify", "--n", "3"])
+        rng = np.random.default_rng(args.seed)
+        total = 0
+        for _ in range(25):
+            K = float(rng.uniform(0.5, 100.0))
+            tau = float(rng.uniform(0.5, min(50.0, 20.0 * K)))
+            rng.uniform(size=3)  # the shell draws that follow
+            vec = CgoVector.canonical(tau, 3)
+            want = cgo_over_parabola(vec, K)
+            tol = max(args.tol * abs(want) / (1.0 + abs(want)) * 0.1, 1e-13)
+            got, _, evals = integrate_full(
+                vec.field, ParaboloidCap(K, dim=3, decay_rate=tau), tol=tol
+            )
+            assert abs(got - want) <= args.tol * abs(want)
+            total += evals
+        assert total <= 3_700_000
+
+
+class TestParaboloidCapDecayRate:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_decay_rate(self, rate):
+        with pytest.raises(ValueError, match="decay_rate"):
+            ParaboloidCap(1.0, dim=2, decay_rate=rate)
+
+    def test_slow_decay_raises_instead_of_truncating_early(self):
+        # exp(-tau x_2) over the K = 1 cap is sqrt(pi) / tau^1.5; at
+        # tau = 1e-11 the tail bound needs a truncation height above 1e12.
+        tau = 1e-11
+        with pytest.raises(BudgetExceeded) as info:
+            integrate(
+                lambda p: np.exp(-tau * p[:, -1]),
+                ParaboloidCap(1.0, dim=2, decay_rate=tau),
+                tol=1e-8,
+            )
+        assert info.value.evals == 0
 
 
 def _cubic_graph(K, c3):

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .quadrature import GraphCap, _bisect, _leggauss
+from .quadrature import _bisect, _leggauss
 
 __all__ = [
     "InadmissiblePerturbation",
@@ -131,15 +131,6 @@ class CurvatureCap:
         d = self.n - 1
         r = np.sqrt(np.sum(xp * xp, axis=1))
         return 2.0 * self.K * d + 3.0 * (d + 1) * self.c3 * r
-
-    def as_graph_region(self) -> GraphCap:
-        return GraphCap(
-            self.omega,
-            self.b,
-            self.h,
-            dim=self.n,
-            K_bracket=(self.K_minus, self.K_plus),
-        )
 
     @functools.cached_property
     def rim_radius(self) -> float:
@@ -277,6 +268,9 @@ def cap_lid_nodes(cap: CurvatureCap, spacing: float):
 # times quadrature nodes or grid lines, so past this they reach gigabytes.
 _MAX_DIRECTIONS = 2**20
 
+# Ball radii whose square is a finite, normal float.
+_RADIUS_RANGE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
+
 
 def sphere_directions(n: int, n_dirs: int):
     """Uniform angular grid on S^(n-1): (directions, weights, angles).
@@ -295,7 +289,7 @@ def sphere_directions(n: int, n_dirs: int):
         dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
         w = np.full(n_dirs, 2.0 * math.pi / n_dirs)
         return dirs, w, th[:, None]
-    m = max(4, int(math.sqrt(n_dirs / 2)))
+    m = _polar_rings(n_dirs)
     th = np.linspace(0.0, 2.0 * math.pi, 2 * m, endpoint=False)
     ph = (np.arange(m) + 0.5) * math.pi / m
     tt, pp = np.meshgrid(th, ph, indexing="ij")
@@ -305,6 +299,30 @@ def sphere_directions(n: int, n_dirs: int):
     w = (np.sin(pp) * (math.pi / m) * (2.0 * math.pi / (2 * m))).ravel()
     angles = np.stack([tt.ravel(), pp.ravel()], axis=-1)
     return dirs, w, angles
+
+
+def _polar_rings(n_dirs: int) -> int:
+    """Polar rings m of the 3-d ``sphere_directions`` grid (2m^2 directions)."""
+    return max(4, int(math.sqrt(n_dirs / 2)))
+
+
+def _antipodes(n: int, n_dirs: int):
+    """Index arrays (rep, anti) of ``sphere_directions(n, n_dirs)``'s antipodal pairs.
+
+    Direction ``anti[j]`` is minus direction ``rep[j]`` up to rounding for
+    every j < anti.size; the remaining reps have no antipode in the set.
+    Each direction is in exactly one of the arrays.  The pairing follows
+    the grid's index layout: in 3-d, (theta, phi) -> (theta + pi, pi - phi)
+    maps the first m^2 directions (theta-major) onto the last m^2 with phi
+    reversed; in 2-d an even count pairs j with j + n_dirs/2, and an odd
+    count has no antipodes.
+    """
+    if n == 2:
+        half = n_dirs // 2 if n_dirs % 2 == 0 else 0
+        return np.arange(n_dirs - half), np.arange(n_dirs - half, n_dirs)
+    m = _polar_rings(n_dirs)
+    rep = np.arange(m * m)
+    return rep, np.arange(m * m, 2 * m * m).reshape(m, m)[:, ::-1].ravel()
 
 
 def _gauss_legendre(npts: int, a: float, b: float):
@@ -450,8 +468,11 @@ class BallComponent(Component):
             raise ConfigError(
                 f"ball centre must have {self.dim} coordinates, got {self.center.tolist()!r}"
             )
-        if not self.radius > 0:
-            raise ConfigError(f"ball radius must be positive, got {self.radius!r}")
+        if not _RADIUS_RANGE[0] < self.radius < _RADIUS_RANGE[1]:
+            raise ConfigError(
+                f"ball radius must lie in ({_RADIUS_RANGE[0]:.3g}, {_RADIUS_RANGE[1]:.3g}), "
+                f"got {self.radius!r}"
+            )
 
     def inside(self, pts):
         return np.sum((pts - self.center) ** 2, axis=1) < self.radius**2

@@ -94,10 +94,11 @@ def green_disk_integral(n: int, k: float, a: float) -> complex:
     Both closed forms cancel terms of size 1/k^2, so below k a = 1e-3
     ascending series replace them: DLMF 10.8.1 for Y_1(x) + 2/(pi x),
     and (e^z (z - 1) + 1)/z^2 = sum_{m >= 2} (m - 1) z^(m-2)/m!.
+    NumericalFailure if k a is not positive, as when it underflows.
     """
     x = k * a
     if not x > 0:
-        raise ValueError(f"k a = {x!r} must be positive")
+        raise NumericalFailure(f"k a = {k!r} * {a!r} underflows to {x!r}")
     if n == 2:
         j1 = float(jv(1, x))
         int_j = a * j1 / k
@@ -231,6 +232,8 @@ class GridConvolver:
         self.k = k
         n = len(grid.shape)
         h = grid.spacing
+        # First, so an underflowing k h fails before any table arithmetic.
+        self_cell = green_cell_integral(n, k, h)
         self._fft_shape = tuple(scipy.fft.next_fast_len(2 * s - 1) for s in grid.shape)
         mesh = np.meshgrid(*[np.arange(s) * h for s in grid.shape], indexing="ij", sparse=True)
         r = np.sqrt(sum(m * m for m in mesh))
@@ -238,7 +241,7 @@ class GridConvolver:
         table = np.zeros(self._fft_shape, dtype=complex)
         orthant = tuple(slice(0, s) for s in grid.shape)
         table[orthant] = green_kernel(n, k, r) * h**n
-        table[(0,) * n] = green_cell_integral(n, k, h)
+        table[(0,) * n] = self_cell
         # Offset -j wraps to slot L - j and shares the kernel value of +j.
         for d, (s, L) in enumerate(zip(grid.shape, self._fft_shape)):
             src = [slice(None)] * n

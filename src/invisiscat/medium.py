@@ -288,7 +288,12 @@ def scattered_far_field(scene: MediumScene, sol: LsSolution, n_dirs: int = 64) -
 
 
 def scatter_visibility_ratio(scene: MediumScene, alpha: float) -> float:
-    """sup_bdry |phi u^i| / diam(Omega)^alpha, the visibility comparator."""
+    """sup_bdry |phi u^i| / diam(Omega)^alpha, the visibility comparator.
+
+    ConfigError unless alpha lies in (0, 1], the Hoelder exponents.
+    """
+    if not 0 < alpha <= 1:
+        raise ConfigError(f"alpha must lie in (0, 1], got {alpha!r}")
     bpts = scene.domain.boundary_points()
     vals = np.abs(scene.contrast(bpts) * scene.incident_values(bpts))
     return float(np.max(vals)) / scene.domain.diameter() ** alpha

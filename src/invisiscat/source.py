@@ -23,7 +23,13 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import ConfigError, NumericalFailure
-from .geometry import _ball_nodes, _disk_nodes, _gauss_legendre, sphere_directions
+from .geometry import (
+    _antipodes,
+    _ball_nodes,
+    _disk_nodes,
+    _gauss_legendre,
+    sphere_directions,
+)
 from .holder import boundary_sup, holder_norm, sample_on_grid
 from .kernels import far_field_constant, green_kernel, make_support_grid
 from .quadrature import _bisect
@@ -154,15 +160,36 @@ class FarField:
 def _point_far_field(
     pts: np.ndarray, weighted: np.ndarray, k: float, n: int, n_dirs: int
 ) -> FarField:
-    """C_{n,k} sum_j e^{-ik xhat . y_j} weighted_j on ``n_dirs`` directions xhat."""
+    """C_{n,k} sum_j e^{-ik xhat . y_j} weighted_j on ``n_dirs`` directions xhat.
+
+    With a = k xhat . y real, e^{-ia} = cos a - i sin a at xhat and
+    cos a + i sin a at -xhat.  The phases are formed for one direction of
+    each antipodal pair of ``sphere_directions`` (``_antipodes``) and kept
+    as real cos and sin tables; two real products with the (P, 2) matrix
+    [Re w, Im w] give both directions' sums.  A direction with no antipode
+    in the set (an odd 2-d count) is its own representative.
+    """
     dirs, w_dirs, angles = sphere_directions(n, n_dirs)
-    phase = np.exp(-1j * k * (dirs @ pts.T))
-    vals = far_field_constant(n, k) * (phase @ weighted)
+    rep, anti = _antipodes(n, n_dirs)
+    # [Re w, Im w] as a (P, 2) view, and each (reps, 2) product back as complex.
+    w_ri = np.ascontiguousarray(weighted, dtype=complex).view(float).reshape(-1, 2)
+    a = k * (dirs[rep] @ pts.T)
+    cos_w = (np.cos(a) @ w_ri).view(complex)[:, 0]
+    sin_w = (np.sin(a, out=a) @ w_ri).view(complex)[:, 0]
+    vals = np.empty(dirs.shape[0], dtype=complex)
+    vals[rep] = cos_w - 1j * sin_w
+    vals[anti] = (cos_w + 1j * sin_w)[: anti.size]
+    vals *= far_field_constant(n, k)
     return FarField(directions=dirs, values=vals, k=k, weights=w_dirs, angles=angles)
 
 
 def far_field(scene: SourceScene, n_dirs: int = 64) -> FarField:
-    """Far-field pattern by direct quadrature; ConfigError if the intensity is not finite."""
+    """Far-field pattern by direct quadrature; ConfigError if the intensity is not finite.
+
+    The sum over the support's quadrature nodes runs in real arithmetic,
+    with the phases formed once per antipodal direction pair
+    (``_point_far_field``).
+    """
     if n_dirs < MIN_DIRS:
         raise ConfigError(f"need at least {MIN_DIRS} directions, got {n_dirs!r}")
     target = scene.quad_target()

@@ -104,13 +104,6 @@ class EigenPair:
     w_deriv: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     u_deriv: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    def matching_defect(self) -> float:
-        R = self.itp.R
-        r = np.array([R])
-        val = abs(self.u(r)[0] - self.w(r)[0])
-        der = abs(self.u_deriv(r)[0] - self.w_deriv(r)[0])
-        return float(val + der)
-
 
 def _assemble_pair(itp: RadialITP, k: float, m: int) -> EigenPair:
     jm, jmp = _radial_fns(itp.n, m)

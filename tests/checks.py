@@ -1,10 +1,12 @@
 """Independent checks and fixtures that only the tests use.
 
-Box and ball regions for the cubature oracle, Green-identity residuals
-with manufactured fields, the transmission eigenfunction's vanishing
-near a high-curvature point, flood-fill connectivity to infinity, the
-Mie series' total field, the ratios of a Lippmann-Schwinger residual log
-and the inverse of ``scenes.load_domain``.  No command, suite, demo or
+Box, ball and curvature-cap regions for the cubature oracle,
+Green-identity residuals with manufactured fields, an eigenpair's
+matching defect, the transmission eigenfunction's vanishing near a
+high-curvature point, flood-fill connectivity to infinity, the Mie
+series' total field, the far field as a direct complex-exponential sum,
+the ratios of a Lippmann-Schwinger residual log and the inverse of
+``scenes.load_domain``.  No command, suite, demo or
 benchmark run needs them, so they live here rather than in the package.
 """
 
@@ -25,16 +27,20 @@ from invisiscat.geometry import (
     BallComponent,
     BoxComponent,
     CappedComponent,
+    CurvatureCap,
     Domain,
     _coverage_subsample,
     cap_lid_nodes,
     cap_window_columns,
+    sphere_directions,
 )
 from invisiscat.holder import PrecondViolated, SampledFunction, holder_norm
+from invisiscat.kernels import far_field_constant
 from invisiscat.manufactured import LensBump
-from invisiscat.quadrature import Chart, Region, _stack
+from invisiscat.quadrature import Chart, GraphCap, Region, _stack
 from invisiscat.radial import mie_mode_coefficients, suggested_mode_count
 from invisiscat.scenes import SceneError
+from invisiscat.transmission import EigenPair
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +106,11 @@ class Ball(Region):
                 )
             ]
         raise ValueError("ball regions support dim 2 or 3")
+
+
+def graph_region(cap: CurvatureCap) -> GraphCap:
+    """The cap's lens {|x'| < b, omega(x') < x_n < h} as a cubature region."""
+    return GraphCap(cap.omega, cap.b, cap.h, dim=cap.n, K_bracket=(cap.K_minus, cap.K_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +353,14 @@ def green_identity_residual(
 # ---------------------------------------------------------------------------
 
 
+def matching_defect(pair: EigenPair) -> float:
+    """|u - w| + |u' - w'| at r = R: how far a radial pair misses the transmission conditions."""
+    r = np.array([pair.itp.R])
+    val = abs(pair.u(r)[0] - pair.w(r)[0])
+    der = abs(pair.u_deriv(r)[0] - pair.w_deriv(r)[0])
+    return float(val + der)
+
+
 def manufactured_itp_field(comp: CappedComponent, v0: complex, k: float):
     """Manufactured transmission-like pair on a cap-bottomed body.
 
@@ -483,6 +502,17 @@ def mie_total_field(
         out[interior] += g * a * jv(m, k1 * r[interior]) * ang[interior]
         out[exterior] += g * c * hankel1(m, k * r[exterior]) * ang[exterior]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Far field by the direct complex-exponential sum
+# ---------------------------------------------------------------------------
+
+
+def direct_far_field(pts, weighted, k: float, n: int, n_dirs: int) -> np.ndarray:
+    """C_{n,k} sum_j e^{-ik xhat . y_j} weighted_j, one complex phase per direction and node."""
+    dirs, _, _ = sphere_directions(n, n_dirs)
+    return far_field_constant(n, k) * (np.exp(-1j * k * (dirs @ pts.T)) @ weighted)
 
 
 def convergence_ratios(residuals) -> np.ndarray:

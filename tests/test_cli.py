@@ -618,6 +618,14 @@ _CONFIG_ERRORS = {
     "experiment_curvature_uniqueness_K_text": _experiment("curvature_uniqueness", {"K": "x"}),
     "experiment_curvature_source_delta_0": _experiment("curvature_source", {"delta": 0}),
     "experiment_curvature_source_delta_negative": _experiment("curvature_source", {"delta": -1}),
+    **{
+        f"experiment_medium_visibility_alpha_{alpha}": _experiment("medium_visibility", {"alpha": alpha})
+        for alpha in (-1075.0, 1024.0)
+    },
+    # A radiationless radius j_(1, 1) / k whose square overflows, and a
+    # radius whose spacing diam/64 underflows to zero.
+    "experiment_smallness_source_k_tiny": _experiment("smallness_source", {"k": 2.4e-194}),
+    "experiment_smallness_source_radius_subnormal": _experiment("smallness_source", {"radii": [5e-324]}),
 }
 
 
@@ -633,6 +641,15 @@ def test_config_errors_exit_2_without_traceback(tmp_path, monkeypatch, capsys, f
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_kernel_cell_integral_underflow_exits_3(tmp_path, capsys):
+    """k h underflows to zero in the kernel's cell integral: a numerical failure, not a raise."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 5e-324}))
+    code = main(["experiment", "schiffer_separation", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_medium_cgo_incident_below_overflow_solves(tmp_path):
@@ -735,3 +752,56 @@ def test_suite_config_fuzz_exits_2_before_the_suite_runs(tmp_path_factory, case)
     assert code == EXIT_CONFIG
     assert err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+# Bounds on the suite keys that set grid sizes, quadrature nodes or solve
+# counts.  Each is drawn from [0, bound] or [-bound, bound], so zero and
+# negative values (which must exit 2) come up too; the other float keys
+# (alpha, delta) from (0, 1] or from any finite float.
+_GRID_KEY_BOUNDS = {
+    "k": 2.0, "radius": 1.0, "radii": 1.0, "v0": 1.0, "v0_a": 1.0, "v0_b": 1.0,
+    "K": 1e4, "K_list": 1e4, "n_dirs": 128, "n_candidates": 12,
+}
+
+
+def _suite_value(key, default):
+    """Values of ``default``'s kind, bounded when ``key`` sizes a grid."""
+    bound = _GRID_KEY_BOUNDS.get(key)
+    if isinstance(default, int):
+        return st.integers(0, bound) if bound else st.integers(0, 2**63)
+    if bound:
+        number = st.floats(0.0, bound) | st.floats(-bound, bound) | st.integers(-int(bound), int(bound))
+    else:
+        number = st.floats(0.0, 1.0, exclude_min=True) | st.floats(allow_nan=False, allow_infinity=False)
+    if isinstance(default, float):
+        return number
+    return st.lists(number, min_size=1, max_size=3)
+
+
+@st.composite
+def _valid_suite_configs(draw):
+    """A suite and a config of its own keys, each holding a value of its default's kind."""
+    name = draw(st.sampled_from(sorted(SUITES)))
+    params = inspect.signature(SUITES[name]).parameters
+    keys = draw(st.lists(st.sampled_from(sorted(params)), unique=True, max_size=3))
+    return name, {key: draw(_suite_value(key, params[key].default)) for key in keys}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_valid_suite_configs())
+def test_suite_config_fuzz_runs_within_the_exit_contract(tmp_path_factory, case):
+    """A valid config runs: exit 0-3 and no traceback; 0 and 1 only with both outputs written."""
+    name, cfg = case
+    tmp = tmp_path_factory.mktemp("suite_run")
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["experiment", name, str(tmp / "cfg.json"), "--out", str(tmp)])
+    assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert "Traceback" not in err.getvalue()
+    if code in (EXIT_OK, EXIT_ASSERTION):
+        assert (tmp / f"{name}.csv").exists()
+        summary = json.loads((tmp / f"{name}.json").read_text())
+        assert summary["passed"] is (code == EXIT_OK)
+    else:
+        assert err.getvalue().startswith("error: ")

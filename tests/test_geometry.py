@@ -21,7 +21,7 @@ from invisiscat.geometry import (
 )
 from invisiscat.quadrature import integrate
 
-from checks import ResolutionTooCoarse, connected_to_infinity
+from checks import ResolutionTooCoarse, connected_to_infinity, graph_region
 
 
 class TestComputeCn:
@@ -201,7 +201,7 @@ class TestComponents:
         vol = float(np.sum(w))
         # Oracle: lens volume by the graph-cap region + bulk rectangle.
         lens = integrate(
-            lambda p: np.ones(p.shape[0]), cap.as_graph_region(), tol=1e-10
+            lambda p: np.ones(p.shape[0]), graph_region(cap), tol=1e-10
         ).real
         want = lens + 2.0 * 0.35 * 0.5
         assert abs(vol - want) < 1e-6 * want

@@ -36,7 +36,7 @@ from invisiscat.medium import (
 from invisiscat.quadrature import integrate
 from invisiscat.radial import mie_disk_far_field
 
-from checks import convergence_ratios, mie_total_field
+from checks import convergence_ratios, graph_region, mie_total_field
 
 
 def disk_scene(v0=0.1, k=0.5, R=1.0, theta=0.0):
@@ -375,7 +375,7 @@ class TestCappedCoverage2d:
     def test_area_converges_to_oracle(self):
         cap = make_curvature_cap(10.0, 0.2, n=2)
         comp = CappedComponent(cap, apex=[0.013, -0.021])
-        lens = integrate(lambda p: np.ones(p.shape[0]), cap.as_graph_region(), tol=1e-12).real
+        lens = integrate(lambda p: np.ones(p.shape[0]), graph_region(cap), tol=1e-12).real
         want = lens + 2.0 * comp.bulk_width * comp.bulk_height
         for h in (0.03, 0.015):
             grid = make_support_grid(Domain([comp]), h)

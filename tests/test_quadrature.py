@@ -18,7 +18,7 @@ from invisiscat.quadrature import (
     integrate_full,
 )
 
-from checks import Ball, Box
+from checks import Ball, Box, graph_region
 
 ONE = lambda pts: np.ones(pts.shape[0])
 
@@ -133,7 +133,7 @@ def _rim_cases():
     th = np.linspace(-math.pi, math.pi, 15)
     dirs = {2: np.array([[1.0], [-1.0]]), 3: np.stack([np.cos(th), np.sin(th)], axis=-1)}
     cases = [
-        (make_curvature_cap(float(K), float(ratio * K), n=n).as_graph_region(), dirs[n])
+        (graph_region(make_curvature_cap(float(K), float(ratio * K), n=n)), dirs[n])
         for n in (2, 3)
         for K in np.geomspace(math.e, 1e4, 8)
         for ratio in np.linspace(-0.05, 0.2, 4)

@@ -10,9 +10,18 @@ from scipy.special import hankel1
 from scipy.special import jv as bessel_j
 from scipy.special import spherical_jn, spherical_yn
 
+from checks import direct_far_field
+
 from invisiscat import source
 from invisiscat.errors import NumericalFailure
-from invisiscat.geometry import AnnulusComponent, BallComponent, BoxComponent, Domain
+from invisiscat.geometry import (
+    AnnulusComponent,
+    BallComponent,
+    BoxComponent,
+    Domain,
+    _antipodes,
+    sphere_directions,
+)
 from invisiscat.kernels import far_field_constant, make_support_grid
 from invisiscat.source import (
     FarField,
@@ -102,6 +111,61 @@ class TestFarField:
             -1j * k * ff.directions, grid.coverage * h**2
         )
         assert np.max(np.abs(ff.values - want)) < 2e-4 * np.max(np.abs(want))
+
+
+def _off_centre_scene(n, k):
+    # A ball and a box, neither centred at the origin, with complex intensity.
+    if n == 2:
+        comps = [BallComponent([0.4, -0.3], 0.5), BoxComponent([-0.9, 0.2], [-0.3, 0.7])]
+    else:
+        comps = [BallComponent([0.3, -0.2, 0.1], 0.4, dim=3)]
+    return SourceScene(Domain(comps), 2.0 - 1.0j, k, n)
+
+
+class TestAntipodalFarField:
+    """The antipodal real-arithmetic sum against the direct complex-exponential sum."""
+
+    CASES = [(2, 64), (2, 63), (2, 9), (3, 128), (3, 50)]
+
+    @pytest.mark.parametrize("k", [0.5, 7.0])
+    @pytest.mark.parametrize("n, n_dirs", CASES)
+    def test_far_field_matches_direct_sum(self, n, n_dirs, k):
+        scene = _off_centre_scene(n, k)
+        pts, w = scene.domain.quad_nodes(scene.quad_target())
+        want = direct_far_field(pts, w * scene.intensity(pts), k, n, n_dirs)
+        ff = far_field(scene, n_dirs)
+        assert np.max(np.abs(ff.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [0.5, 7.0])
+    @pytest.mark.parametrize("n, n_dirs", CASES)
+    def test_point_far_field_matches_direct_sum(self, n, n_dirs, k):
+        rng = np.random.default_rng(n_dirs)
+        pts = rng.uniform(-0.5, 1.5, (400, n))
+        weighted = (2.0 - 1.0j) * rng.uniform(0.0, 1.0, 400)
+        want = direct_far_field(pts, weighted, k, n, n_dirs)
+        ff = source._point_far_field(pts, weighted, k, n, n_dirs)
+        assert np.max(np.abs(ff.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, n_dirs", CASES)
+    def test_grid_is_sphere_directions(self, n, n_dirs):
+        ff = far_field(_off_centre_scene(n, 0.5), n_dirs)
+        dirs, weights, angles = sphere_directions(n, n_dirs)
+        assert np.array_equal(ff.directions, dirs)
+        assert np.array_equal(ff.weights, weights)
+        assert np.array_equal(ff.angles, angles)
+
+    def test_pairs_are_antipodes(self):
+        # Every even 2-d count up to 512 (past it, the rounding of the angles
+        # 2 pi j / n alone reaches 1.01e-15 at n = 690, 758 and 786).
+        counts = [(2, c) for c in range(8, 513, 2)] + [(2, c) for c in (9, 63, 511)]
+        counts += [(3, c) for c in (8, 32, 50, 128, 200, 1000, 4096, 20000)]
+        for n, n_dirs in counts:
+            dirs, _, _ = sphere_directions(n, n_dirs)
+            rep, anti = _antipodes(n, n_dirs)
+            assert np.array_equal(np.sort(np.concatenate([rep, anti])), np.arange(len(dirs)))
+            # Every direction of an even 2-d count and of a 3-d grid has its antipode.
+            assert anti.size == (0 if n_dirs % 2 and n == 2 else rep.size), (n, n_dirs)
+            assert np.max(np.abs(dirs[anti] + dirs[rep[: anti.size]]), initial=0.0) <= 1e-15
 
 
 class TestRadiationlessRadius:

@@ -16,7 +16,7 @@ from invisiscat.transmission import (
     itp_determinant,
 )
 
-from checks import curvature_vanishing_probe, manufactured_itp_field
+from checks import curvature_vanishing_probe, manufactured_itp_field, matching_defect
 
 REFERENCE_K1 = 0.993997561886  # first m=0 eigenvalue for R=1, v0=15, n=2
 
@@ -157,7 +157,7 @@ class TestEigenPairs:
     def test_matching_at_boundary(self):
         itp = RadialITP(R=1.0, v0=15.0)
         for pair in find_eigenvalues(itp, 3.5, modes=[0, 1, 2]):
-            assert pair.matching_defect() < 1e-6
+            assert matching_defect(pair) < 1e-6
 
     def test_ode_residuals(self):
         # u'' + u'/r + (k1^2 - m^2/r^2) u = 0, via 4th-order differences.

@@ -39,4 +39,6 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-experiments._pin_blas_threads()  # the sweep pool is the only parallelism
+# Idle OpenBLAS workers woken by the solver's complex dot products and the
+# far-field products spin on a core and shorten no call.
+experiments._pin_blas_threads()

@@ -22,7 +22,6 @@ import ctypes
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,12 +78,11 @@ _CAL_PATH = Path(__file__).with_name("calibration.json")
 
 
 def worker_count() -> int:
-    """Sweep workers: one per CPU this process may run on, at most 4."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(4, cpus)
+    """Sweep workers: 1, since every suite runs its rows on the caller's thread.
+
+    Kept because perfbench records it with each run.
+    """
+    return 1
 
 
 _BLAS_SET_THREADS = (
@@ -98,12 +96,12 @@ _BLAS_SET_THREADS = (
 def _pin_blas_threads() -> None:
     """Set every OpenBLAS already mapped into the process to one thread.
 
-    The sweep pool of ``_map_ordered`` stays the only parallelism: after a
-    threaded BLAS call (a complex ``np.linalg.norm``, a far-field ``@``),
-    OpenBLAS workers busy-wait on the cores the pool runs on, and on no
-    workload here do they shorten a call.  Libraries are opened with
-    ``RTLD_NOLOAD``, so none is loaded; without ``/proc/self/maps``, or with
-    another BLAS, nothing happens.
+    COCG's complex dot products (``g @ g``, ``p @ q``, ``np.linalg.norm``)
+    and the far fields' ``@`` wake OpenBLAS workers that then busy-wait on
+    a core and shorten no call: unpinned, ``ls_single`` takes about twice
+    the CPU time.  Libraries are opened with ``RTLD_NOLOAD``, so none is
+    loaded; without ``/proc/self/maps``, or with another BLAS, nothing
+    happens.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -120,14 +118,6 @@ def _pin_blas_threads() -> None:
             if set_threads is not None:
                 set_threads(1)
                 break
-
-
-def _map_ordered(fn, items):
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -222,7 +212,7 @@ def run_smallness_source(
             "radiationless_expected": silent,
         }
 
-    rows = _map_ordered(one, sweep)
+    rows = [one(x) for x in sweep]
     for row in rows:
         hypothesis = row["ratio"] >= cal["C_visibility"]
         silent = row["far_field_sup"] < cal["far_field_floor"]
@@ -290,7 +280,7 @@ def run_curvature_source(
             "dual_phi_norm": norm_phi,
         }
 
-    rows = _map_ordered(one, list(K_list))
+    rows = [one(x) for x in K_list]
     for row in rows:
         visible = row["far_field_sup"] > cal["far_field_floor"]
         dual_ok = row["dual_apex_ratio"] <= cal["C_manufactured"] * row["envelope"] * (
@@ -362,7 +352,7 @@ def run_medium_visibility(
             "envelope_K": envelope,
         }
 
-    rows = _map_ordered(one, jobs)
+    rows = [one(x) for x in jobs]
     for row in rows:
         floor = cal["relative_floor"] * row["born_scale"]
         hypothesis = row["comparator"] >= cal["C_comparator"]
@@ -492,7 +482,7 @@ def run_schiffer_counting(
             "mismatch": ff_true.relative_l2_difference(ff),
         }
 
-    rows = _map_ordered(one, candidates)
+    rows = [one(x) for x in candidates]
     best_correct = math.inf
     for row in rows:
         if math.isnan(row["mismatch"]):

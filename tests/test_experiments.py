@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 
@@ -31,17 +32,18 @@ class TestInfrastructure:
             for name, want in consts.items():
                 assert math.isclose(cal[suite][name], want, rel_tol=1e-12), (suite, name)
 
-    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
-        # A process pinned to one CPU gets one worker, however many the
-        # machine has.
-        monkeypatch.setattr(ex.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    def test_suite_rows_run_on_the_calling_thread(self, monkeypatch):
+        idents = []
+        real = ex.far_field
+
+        def recording(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "far_field", recording)
+        ex.run_smallness_source(radii=[0.5, 0.25], n_dirs=16)
+        assert idents and set(idents) == {threading.get_ident()}
         assert ex.worker_count() == 1
-        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: set(range(16)))
-        assert ex.worker_count() == 4
-        monkeypatch.delattr(ex.os, "sched_getaffinity")
-        monkeypatch.setattr(ex.os, "cpu_count", lambda: 3)
-        assert ex.worker_count() == 3
 
     def test_write_outputs_idempotent(self, tmp_path):
         res = ex.run_smallness_source(radii=[0.5], n_dirs=16)

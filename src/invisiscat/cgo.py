@@ -88,9 +88,7 @@ class CgoVector:
         return self.rho[None, :], np.ones(1)
 
     def field(self, pts: np.ndarray) -> np.ndarray:
-        # Two real products: a complex one (zgemv) wakes a second BLAS
-        # thread and costs several times more per cubature call.
-        return np.exp(pts @ self.rho.real + 1j * (pts @ self.rho.imag))
+        return np.exp(pts @ self.rho)
 
 
 def cgo_over_parabola(rho, K: float) -> complex:

@@ -20,7 +20,6 @@ starts.  Any other exception is a bug and ends in its traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import math
 import sys
@@ -33,8 +32,15 @@ from .experiments import SUITES, write_outputs
 from .kernels import _MAX_CELLS
 from .medium import scattered_far_field, solve_ls
 from .quadrature import AnnularParaboloid, ParaboloidCap, integrate
-from .scenes import load_itp, load_medium_scene, load_source_scene, read_json
-from .source import MIN_DIRS, far_field, solve_field
+from .scenes import (
+    _finite_number,
+    _finite_numbers,
+    load_itp,
+    load_medium_scene,
+    load_source_scene,
+    read_json,
+)
+from .source import MIN_DIRS, far_field, solve_field, write_csv
 from .transmission import NoneFound, find_eigenvalues
 
 EXIT_OK = 0
@@ -44,14 +50,8 @@ EXIT_NUMERICAL = 3
 
 
 def _write_field_csv(path, pts, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i+1}" for i in range(pts.shape[1])] + ["re", "im"])
-        for p, v in zip(pts, values):
-            writer.writerow(
-                [repr(float(c)) for c in p]
-                + [repr(float(v.real)), repr(float(v.imag))]
-            )
+    header = [f"x{i+1}" for i in range(pts.shape[1])] + ["re", "im"]
+    write_csv(path, header, np.column_stack((pts, values.real, values.imag)))
 
 
 def _field_grid(domain, n):
@@ -75,16 +75,6 @@ def _positive(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
-def _finite_number(x) -> bool:
-    """A JSON number, not a bool, within the float range."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _check_suite_value(flag: str, default, value) -> None:
     """Reject a suite config value that is not of its default's kind.
 
@@ -97,7 +87,7 @@ def _check_suite_value(flag: str, default, value) -> None:
     elif isinstance(default, float):
         _require(_finite_number(value), flag, "a finite number", value)
     else:  # a tuple of numbers
-        ok = isinstance(value, list) and len(value) > 0 and all(map(_finite_number, value))
+        ok = _finite_numbers(value) and len(value) > 0
         _require(ok, flag, "a non-empty list of finite numbers", value)
 
 
@@ -149,16 +139,12 @@ def cmd_teig(args) -> int:
         pairs = find_eigenvalues(itp, args.kmax, modes=[int(m) for m in modes])
     except NoneFound:  # no eigenvalue below --kmax is a result, not a failure
         pairs = []
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "index", "k_eig", "boundary_value_u"])
-        counts = {}
-        for p in pairs:
-            counts[p.mode] = counts.get(p.mode, 0) + 1
-            u_R = abs(p.u(np.array([itp.R]))[0])
-            writer.writerow(
-                [p.mode, counts[p.mode], repr(p.k_eig), repr(float(u_R))]
-            )
+    counts = {}
+    rows = []
+    for p in pairs:
+        counts[p.mode] = counts.get(p.mode, 0) + 1
+        rows.append([p.mode, counts[p.mode], p.k_eig, abs(p.u(np.array([itp.R]))[0])])
+    write_csv(args.out, ["mode", "index", "k_eig", "boundary_value_u"], rows)
     print(f"{len(pairs)} eigenvalues written to {args.out}")
     return EXIT_OK
 

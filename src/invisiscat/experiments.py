@@ -17,7 +17,6 @@ exactly.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import json
 import math
@@ -57,6 +56,7 @@ from .source import (
     far_field,
     radiationless_radius,
     visibility_ratio,
+    write_csv,
 )
 
 __all__ = [
@@ -154,23 +154,11 @@ def load_calibration() -> dict:
         return json.load(fh)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, complex):
-        return f"{x.real!r}+{x.imag!r}j"
-    return str(x)
-
-
 def write_outputs(result: SuiteResult, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{result.name}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(result.columns)
-        for row in result.table():
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(csv_path, result.columns, result.table())
     summary = {
         "suite": result.name,
         "passed": result.passed,

@@ -65,29 +65,24 @@ class LensBump(CapBump):
     from below.
     """
 
-    def _mask(self, pts):
-        # Closed window: boundary values are the one-sided limits from
-        # inside the lens, matching the restriction to the closure.
+    def _on_window(self, fn, pts, shape):
+        """fn(pts) on the closed window, zero elsewhere, in an array of ``shape``.
+
+        Closed: boundary values are the one-sided limits from inside the
+        lens, matching the restriction to the closure.
+        """
         xp, xn = self._split(pts)
-        return (xn >= self.cap.omega(xp)) & (xn <= self.cap.h)
+        m = (xn >= self.cap.omega(xp)) & (xn <= self.cap.h)
+        out = np.zeros(shape)
+        if np.any(m):
+            out[m] = fn(pts[m])
+        return out
 
     def value(self, pts):
-        m = self._mask(pts)
-        out = np.zeros(pts.shape[0])
-        if np.any(m):
-            out[m] = super().value(pts[m])
-        return out
+        return self._on_window(super().value, pts, pts.shape[0])
 
     def grad(self, pts):
-        m = self._mask(pts)
-        out = np.zeros(pts.shape, dtype=float)
-        if np.any(m):
-            out[m] = super().grad(pts[m]).real
-        return out
+        return self._on_window(super().grad, pts, pts.shape)
 
     def laplacian(self, pts):
-        m = self._mask(pts)
-        out = np.zeros(pts.shape[0])
-        if np.any(m):
-            out[m] = super().laplacian(pts[m])
-        return out
+        return self._on_window(super().laplacian, pts, pts.shape[0])

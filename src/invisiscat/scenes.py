@@ -14,7 +14,9 @@ Domain kinds: ball, annulus, box, star, capped, union.  Intensity and
 contrast kinds: constant (scalar or [re, im]), expression (grammar
 below, coordinates x1..xn), grid (npz with origin/spacing/values,
 nearest-cell lookup, zero outside).  Incident kinds: plane_wave,
-herglotz (density expression in the angle t), cgo (tau > 0).
+herglotz (density expression in the angle t), cgo (tau > 0).  Every
+numeric value must be a finite JSON number (or an array of them): a
+string or a boolean is rejected, never converted.
 
 Expression grammar (ASCII only):
 
@@ -86,8 +88,8 @@ _NODES = (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Po
 
 def _compile(text: str, variables):
     """Check ``text`` against the grammar and compile it to bytecode."""
-    if not text.isascii() or "**" in text or "#" in text:
-        raise SceneError(f"expression must be ASCII without '**' or '#': {text!r}")
+    if not isinstance(text, str) or not text.isascii() or "**" in text or "#" in text:
+        raise SceneError(f"expression must be ASCII text without '**' or '#': {text!r}")
     # Python refuses leading zeros on integers ("01"); the grammar allows them.
     text = re.sub(r"(?<![\w.])0+(?=\d)", "", re.sub(r"\s+", " ", text).strip())
     text = text.replace("^", "**")
@@ -178,18 +180,33 @@ def _finite(values, what: str):
         raise SceneError(f"{what} must be finite on the support")
 
 
+def _finite_number(x) -> bool:
+    """A JSON number, not a bool, within the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _finite_numbers(xs) -> bool:
+    """A JSON array of finite numbers."""
+    return isinstance(xs, list) and all(map(_finite_number, xs))
+
+
 def _point(spec: dict, key: str, dim: int) -> np.ndarray:
-    p = np.asarray(spec[key], dtype=float)
-    if p.shape != (dim,) or not np.all(np.isfinite(p)):
-        raise SceneError(f"{key} must hold {dim} finite numbers, got {spec[key]!r}")
-    return p
+    p = spec[key]
+    if not (_finite_numbers(p) and len(p) == dim):
+        raise SceneError(f"{key} must hold {dim} finite numbers, got {p!r}")
+    return np.array(p, dtype=float)
 
 
 def _number(spec: dict, key: str) -> float:
-    x = float(spec[key])
-    if not math.isfinite(x):
-        raise SceneError(f"{key} must be finite, got {spec[key]!r}")
-    return x
+    x = spec[key]
+    if not _finite_number(x):
+        raise SceneError(f"{key} must be a finite number, got {x!r}")
+    return float(x)
 
 
 def _length(spec: dict, key: str) -> float:
@@ -218,6 +235,8 @@ def _component(spec, dim: int):
         r0 = _length(spec, "r0")
         cos_c = spec.get("cos_coeffs", [])
         sin_c = spec.get("sin_coeffs", [])
+        if not (_finite_numbers(cos_c) and _finite_numbers(sin_c)):
+            raise SceneError("cos_coeffs and sin_coeffs must be lists of finite numbers")
 
         def radial(th, r0=r0, cos_c=cos_c, sin_c=sin_c):
             out = np.full_like(np.asarray(th, dtype=float), r0)
@@ -262,11 +281,11 @@ def _field_fn(spec, what: str, dim: int):
     kind = _object(spec, what).get("kind")
     if kind == "constant":
         val = spec.get("value", 1.0)
-        if isinstance(val, (list, tuple)):
-            if len(val) != 2:
-                raise SceneError(f"{what} value must be a number or [re, im], got {val!r}")
-            val = complex(val[0], val[1])
-        return complex(val)
+        if _finite_number(val):
+            return complex(val)
+        if _finite_numbers(val) and len(val) == 2:
+            return complex(*val)
+        raise SceneError(f"{what} value must be a finite number or [re, im], got {val!r}")
     if kind == "expression":
         return parse_expression(spec["expr"], [f"x{i+1}" for i in range(dim)])
     if kind == "grid":
@@ -300,11 +319,11 @@ def _incident(spec, dim: int):
         return PlaneWave(_point(spec, "direction", dim))
     if kind == "herglotz":
         n_quad = spec.get("n_quad", 256)
-        if not (isinstance(n_quad, int) and n_quad >= 1):
+        if isinstance(n_quad, bool) or not (isinstance(n_quad, int) and n_quad >= 1):
             raise SceneError(f"n_quad must be a positive integer, got {n_quad!r}")
         return HerglotzWave(parse_angle_expression(spec["density"]), n_quad=n_quad)
     if kind == "cgo":
-        if int(spec.get("dimension", dim)) != dim:
+        if spec.get("dimension", dim) != dim:  # so neither 2.7 nor "2" passes for 2
             raise SceneError("cgo incident dimension differs from the scene's")
         return CgoVector.canonical(_number(spec, "tau"), dim)
     raise SceneError(f"unknown incident kind {kind!r}")

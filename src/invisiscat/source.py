@@ -38,6 +38,7 @@ __all__ = [
     "QuadratureFailure",
     "SourceScene",
     "FarField",
+    "write_csv",
     "far_field",
     "solve_field",
     "radiationless_radius",
@@ -135,16 +136,9 @@ class FarField:
         return float(np.sqrt(np.sum(self.weights * np.abs(diff) ** 2))) / denom
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            n_ang = self.angles.shape[1]
-            header = ["theta"] if n_ang == 1 else ["theta", "phi"]
-            writer.writerow(header + ["re", "im"])
-            for ang, val in zip(self.angles, self.values):
-                writer.writerow(
-                    [repr(float(a)) for a in ang]
-                    + [repr(float(val.real)), repr(float(val.imag))]
-                )
+        header = ["theta"] if self.angles.shape[1] == 1 else ["theta", "phi"]
+        rows = np.column_stack((self.angles, self.values.real, self.values.imag))
+        write_csv(path, header + ["re", "im"], rows)
 
     def to_json(self, path):
         payload = {
@@ -155,6 +149,17 @@ class FarField:
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
+
+
+def write_csv(path, header, rows) -> None:
+    """RFC-4180 table: floats, numpy's included, as ``repr(float(x))``, all else by ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row]
+            )
 
 
 def _point_far_field(
@@ -214,7 +219,7 @@ def solve_field(
     The plain quadrature sum runs over the live cells (nonzero f times
     coverage) only, for a block of targets at a time: the (targets,
     cells) distance array is bounded by ``_BLOCK_ENTRIES`` entries and
-    reduced along the cell axis by a numpy sum.  Cells within
+    reduced along the cell axis by a matrix product.  Cells within
     ``_NEAR_RADIUS_CELLS`` grid cells of a target are left out of its sum,
     and a target that has such a live cell gets polar-coordinate
     quadrature of the kernel singularity over that ball instead.  The
@@ -248,9 +253,7 @@ def solve_field(
         far = d > r_cut
         g = np.zeros(d.shape, dtype=complex)
         g[far] = green_kernel(scene.n, scene.k, d[far])
-        # A numpy sum, not ``@``: the complex BLAS product wakes a second
-        # thread for no gain in wall time.
-        out[start : start + block] = np.sum(g * f_live, axis=1) * w_cell
+        out[start : start + block] = (g @ f_live) * w_cell
         # Singular ball: integral of G * f over B(x, r_cut) in polar form.
         for i in np.flatnonzero(~np.all(far, axis=1)):
             vals = scene.source_values(x[i : i + 1] + offs)

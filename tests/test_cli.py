@@ -518,6 +518,11 @@ _CONFIG_ERRORS = {
         {"s.json": _small_scene(incident={"kind": "herglotz", "density": "1", "n_quad": 10**13})},
         "medium", "{tmp}/s.json",
     ),
+    # Read as 1 by float(), before scenes took JSON numbers only.
+    "source_radius_true": _row(
+        {"s.json": _small_scene(domain={"kind": "ball", "center": [0.0, 0.0], "radius": True})},
+        "source", "{tmp}/s.json",
+    ),
     "teig_modes_letter": _row(
         _ITP, "teig", "{tmp}/itp.json", "--kmax", "3", "--modes", "a", "--out", "{tmp}/e.csv"
     ),

@@ -13,6 +13,7 @@ from invisiscat.cgo import CgoVector
 from invisiscat.scenes import (
     SceneError,
     load_domain,
+    load_itp,
     load_medium_scene,
     load_source_scene,
     parse_expression,
@@ -305,3 +306,75 @@ class TestSceneLoading:
         }
         scene = load_source_scene(cfg)
         assert scene.intensity(np.zeros((1, 2)))[0] == 1.0 + 0.5j
+
+
+_BALL = {"kind": "ball", "center": [0, 0], "radius": 1.0}
+_SOURCE = {
+    "dimension": 2,
+    "wavenumber": 1.0,
+    "domain": _BALL,
+    "intensity": {"kind": "constant", "value": 1.0},
+}
+_MEDIUM = {
+    "dimension": 2,
+    "wavenumber": 1.0,
+    "domain": _BALL,
+    "contrast": {"kind": "constant", "value": 0.1},
+}
+
+
+def _source(**changes):
+    return load_source_scene({**_SOURCE, **changes})
+
+
+def _medium(**changes):
+    return load_medium_scene({**_MEDIUM, **changes})
+
+
+# Values that are not JSON numbers where a scene reads a number.  Each
+# used to load, converted by float(), complex() or int(), except n_quad,
+# which numpy refused with a TypeError, and "expr": 5, which ended in an
+# AttributeError.
+_NOT_NUMBERS = {
+    "wavenumber_string": lambda: _source(wavenumber="1.5"),
+    "radius_true": lambda: _source(domain={**_BALL, "radius": True}),
+    "center_true": lambda: _source(domain={**_BALL, "center": [0, True]}),
+    "center_strings": lambda: _source(domain={**_BALL, "center": ["0", "0"]}),
+    "constant_true": lambda: _source(intensity={"kind": "constant", "value": True}),
+    "constant_string": lambda: _source(intensity={"kind": "constant", "value": "1+2j"}),
+    "constant_pair_of_bools": lambda: _source(
+        intensity={"kind": "constant", "value": [True, False]}
+    ),
+    "capped_K_string": lambda: _source(domain={"kind": "capped", "K": "8"}),
+    "star_coeff_false": lambda: _source(
+        domain={"kind": "star", "r0": 1.0, "cos_coeffs": [False]}
+    ),
+    "expression_not_text": lambda: _source(intensity={"kind": "expression", "expr": 5}),
+    "cgo_tau_string": lambda: _medium(incident={"kind": "cgo", "tau": "3"}),
+    "cgo_dimension_fraction": lambda: _medium(
+        incident={"kind": "cgo", "tau": 3, "dimension": 2.7}
+    ),
+    "herglotz_n_quad_true": lambda: _medium(
+        incident={"kind": "herglotz", "density": "1", "n_quad": True}
+    ),
+    "itp_strings": lambda: load_itp({"radius": "1", "contrast": "15"}),
+}
+
+
+@pytest.mark.parametrize("load", _NOT_NUMBERS.values(), ids=_NOT_NUMBERS.keys())
+def test_numbers_must_be_json_numbers(load):
+    with pytest.raises(SceneError):
+        load()
+
+
+def test_json_numbers_load_unchanged():
+    """Integers and floats are read as the floats they denote."""
+    scene = _medium(
+        wavenumber=2,
+        domain={**_BALL, "center": [1, -0.5], "radius": 1},
+        contrast={"kind": "constant", "value": [1, 2]},
+        incident={"kind": "cgo", "tau": 3, "dimension": 2},
+    )
+    assert scene.k == 2.0 and scene.incident.tau == 3.0
+    assert scene.contrast(np.array([[1.0, -0.5]]))[0] == 1 + 2j
+    assert load_itp({"radius": 1, "contrast": 15}).v0 == 15.0

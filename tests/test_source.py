@@ -30,6 +30,7 @@ from invisiscat.source import (
     radiationless_radius,
     solve_field,
     visibility_ratio,
+    write_csv,
 )
 
 
@@ -391,6 +392,24 @@ class TestFarFieldSerialization:
         ff.to_csv(p1)
         ff.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_floats_written_as_plain_floats(self, tmp_path):
+        """np.float64 angles, values and cells read back as Python float reprs."""
+        theta = np.array([np.float64(0.25), np.float64(2.5)])
+        ff = FarField(
+            directions=np.stack([np.cos(theta), np.sin(theta)], axis=1),
+            values=np.array([1.5 - 0.5j, -2.0 + 0.125j]),
+            k=np.float64(1.0),
+            weights=np.full(2, np.pi),
+            angles=theta[:, None],
+        )
+        path = tmp_path / "ff.csv"
+        ff.to_csv(path)
+        text = path.read_text()
+        assert "np." not in text
+        assert text.splitlines() == ["theta,re,im", "0.25,1.5,-0.5", "2.5,-2.0,0.125"]
+        write_csv(path, ["a", "b", "c", "d"], [[np.float64(1.5), 2, None, True]])
+        assert path.read_text().splitlines() == ["a,b,c,d", "1.5,2,None,True"]
 
 
 def test_field_grid_budget():

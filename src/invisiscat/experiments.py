@@ -307,21 +307,16 @@ def run_medium_visibility(
 
     def one(job):
         kind, r, K = job
-        if kind == "control":
-            dom = Domain([BallComponent([0.0, 0.0], 1.0)])
-            scene = MediumScene(dom, 0.0, k, PlaneWave([1.0, 0.0]))
-            area = math.pi
-        elif kind == "disk":
-            dom = Domain([BallComponent([0.0, 0.0], r)])
-            scene = MediumScene(dom, v0, k, PlaneWave([1.0, 0.0]))
-            area = math.pi * r * r
+        contrast = 0.0 if kind == "control" else v0
+        if kind == "capped":
+            dom = Domain([_capped_component(K, 0.75)])
+            area = float(np.sum(dom.quad_nodes(32)[1]))
         else:
-            comp = _capped_component(K, 0.75)
-            dom = Domain([comp])
-            scene = MediumScene(dom, v0, k, PlaneWave([1.0, 0.0]))
-            pts, w = dom.quad_nodes(32)
-            area = float(np.sum(w))
-        contraction = k * k * c0 * abs(v0 if kind != "control" else 0.0)
+            radius = 1.0 if kind == "control" else r
+            dom = Domain([BallComponent([0.0, 0.0], radius)])
+            area = math.pi * radius * radius
+        scene = MediumScene(dom, contrast, k, PlaneWave([1.0, 0.0]))
+        contraction = k * k * c0 * abs(contrast)
         sol = solve_ls(scene, tol=1e-10)
         ff = scattered_far_field(scene, sol, n_dirs).sup_norm()
         comparator = scatter_visibility_ratio(scene, alpha)
@@ -335,7 +330,7 @@ def run_medium_visibility(
             "size": r if r is not None else K,
             "comparator": comparator,
             "far_field_sup": ff,
-            "born_scale": _born_scale(k, v0 if kind != "control" else 0.0, area),
+            "born_scale": _born_scale(k, contrast, area),
             "contraction": contraction,
             "envelope_K": envelope,
         }

@@ -102,8 +102,11 @@ class CurvatureCap:
     K_plus: float = field(init=False)
 
     def __post_init__(self):
-        if self.K <= 0 or self.L <= 0 or self.delta <= 0 or self.M < 1.0:
-            raise ConfigError("need K, L, delta > 0 and M >= 1")
+        if not (self.K > 0 and self.L > 0 and self.delta > 0 and self.M >= 1.0):
+            raise ConfigError(
+                f"need K, L, delta > 0 and M >= 1, got K = {self.K!r}, L = {self.L!r}, "
+                f"delta = {self.delta!r}, M = {self.M!r}"
+            )
         if self.n not in (2, 3):
             raise ConfigError("dimensions 2 and 3 supported")
         self.b = math.sqrt(self.M) / self.K
@@ -155,12 +158,14 @@ def make_curvature_cap(
 ) -> CurvatureCap:
     """Build an admissible cap with perturbation cubic_coeff * |x'|^3.
 
-    Raises ``InadmissiblePerturbation`` when the third-derivative
+    ``CurvatureCap`` checks L, delta > 0 and M >= 1 before the budget is
+    formed.  Raises ``InadmissiblePerturbation`` when the third-derivative
     budget f(K) <= min((M-1)K^2/(c_n M^(3/2)), L K^(2-delta)/(2 c_n sqrt M))
     fails.
     """
     if not (math.isfinite(K) and K >= math.e):
         raise ConfigError(f"curvature parameter must be finite with K >= e, got {K!r}")
+    cap = CurvatureCap(K=K, L=L, M=M, delta=delta, c3=cubic_coeff, n=n)
     cn = compute_cn(n)
     f = abs(cubic_coeff) * _CUBIC_THIRD_DERIV_SUP
     try:
@@ -179,7 +184,6 @@ def make_curvature_cap(
         raise InadmissiblePerturbation(
             f"third-derivative size {f:.4g} exceeds admissible budget {budget:.4g}"
         )
-    cap = CurvatureCap(K=K, L=L, M=M, delta=delta, c3=cubic_coeff, n=n)
     # Hard invariants of the construction, which the budget above implies.
     if not (
         cap.K_minus > 0
@@ -657,8 +661,10 @@ class StarComponent(Component):
 class CappedComponent(Component):
     """Cap-bottomed body: graph lens glued under a cylindrical bulk.
 
-    The body is { |x'| < rim, omega(x') < x_n < h } union { |x'| < bulk_width,
-    h <= x_n < h + bulk_height }, apex at ``apex``.  Inside the
+    The body is the open set { |x'| < bulk_width, lo(x') < x_n < h + bulk_height },
+    lo = omega below the rim and h beyond it (``column_bounds``), apex at
+    ``apex``: the lens { |x'| < rim, omega(x') < x_n < h } glued under a
+    cylinder, its shelf x_n = h beyond the rim excluded.  Inside the
     admissibility cylinder B(0,b) x (-h,h) it coincides exactly with
     { omega < x_n < h }, so the apex is an admissible curvature point of
     the body whenever the cap itself is admissible.
@@ -683,16 +689,8 @@ class CappedComponent(Component):
 
     def inside(self, pts):
         q = pts - self.apex
-        xp, xn = q[:, :-1], q[:, -1]
-        w = self.cap.omega(xp)
-        r = np.sqrt(np.sum(xp * xp, axis=1))
-        lens = (r < self.cap.rim_radius) & (xn > w) & (xn < self.cap.h)
-        bulk = (
-            (r < self.bulk_width)
-            & (xn >= self.cap.h)
-            & (xn < self.cap.h + self.bulk_height)
-        )
-        return lens | bulk
+        lo, hi, empty = self.column_bounds(q[:, :-1])
+        return ~empty & (q[:, -1] > lo) & (q[:, -1] < hi)
 
     def bounding_box(self):
         w = self.bulk_width
@@ -703,7 +701,7 @@ class CappedComponent(Component):
         return lo, hi
 
     def column_bounds(self, xp: np.ndarray):
-        """Vertical extent (lo, hi) of the body above tangential points."""
+        """(lo, hi, empty): the body above tangential points is lo < x_n < hi, unless empty."""
         w = self.cap.omega(xp)
         r = np.sqrt(np.sum(xp * xp, axis=1))
         rim = self.cap.rim_radius

@@ -80,8 +80,6 @@ def _pair_indices(points: np.ndarray, spacing: float):
     j = rng.integers(0, n, size=k)
     keep = i != j
     far = np.stack([i[keep], j[keep]], axis=-1)
-    if near.size == 0:
-        return far
     return np.concatenate([near, far], axis=0)
 
 

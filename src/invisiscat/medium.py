@@ -49,6 +49,7 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 from .kernels import GridConvolver, SupportGrid, far_field_constant, make_support_grid
 from .geometry import BallComponent, Domain, sphere_directions
+from .holder import boundary_sup
 from .source import FarField, _check_finite, _check_wavenumber
 
 __all__ = [
@@ -77,8 +78,11 @@ class PlaneWave:
     def __post_init__(self):
         self.direction = np.asarray(self.direction, dtype=float)
         nrm = float(np.linalg.norm(self.direction))
-        if nrm == 0:
-            raise ValueError("zero direction")
+        if not (math.isfinite(nrm) and nrm > 0):
+            raise ConfigError(
+                "plane-wave direction must have a finite, nonzero norm, "
+                f"got {self.direction.tolist()!r}"
+            )
         self.direction = self.direction / nrm
 
     def terms(self, k: float, n: int):
@@ -277,8 +281,6 @@ def estimate_c0(k: float, R_m: float, n: int = 2, resolution: int = 48) -> float
 
 def scattered_far_field(scene: MediumScene, sol: LsSolution, n_dirs: int = 64) -> FarField:
     """u^s_inf(xhat) = -k^2 C_{n,k} int e^{-ik xhat.y} V(y) u(y) dy."""
-    if n_dirs < 1:
-        raise ConfigError(f"need at least one far-field direction, got {n_dirs!r}")
     dirs, w_dirs, angles = sphere_directions(scene.n, n_dirs)
     h_n = sol.grid.spacing**scene.n
     density = sol.contrast_eff * sol.u * h_n
@@ -294,6 +296,5 @@ def scatter_visibility_ratio(scene: MediumScene, alpha: float) -> float:
     """
     if not 0 < alpha <= 1:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha!r}")
-    bpts = scene.domain.boundary_points()
-    vals = np.abs(scene.contrast(bpts) * scene.incident_values(bpts))
-    return float(np.max(vals)) / scene.domain.diameter() ** alpha
+    sup = boundary_sup(lambda p: scene.contrast(p) * scene.incident_values(p), scene.domain)
+    return sup / scene.domain.diameter() ** alpha

@@ -1,8 +1,13 @@
 """Brute-force adaptive integration over scattering-relevant regions.
 
 This is the independent oracle used to validate every closed-form
-integral and far-field computation in the package, so it deliberately
-shares no code with the formulas it checks.
+integral and far-field computation in the package, so its cubature
+shares no code with the formulas it checks.  Small helpers are shared
+all the same: ``sphere_measure`` enters both ``cgo``'s closed forms and
+this oracle's tail bound for unbounded caps (where it sets only the
+truncation height), and ``geometry``, ``source`` and ``transmission``
+import the root finder ``_bisect`` and the Gauss-Legendre rule
+``_leggauss`` from here.
 
 Regions are described by one or more smooth charts mapping a coordinate
 box onto the physical set with a Jacobian; integration is an adaptive

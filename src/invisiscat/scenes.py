@@ -16,7 +16,9 @@ below, coordinates x1..xn), grid (npz with origin/spacing/values,
 nearest-cell lookup, zero outside).  Incident kinds: plane_wave,
 herglotz (density expression in the angle t), cgo (tau > 0).  Every
 numeric value must be a finite JSON number (or an array of them): a
-string or a boolean is rejected, never converted.
+string or a boolean is rejected, never converted.  Ranges (a positive
+radius or wavenumber, K >= e, M >= 1, ...) are the constructors' rules;
+the loader passes their ``ConfigError`` on as a ``SceneError``.
 
 Expression grammar (ASCII only):
 
@@ -58,7 +60,7 @@ from .geometry import (
 from .errors import ConfigError
 from .cgo import CgoVector
 from .medium import HerglotzWave, MediumScene, PlaneWave
-from .source import SourceScene
+from .source import SourceScene, _check_finite
 from .transmission import RadialITP
 
 __all__ = [
@@ -175,11 +177,6 @@ def _object(spec, what: str) -> dict:
     return spec
 
 
-def _finite(values, what: str):
-    if not np.all(np.isfinite(values)):
-        raise SceneError(f"{what} must be finite on the support")
-
-
 def _finite_number(x) -> bool:
     """A JSON number, not a bool, within the float range."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -209,13 +206,6 @@ def _number(spec: dict, key: str) -> float:
     return float(x)
 
 
-def _length(spec: dict, key: str) -> float:
-    r = _number(spec, key)
-    if r <= 0:
-        raise SceneError(f"{key} must be finite and positive, got {spec[key]!r}")
-    return r
-
-
 _CAPPED_DEFAULTS = {
     "cubic": 0.0, "L": 1.0, "M": 2.0, "delta": 0.5, "bulk_width": 0.35, "bulk_height": 0.5,
 }
@@ -224,15 +214,15 @@ _CAPPED_DEFAULTS = {
 def _component(spec, dim: int):
     kind = _object(spec, "domain component").get("kind")
     if kind == "ball":
-        return BallComponent(_point(spec, "center", dim), _length(spec, "radius"), dim=dim)
+        return BallComponent(_point(spec, "center", dim), _number(spec, "radius"), dim=dim)
     if kind == "annulus":
         return AnnulusComponent(
-            _point(spec, "center", dim), _length(spec, "r_inner"), _length(spec, "r_outer")
+            _point(spec, "center", dim), _number(spec, "r_inner"), _number(spec, "r_outer")
         )
     if kind == "box":
         return BoxComponent(_point(spec, "lo", dim), _point(spec, "hi", dim))
     if kind == "star":
-        r0 = _length(spec, "r0")
+        r0 = _number(spec, "r0")
         cos_c = spec.get("cos_coeffs", [])
         sin_c = spec.get("sin_coeffs", [])
         if not (_finite_numbers(cos_c) and _finite_numbers(sin_c)):
@@ -251,17 +241,17 @@ def _component(spec, dim: int):
     if kind == "capped":
         spec = {**_CAPPED_DEFAULTS, **spec}
         cap = make_curvature_cap(
-            _length(spec, "K"),
+            _number(spec, "K"),
             _number(spec, "cubic"),
-            L=_length(spec, "L"),
-            M=_length(spec, "M"),
-            delta=_length(spec, "delta"),
+            L=_number(spec, "L"),
+            M=_number(spec, "M"),
+            delta=_number(spec, "delta"),
             n=dim,
         )
         return CappedComponent(
             cap,
-            bulk_width=_length(spec, "bulk_width"),
-            bulk_height=_length(spec, "bulk_height"),
+            bulk_width=_number(spec, "bulk_width"),
+            bulk_height=_number(spec, "bulk_height"),
             apex=None if spec.get("apex") is None else _point(spec, "apex", dim),
         )
     raise SceneError(f"unknown domain kind {kind!r}")
@@ -338,14 +328,14 @@ def _dimension(dim) -> int:
 def _frame(cfg) -> tuple[int, float, Domain]:
     """The dimension, wavenumber and domain that every scene shares."""
     dim = _dimension(_object(cfg, "scene")["dimension"])
-    return dim, _length(cfg, "wavenumber"), load_domain(cfg["domain"], dim)
+    return dim, _number(cfg, "wavenumber"), load_domain(cfg["domain"], dim)
 
 
 def load_source_scene(cfg: dict) -> SourceScene:
     with _scene_errors():
         dim, k, domain = _frame(cfg)
         scene = SourceScene(domain, _field_fn(cfg["intensity"], "intensity", dim), k, dim)
-        _finite(scene.intensity(domain.quad_nodes(16)[0]), "intensity")
+        _check_finite(scene.intensity(domain.quad_nodes(16)[0]), "intensity")
     return scene
 
 
@@ -358,8 +348,8 @@ def load_medium_scene(cfg: dict) -> MediumScene:
         scene = MediumScene(domain, phi, k, incident)
         # Finite, with Im V >= 0, on the nodes where default_spacing samples it.
         nodes = domain.quad_nodes(16)[0]
-        _finite(scene.contrast(nodes), "contrast")
-        _finite(scene.incident_values(nodes), "incident field")
+        _check_finite(scene.contrast(nodes), "contrast")
+        _check_finite(scene.incident_values(nodes), "incident field")
     return scene
 
 
@@ -368,7 +358,7 @@ def load_itp(cfg: dict) -> RadialITP:
     with _scene_errors():
         _object(cfg, "transmission config")
         return RadialITP(
-            R=_length(cfg, "radius"),
+            R=_number(cfg, "radius"),
             v0=_number(cfg, "contrast"),
             n=_dimension(cfg.get("dimension", 2)),
         )

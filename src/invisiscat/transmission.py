@@ -24,7 +24,8 @@ import numpy as np
 from scipy.special import jv, jvp, spherical_jn
 
 from .errors import NumericalFailure
-from .holder import SampledFunction, holder_norm
+from .geometry import BallComponent, Domain
+from .holder import holder_norm, sample_on_grid
 from .quadrature import _bisect
 
 __all__ = [
@@ -169,34 +170,24 @@ def find_eigenvalues(
     return pairs
 
 
-def _sample_mode_on_ball(pair: EigenPair, spacing: float) -> SampledFunction:
-    R = pair.itp.R
-    n = pair.itp.n
-    ax = np.arange(-R + spacing / 2, R, spacing)
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    r = np.sqrt(np.sum(pts * pts, axis=1))
-    keep = r < R
-    pts, r = pts[keep], r[keep]
-    vals = pair.u(r).astype(complex)
-    if pair.mode > 0:
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        vals = vals * np.exp(1j * pair.mode * theta)
-    return SampledFunction(points=pts, values=vals, spacing=spacing)
-
-
 def boundary_vanishing_ratio(
     pair: EigenPair, alpha: float, spacing: float | None = None
 ) -> float:
     """|u(R)| over (2R)^alpha |V|_Calpha / inf|V| after C^alpha normalization.
 
-    R is the radius of the pair's own problem, ``pair.itp``.
+    R is the radius of the pair's own problem, ``pair.itp``; the norm
+    samples u(|x|) e^{i m theta} on the grid nodes of that ball.
     """
     R = pair.itp.R
     if spacing is None:
         spacing = R / 24.0
-    f = _sample_mode_on_ball(pair, spacing)
-    norm = holder_norm(f, alpha)
+
+    def mode(pts):
+        r = np.sqrt(np.sum(pts * pts, axis=1))
+        return pair.u(r) * np.exp(1j * pair.mode * np.arctan2(pts[:, 1], pts[:, 0]))
+
+    ball = Domain([BallComponent(np.zeros(pair.itp.n), R, dim=pair.itp.n)])
+    norm = holder_norm(sample_on_grid(ball, mode, spacing), alpha)
     u_R = abs(pair.u(np.array([R]))[0]) / norm
     # Constant contrast: |V|_Calpha / inf |V| = 1.
     return u_R / (2.0 * R) ** alpha

@@ -473,6 +473,48 @@ def _experiment(suite, cfg):
 _ITP = {"itp.json": {"radius": 1.0, "contrast": 15.0}}
 _SCENE = {"s.json": _SMALL_SCENE}
 
+
+def _domain_row(command, **domain):
+    return _row({"s.json": _small_scene(domain=domain)}, command, "{tmp}/s.json")
+
+
+# Out-of-range scene values, each refused by the constructor that states
+# the rule, and the words of that rule in its message.
+_CAP_RULE = "need K, L, delta > 0 and M >= 1"
+_RANGE_ERRORS = {
+    **{
+        f"capped_{key}_{value}": (_domain_row("source", kind="capped", K=8, **{key: value}), _CAP_RULE)
+        for key, value in (("M", 0.5), ("M", 0), ("M", -1), ("L", -1), ("delta", 0))
+    },
+    # The norm overflows, so the direction used to divide down to [0, 0].
+    "plane_wave_direction_1e308": (
+        _row({"s.json": _small_scene(incident={"kind": "plane_wave", "direction": [1e308, 1e308]})},
+             "medium", "{tmp}/s.json"),
+        "direction must have a finite, nonzero norm",
+    ),
+    **{
+        f"{name}_{value}": (row, rule)
+        for value in (0, -1)
+        for name, row, rule in (
+            ("ball_radius", _domain_row("source", kind="ball", center=[0, 0], radius=value),
+             "ball radius must lie in"),
+            ("annulus_r_inner", _domain_row(
+                "source", kind="annulus", center=[0, 0], r_inner=value, r_outer=0.5),
+             "need 0 < r_inner < r_outer"),
+            ("star_r0", _domain_row("source", kind="star", r0=value),
+             "star radial function must be finite and positive"),
+            ("capped_K", _domain_row("source", kind="capped", K=value), "K >= e"),
+            ("capped_bulk_width", _domain_row("source", kind="capped", K=8, bulk_width=value),
+             "bulk_width must be finite and positive"),
+            ("wavenumber", _row({"s.json": _small_scene(wavenumber=value)}, "medium", "{tmp}/s.json"),
+             "wavenumber must be finite and positive"),
+            ("itp_radius", _row({"itp.json": {"radius": value, "contrast": 15.0}},
+                                "teig", "{tmp}/itp.json", "--kmax", "3", "--out", "{tmp}/e.csv"),
+             "radius must be finite and positive"),
+        )
+    },
+}
+
 # Inputs that ended in a traceback, a wrong exit code or a silent exit 0;
 # each must now exit 2 with an "error: " line.
 _CONFIG_ERRORS = {
@@ -577,6 +619,7 @@ _CONFIG_ERRORS = {
             ("L", float("inf")), ("M", 1e300),
         )
     },
+    **{name: row for name, (row, _) in _RANGE_ERRORS.items()},
     "intensity_division_by_zero": _row(
         {"s.json": _small_scene(intensity={"kind": "expression", "expr": "1/0"})},
         "source", "{tmp}/s.json",
@@ -634,18 +677,31 @@ _CONFIG_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("files, argv", _CONFIG_ERRORS.values(), ids=_CONFIG_ERRORS.keys())
-def test_config_errors_exit_2_without_traceback(tmp_path, monkeypatch, capsys, files, argv):
+def _run_row(tmp_path, monkeypatch, capsys, files, argv):
+    """(exit code, stderr) of ``argv`` in ``tmp_path`` after writing ``files`` there."""
     monkeypatch.chdir(tmp_path)  # scenes name their npz files relative to it
     for name, content in files.items():
         if name.endswith(".npz"):
             np.savez(tmp_path / name, **content)
         else:
             (tmp_path / name).write_text(json.dumps(content))
-    assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_CONFIG
-    err = capsys.readouterr().err
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files, argv", _CONFIG_ERRORS.values(), ids=_CONFIG_ERRORS.keys())
+def test_config_errors_exit_2_without_traceback(tmp_path, monkeypatch, capsys, files, argv):
+    code, err = _run_row(tmp_path, monkeypatch, capsys, files, argv)
+    assert code == EXIT_CONFIG
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row, rule", _RANGE_ERRORS.values(), ids=_RANGE_ERRORS.keys())
+def test_range_errors_name_the_rule(tmp_path, monkeypatch, capsys, row, rule):
+    code, err = _run_row(tmp_path, monkeypatch, capsys, *row)
+    assert code == EXIT_CONFIG
+    assert rule in err
 
 
 def test_kernel_cell_integral_underflow_exits_3(tmp_path, capsys):

@@ -248,6 +248,33 @@ class TestComponents:
         want = ~empty & (pts[:, 1] > lo) & (pts[:, 1] < hi)
         assert np.array_equal(comp.inside(pts), want)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_capped_inside_is_the_open_column_body(self, n):
+        # inside agrees with the column_bounds test around a shifted apex,
+        # and, open like every other component, leaves out the shelf plane
+        # x_n = h between the rim and the bulk wall; below the rim x_n = h
+        # is interior.
+        cap = make_curvature_cap(10.0, 0.5, n=n)
+        shifted = CappedComponent(cap, apex=[0.3, -0.2, 0.1][:n])
+        rng = np.random.default_rng(11)
+        pts = shifted.apex + rng.uniform(-0.4, 0.7, size=(20000, n))
+        q = pts - shifted.apex
+        lo, hi, empty = shifted.column_bounds(q[:, :-1])
+        want = ~empty & (q[:, -1] > lo) & (q[:, -1] < hi)
+        assert np.array_equal(shifted.inside(pts), want)
+        assert 0 < np.count_nonzero(want) < want.size
+
+        comp = CappedComponent(cap)
+        rim, width = cap.rim_radius, comp.bulk_width
+        r = np.concatenate([[rim], rng.uniform(rim, width, size=500)])
+        th = rng.uniform(0.0, 2.0 * math.pi, size=r.size)
+        unit = np.stack([np.cos(th), np.sin(th)], axis=-1)[:, : n - 1]
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        shelf = np.column_stack([r[:, None] * unit, np.full(r.size, cap.h)])
+        assert not np.any(comp.inside(shelf))
+        below_rim = np.column_stack([0.5 * rim * unit, np.full(r.size, cap.h)])
+        assert np.all(comp.inside(below_rim))
+
 
 class TestConnectivity:
     def test_ball_boundary_point(self):

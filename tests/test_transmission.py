@@ -5,6 +5,7 @@ import pytest
 
 from invisiscat import transmission
 from invisiscat.geometry import BallComponent, CappedComponent, Domain, make_curvature_cap
+from invisiscat.holder import sample_on_grid
 from invisiscat.medium import HerglotzWave, MediumScene, scattered_far_field, solve_ls
 from invisiscat.transmission import (
     EigenPair,
@@ -205,6 +206,25 @@ class TestBoundaryVanishing:
             u_deriv=lambda r: 2.0 * pair.u_deriv(r),
         )
         assert abs(boundary_vanishing_ratio(scaled, 0.5) - base) < 1e-12
+
+    @pytest.mark.parametrize("n, mode", [(2, 0), (2, 1), (3, 2)])
+    def test_samples_the_grid_nodes_of_the_ball(self, monkeypatch, n, mode):
+        # The Hoelder norm sees u(|x|) e^{i m theta} on exactly the nodes
+        # holder.sample_on_grid keeps on the problem's own ball.
+        itp = RadialITP(R=0.75, v0=15.0, n=n)
+        pair = find_eigenvalues(itp, 6.0, modes=[mode])[0]
+        seen = []
+        monkeypatch.setattr(transmission, "holder_norm", lambda f, alpha: seen.append(f) or 1.0)
+        spacing = itp.R / 10
+        boundary_vanishing_ratio(pair, 0.5, spacing=spacing)
+        ball = Domain([BallComponent(np.zeros(n), itp.R, dim=n)])
+        want = sample_on_grid(ball, lambda p: np.zeros(p.shape[0]), spacing).points
+        (got,) = seen
+        assert got.spacing == spacing
+        assert np.array_equal(got.points, want)
+        r = np.linalg.norm(want, axis=1)
+        theta = np.arctan2(want[:, 1], want[:, 0])
+        assert np.allclose(got.values, pair.u(r) * np.exp(1j * mode * theta), rtol=1e-14, atol=0)
 
     def test_shrinking_family_bounded(self):
         ratios = []

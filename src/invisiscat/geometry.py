@@ -631,13 +631,19 @@ class StarComponent(Component):
         return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
     def diameter(self):
+        """Largest distance between two of 2048 boundary samples, over
+        every pair.  The sample farthest from the outermost one lies d0
+        from some sample; a pair at least d0 apart has both ends at least
+        d0 - max |p| from the centre, so only those samples are paired,
+        64 rows of the pair matrix at a time."""
         pts = self._curve(2048)
-        # Star shapes here are mild; a rolled-shift scan is accurate enough.
-        best = 0.0
-        for shift in range(0, 1024, 8):
-            diff = pts - np.roll(pts, shift, axis=0)
-            best = max(best, float(np.max(np.sqrt(np.sum(diff**2, axis=1)))))
-        return best
+        r = np.sqrt(np.sum(pts**2, axis=1))
+        far = pts[np.argmax(np.sum((pts - pts[np.argmax(r)]) ** 2, axis=1))]
+        d0 = math.sqrt(np.max(np.sum((pts - far) ** 2, axis=1)))
+        x, y = pts[r >= d0 - r.max() - 1e-12 * d0].T  # the slack covers rounding
+        d2 = max(float(np.max((x[i:i + 64, None] - x[i:]) ** 2 + (y[i:i + 64, None] - y[i:]) ** 2))
+                 for i in range(0, x.size, 64))
+        return math.sqrt(d2)
 
     def boundary_points(self, count=1024):
         return self.center + self._curve(count)

@@ -14,16 +14,26 @@ exact integral of the kernel over the area/volume-equivalent disk or
 ball, an O(h^2)-accurate Nystroem correction.
 
 A grid with N_d nodes on axis d needs the offsets -(N_d - 1) .. N_d - 1,
-so the circulant embedding has length ``scipy.fft.next_fast_len(2 N_d - 1)``
+so the circulant embedding has length L_d = ``scipy.fft.next_fast_len(2 N_d - 1)``
 per axis, a length with no prime factor above 11.  The kernel depends on
 |offset| only: it is evaluated on the nonnegative offsets (one orthant,
-N_d per axis) and mirrored into the wrapped negative-offset slots.
-The density is zero outside that orthant and only the orthant is read
-back, so ``GridConvolver.apply`` transforms one axis at a time: the
-forward pass along axis d skips the lines past N_e on each later axis e,
-where the padded density is zero, and the inverse pass along axis d
-skips those past N_e on each earlier axis e, which are discarded.  That
-saves a quarter of the FFT work in the plane and 42% of it in space.
+N_d per axis) and mirrored into the wrapped negative-offset slots.  Its
+transform K^ is then even along every axis, K^[..., m] = K^[..., L - m]
+to rounding, so ``GridConvolver`` keeps only the nonnegative half
+m <= L // 2 of the last axis, with the inverse transforms' 1/prod(L)
+folded in, and reads the other half through a reversed slice.
+
+The density is zero outside the orthant and only the orthant is read
+back, so ``GridConvolver.apply`` transforms one axis at a time and never
+forms the padded array.  The forward passes along axes 0 .. n-2 skip the
+lines past N_e on each later axis e, where the padded density is zero.
+The last axis is then transformed, multiplied by K^ and transformed back
+in blocks of rows of axis 0, each of at most ``_BLOCK`` padded points,
+and the first N_(n-1) entries of each line are written back in place.
+The inverse passes along axes 0 .. n-2 skip the lines past N_e on each
+earlier axis e, which are discarded.  That saves a quarter of the FFT
+work in the plane and 42% of it in space, and the work array spans
+(L_0, .., L_(n-2), N_(n-1)), half the padded grid, as does K^.
 
 A support grid's coverage (the fraction of each cell inside the
 scatterer) comes from the components themselves, each through its
@@ -132,11 +142,15 @@ def green_cell_integral(n: int, k: float, h: float) -> complex:
 # ---------------------------------------------------------------------------
 
 # Most cells a support grid may hold.  medium.solve_ls keeps at most
-# eight grid-sized complex128 arrays (128 B per cell) besides the kernel
-# transform and an apply's work arrays, which span the padded FFT grid of
-# 2^n times the cells: a 279k-cell disk peaks about 100 MB above the
-# imports, some 360 B per cell, so near 1.5 GB at this budget in the plane.
+# eight grid-sized complex128 arrays (128 B per cell).  The kernel
+# transform and an apply's work array each span half the padded FFT grid,
+# 2^(n-1) times the cells: 32 B per cell each in the plane, 64 B in space.
+# A 279k-cell disk peaks about 80 MB above the imports, some 300 B per
+# cell, so near 1.2 GB at this budget in the plane.
 _MAX_CELLS = 4 * 10**6
+
+# Most padded points in one block of the last-axis pass of GridConvolver.apply.
+_BLOCK = 2**16
 
 
 @dataclass
@@ -249,25 +263,41 @@ class GridConvolver:
             src[d] = slice(s - 1, 0, -1)
             dst[d] = slice(L - s + 1, L)
             table[tuple(dst)] = table[tuple(src)]
-        self._kernel_hat = scipy.fft.fftn(table, overwrite_x=True)
-        self._scale = 1.0 / math.prod(self._fft_shape)
+        # The transform is even along every axis: keep the nonnegative half
+        # of the last axis, with the inverse transforms' 1/prod(L) folded in.
+        L = self._fft_shape[-1]
+        half = L // 2 + 1
+        scale = 1.0 / math.prod(self._fft_shape)
+        khat = scipy.fft.fftn(table, overwrite_x=True)[..., :half] * scale
+        # Row blocks of axis 0, each with its views of the half and of its
+        # mirror: column j >= half reads column L - j.
+        rows = max(1, _BLOCK // math.prod(self._fft_shape[1:]))
+        self._blocks = []
+        for i in range(0, self._fft_shape[0], rows):
+            k = khat[i : i + rows]
+            self._blocks.append((slice(i, i + rows), k, k[..., L - half : 0 : -1]))
 
     def apply(self, density_flat: np.ndarray) -> np.ndarray:
         """(Delta + k^2)^{-1} density, sampled on the grid nodes.
 
         ``density_flat`` must already include coverage factors; the cell
         measure h^n is folded into the kernel table.  The pruned per-axis
-        transforms (module docstring) run in ``fftn``'s axis order, and
-        1/prod(L) follows the first inverse pass, where ``ifftn`` applies
-        it, so the rounding matches ``ifftn``'s.
+        transforms and the blocked last-axis pass are described in the
+        module docstring.
         """
+        *lead, L = self._fft_shape
+        N = self.grid.shape[-1]
+        half = L // 2 + 1
         x = density_flat.reshape(self.grid.shape)
-        for d, L in enumerate(self._fft_shape):
-            x = scipy.fft.fft(x, n=L, axis=d)
-        x *= self._kernel_hat
-        for d, N in enumerate(self.grid.shape):
+        for d, Ld in enumerate(lead):
+            x = scipy.fft.fft(x, n=Ld, axis=d)
+        for rows, k, mirror in self._blocks:
+            y = scipy.fft.fft(x[rows], n=L, axis=-1)
+            y[..., :half] *= k
+            y[..., half:] *= mirror
+            y = scipy.fft.ifft(y, axis=-1, norm="forward", overwrite_x=True)
+            x[rows] = y[..., :N]
+        for d, Nd in enumerate(self.grid.shape[:-1]):
             x = scipy.fft.ifft(x, axis=d, norm="forward", overwrite_x=True)
-            if d == 0:
-                x *= self._scale
-            x = x[(slice(None),) * d + (slice(0, N),)]
-        return x.ravel()
+            x = x[(slice(None),) * d + (slice(0, Nd),)]
+        return x.flatten()

@@ -26,9 +26,11 @@ apply K S p less beta times the previous one; a round stops once
 |K S g| reaches tol/|r|, so its last apply only confirms the stop.
 One rule bounds every solve: a round of at most ``_ROUND_APPLIES`` COCG
 applies that fails to halve the residual raises ``NotContractive``.
-Besides the kernel transform and the apply's own work arrays, a solve
+Besides the kernel transform and the apply's own work array, a solve
 holds at most eight grid-sized complex128 arrays: V, u^i, u^i/|u^i|, u,
-r, S p and the last two applies.
+r and S p throughout, and either a COCG round's last two applies or,
+once the round has returned and freed them, the apply and the one
+temporary of a residual refresh.
 
 The scattered far field is u^s_inf = -k^2 C_{n,k} F(V u)(k xhat),
 evaluated by the grid's cell quadrature.  An incident wave (also
@@ -202,34 +204,13 @@ def solve_ls(
     residuals = []
     u, r, res = np.zeros_like(b), b, 1.0
     while True:
-        # COCG for (I + S K S) w = S r/res from w = 0: residual g, direction
-        # p, y = K S p.  z = K S g, the correction's residual up to sign,
-        # is y less beta times the previous y, since g = p - beta p_prev.
-        w = np.zeros(live.size, dtype=complex)
-        g = s * r[live] / res
-        p, gg, beta = g.copy(), g @ g, 0.0
-        z = np.zeros_like(b)
-        for _ in range(_ROUND_APPLIES):
-            f[live] = s * p
-            y = conv.apply(f)
-            applies += 1
-            z *= -beta
-            z += y
-            size = float(np.linalg.norm(z))
-            residuals.append(res * size)
-            if size <= tol / res:
-                break
-            q = p + s * y[live]
-            alpha = gg / (p @ q)
-            w += alpha * p
-            g -= alpha * q
-            gg_old, gg = gg, g @ g
-            beta = gg / gg_old
-            p = g + beta * p
-            z = y
+        w, sizes = _cocg_round(conv, live, s, f, s * r[live] / res, tol / res)
+        applies += len(sizes)
+        residuals.extend(res * size for size in sizes)
         f[live] = s * w
         u += r - res * conv.apply(f)  # res d, with d = r/res - K(S w)
-        r = b - u - k2 * conv.apply(v_eff * u)
+        r = b - u  # frees the old r before the apply
+        r -= k2 * conv.apply(v_eff * u)
         applies += 2
         new = float(np.linalg.norm(r))
         residuals.append(new)
@@ -241,6 +222,39 @@ def solve_ls(
                 f"a round of at most {_ROUND_APPLIES} COCG applies did not halve it"
             )
         res = new
+
+
+def _cocg_round(conv, live, s, f, g, tol):
+    """COCG for (I + S K S) w = g from w = 0; returns w and |K S g| at each apply.
+
+    Residual g, direction p, y = K S p.  z = K S g, the correction's
+    residual up to sign, is y less beta times the previous y, since
+    g = p - beta p_prev.  ``f`` is the grid array that carries S p to the
+    apply, zero off the live cells.  Its own function, so that the round's
+    grid-sized y and z are freed before the round's residual is refreshed.
+    """
+    w = np.zeros(live.size, dtype=complex)
+    p, gg, beta = g.copy(), g @ g, 0.0
+    z = np.zeros_like(f)
+    sizes = []
+    for _ in range(_ROUND_APPLIES):
+        f[live] = s * p
+        y = conv.apply(f)
+        z *= -beta
+        z += y
+        size = float(np.linalg.norm(z))
+        sizes.append(size)
+        if size <= tol:
+            break
+        q = p + s * y[live]
+        alpha = gg / (p @ q)
+        w += alpha * p
+        g -= alpha * q
+        gg_old, gg = gg, g @ g
+        beta = gg / gg_old
+        p = g + beta * p
+        z = y
+    return w, sizes
 
 
 def estimate_c0(k: float, R_m: float, n: int = 2, resolution: int = 48) -> float:

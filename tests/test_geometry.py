@@ -154,6 +154,14 @@ class TestComponents:
         with pytest.raises(ConfigError, match="coordinates"):
             BallComponent(center, 0.5, dim=dim)
 
+    def test_star_diameter_is_the_largest_pairwise_distance(self):
+        # curvature_uniqueness's rounded triangle, against the dense matrix
+        # of its 2048 samples' distances.
+        c = StarComponent([0.0, 0.0], lambda th: 0.6 * (1.0 + 0.12 * np.cos(3.0 * th)))
+        x, y = c.boundary_points(2048).T
+        dense = np.sqrt((x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2)
+        assert c.diameter() == float(np.max(dense))
+
     def test_star_mesh_circle_reduces_to_ball(self):
         c = StarComponent([0.0, 0.0], lambda th: np.full_like(th, 1.3))
         pts = c.boundary_points(256)

@@ -1,6 +1,7 @@
 """Lippmann-Schwinger solver against the separation-of-variables oracle."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -228,9 +229,9 @@ class TestRefinementRounds:
     @pytest.mark.parametrize("R, v0, k, spacing, most", [
         (1.0, 15.0, 1.0, 2.2 / 64, 26),
         (1.0, 50.0, 1.0, 2.2 / 64, 63),
-        (1.0, 100.0, 1.0, 2.2 / 64, 137),
+        (1.0, 100.0, 1.0, 2.2 / 64, 139),
         (0.4, 300.0, 1.0, 0.01, 47),
-        (0.4, 1000.0, 1.0, 0.01, 143),
+        (0.4, 1000.0, 1.0, 0.01, 142),
         (1.0, 30.0, 2.0, 2.2 / 96, 187),
     ])
     def test_gmres_scenes_solve_within_their_apply_counts(self, R, v0, k, spacing, most,
@@ -252,6 +253,27 @@ class TestRefinementRounds:
         scene = disk_scene(v0=30.0, k=2.0)
         sol = solve_ls(scene, tol=1e-4, spacing=2.2 / 96)
         assert complex128_residual(scene, sol) <= 1e-4
+
+
+class TestSolveMemory:
+    """Bytes per cell at the tracemalloc peak of one solve (k = 3,
+    contrast 0.5)."""
+
+    @pytest.mark.parametrize("n, R, spacing, most", [(2, 1.0, 0.01, 340), (3, 0.5, 1.0 / 40, 370)])
+    def test_peak_bytes_per_cell(self, n, R, spacing, most):
+        # Eight grid-sized complex128 vectors take 128 B per cell; the
+        # kernel transform and an apply's work array each span half the
+        # padded grid, 2^(n-1) cells per cell.
+        scene = MediumScene(Domain([BallComponent([0.0] * n, R, dim=n)]), 0.5, 3.0,
+                            PlaneWave(np.eye(n)[0]))
+        tracemalloc.start()
+        try:
+            sol = solve_ls(scene, spacing=spacing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.residuals[-1] <= 1e-10
+        assert peak / sol.u.size <= most
 
 
 def two_disk_grid():
@@ -316,12 +338,41 @@ class TestGridConvolverOracle:
     def test_pruned_transforms_match_full_transform(self, make_grid):
         # Embeddings: 60 x 30 and 24^3 (even), 15^2 and 15^3 (odd).
         _, grid = make_grid()
-        conv = GridConvolver(grid, 1.7)
-        rng = np.random.default_rng(11)
-        density = rng.normal(size=grid.points.shape[0]) + 1j * rng.normal(size=grid.points.shape[0])
-        spec = scipy.fft.fftn(density.reshape(grid.shape), s=conv._fft_shape) * conv._kernel_hat
-        want = scipy.fft.ifftn(spec)[tuple(slice(0, s) for s in grid.shape)].ravel()
-        assert rel_err(conv.apply(density), want) <= 1e-14
+        assert_matches_full_transform(grid)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("make_grid", [two_disk_grid, disk_grid, cube_grid, ball_grid])
+    def test_blocked_last_axis_pass_matches_full_transform(self, make_grid, rows, monkeypatch):
+        # One row of axis 0 per block, and 7 rows, which divide none of
+        # the embeddings' first lengths (60, 15, 15, 24).
+        _, grid = make_grid()
+        row = math.prod(scipy.fft.next_fast_len(2 * s - 1) for s in grid.shape[1:])
+        monkeypatch.setattr(kernels, "_BLOCK", rows * row)
+        assert_matches_full_transform(grid)
+
+
+def assert_matches_full_transform(grid, k=1.7):
+    """GridConvolver.apply against ifftn(fftn(density) * fftn(table)) on
+    the full circulant embedding, its kernel table assembled here from
+    the signed offsets of every slot."""
+    n, h = len(grid.shape), grid.spacing
+    shape = tuple(scipy.fft.next_fast_len(2 * s - 1) for s in grid.shape)
+    offsets = []
+    for s, L in zip(grid.shape, shape):
+        o = np.arange(L)
+        o = np.where(o < s, o, o - L)  # slot L - j holds offset -j
+        offsets.append(np.where(np.abs(o) < s, o * h, np.nan))  # NaN: no offset
+    mesh = np.meshgrid(*offsets, indexing="ij")
+    r = np.sqrt(sum(m * m for m in mesh))
+    table = np.zeros(shape, dtype=complex)
+    used = np.isfinite(r) & (r > 0)
+    table[used] = green_kernel(n, k, r[used]) * h**n
+    table[(0,) * n] = green_cell_integral(n, k, h)
+    rng = np.random.default_rng(11)
+    density = rng.normal(size=grid.points.shape[0]) + 1j * rng.normal(size=grid.points.shape[0])
+    spec = scipy.fft.fftn(density.reshape(grid.shape), s=shape) * scipy.fft.fftn(table)
+    want = scipy.fft.ifftn(spec)[tuple(slice(0, s) for s in grid.shape)].ravel()
+    assert rel_err(GridConvolver(grid, k).apply(density), want) <= 1e-14
 
 
 def strip_overlap(cx, cy, R, x0, x1, y0, y1, sub=24):

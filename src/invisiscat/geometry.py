@@ -65,6 +65,33 @@ class InadmissiblePerturbation(ConfigError):
     """Cubic perturbation too large for the requested (K, L, M, delta)."""
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances |a - b|^2 over the last (coordinate) axis, broadcast.
+
+    One coordinate column is differenced, squared and added at a time,
+    left to right: (d_0^2 + d_1^2) + d_2^2.  That order is what keeps the
+    bits of ``np.sum((a - b) ** 2, axis=-1)``: numpy's pairwise sum adds
+    fewer than 8 terms left to right too.  It saves the (..., n)
+    difference array and numpy's reduction one output element at a time.
+    """
+    out = np.subtract(a[..., 0], b[..., 0])
+    out *= out
+    for j in range(1, a.shape[-1]):
+        d = np.subtract(a[..., j], b[..., j])
+        d *= d
+        out += d
+    return out
+
+
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """Squared norms |v|^2 over the last axis, left to right as in ``_sq_dist``:
+    the bits of ``np.sum(v * v, axis=-1)``."""
+    out = v[..., 0] * v[..., 0]
+    for j in range(1, v.shape[-1]):
+        out += v[..., j] * v[..., j]
+    return out
+
+
 def compute_cn(n: int) -> float:
     """Supremum over the unit sphere of sum_{|beta|=3} x^beta / beta!.
 
@@ -121,18 +148,18 @@ class CurvatureCap:
 
     def omega(self, xp: np.ndarray) -> np.ndarray:
         xp = np.atleast_2d(xp)
-        r2 = np.sum(xp * xp, axis=1)
+        r2 = _sq_norm(xp)
         return self.K * r2 + self.c3 * r2 ** 1.5
 
     def omega_grad(self, xp: np.ndarray) -> np.ndarray:
         xp = np.atleast_2d(xp)
-        r = np.sqrt(np.sum(xp * xp, axis=1))
+        r = np.sqrt(_sq_norm(xp))
         return 2.0 * self.K * xp + 3.0 * self.c3 * r[:, None] * xp
 
     def omega_laplacian(self, xp: np.ndarray) -> np.ndarray:
         xp = np.atleast_2d(xp)
         d = self.n - 1
-        r = np.sqrt(np.sum(xp * xp, axis=1))
+        r = np.sqrt(_sq_norm(xp))
         return 2.0 * self.K * d + 3.0 * (d + 1) * self.c3 * r
 
     @functools.cached_property
@@ -224,7 +251,7 @@ def nesting_check(cap: CurvatureCap) -> NestingReport:
             np.linspace(0.0, cap.b, m), np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
         )
     w = cap.omega(xp)
-    r2 = np.sum(xp * xp, axis=1)
+    r2 = _sq_norm(xp)
     slack = 1e-12 * (1.0 + np.abs(w))
     below = cap.K_minus * r2 - w
     above = w - cap.K_plus * r2
@@ -404,7 +431,7 @@ def _radial_cells(centers: np.ndarray, center, r_in: float, r_out: float, h: flo
     0.75 h sqrt(n) exceeds the reach of the 8^n subsample (7h/16 per axis).
     """
     margin = 0.75 * h * math.sqrt(centers.shape[1])
-    d = np.sqrt(np.sum((centers - center) ** 2, axis=1))
+    d = np.sqrt(_sq_dist(centers, center))
     full = d <= r_in - margin
     return full, ~full & (d < r_out + margin)
 
@@ -479,7 +506,7 @@ class BallComponent(Component):
             )
 
     def inside(self, pts):
-        return np.sum((pts - self.center) ** 2, axis=1) < self.radius**2
+        return _sq_dist(pts, self.center) < self.radius**2
 
     def _cells(self, centers, h):
         return _radial_cells(centers, self.center, self.radius, self.radius, h)
@@ -523,7 +550,7 @@ class AnnulusComponent(Component):
             raise ValueError("need 0 < r_inner < r_outer")
 
     def inside(self, pts):
-        d2 = np.sum((pts - self.center) ** 2, axis=1)
+        d2 = _sq_dist(pts, self.center)
         return (d2 > self.r_inner**2) & (d2 < self.r_outer**2)
 
     def bounding_box(self):
@@ -608,7 +635,7 @@ class StarComponent(Component):
 
     def inside(self, pts):
         d = pts - self.center
-        r = np.sqrt(np.sum(d * d, axis=1))
+        r = np.sqrt(_sq_norm(d))
         th = np.arctan2(d[:, 1], d[:, 0])
         return r < self.radial(th)
 
@@ -637,9 +664,9 @@ class StarComponent(Component):
         d0 - max |p| from the centre, so only those samples are paired,
         64 rows of the pair matrix at a time."""
         pts = self._curve(2048)
-        r = np.sqrt(np.sum(pts**2, axis=1))
-        far = pts[np.argmax(np.sum((pts - pts[np.argmax(r)]) ** 2, axis=1))]
-        d0 = math.sqrt(np.max(np.sum((pts - far) ** 2, axis=1)))
+        r = np.sqrt(_sq_norm(pts))
+        far = pts[np.argmax(_sq_dist(pts, pts[np.argmax(r)]))]
+        d0 = math.sqrt(np.max(_sq_dist(pts, far)))
         x, y = pts[r >= d0 - r.max() - 1e-12 * d0].T  # the slack covers rounding
         d2 = max(float(np.max((x[i:i + 64, None] - x[i:]) ** 2 + (y[i:i + 64, None] - y[i:]) ** 2))
                  for i in range(0, x.size, 64))
@@ -709,7 +736,7 @@ class CappedComponent(Component):
     def column_bounds(self, xp: np.ndarray):
         """(lo, hi, empty): the body above tangential points is lo < x_n < hi, unless empty."""
         w = self.cap.omega(xp)
-        r = np.sqrt(np.sum(xp * xp, axis=1))
+        r = np.sqrt(_sq_norm(xp))
         rim = self.cap.rim_radius
         lo = np.where(r < rim, w, self.cap.h)
         hi = np.full(xp.shape[0], self.cap.h + self.bulk_height)
@@ -728,8 +755,8 @@ class CappedComponent(Component):
         """
         q = centers - self.apex
         a = np.abs(q[:, :-1])
-        near = np.sqrt(np.sum(np.maximum(a - h / 2, 0.0) ** 2, axis=1))
-        far = np.sqrt(np.sum((a + h / 2) ** 2, axis=1))
+        near = np.sqrt(_sq_norm(np.maximum(a - h / 2, 0.0)))
+        far = np.sqrt(_sq_norm(a + h / 2))
         lo_near, top, out_near = self.column_bounds(near[:, None])
         lo_far, _, out_far = self.column_bounds(far[:, None])
         y0, y1 = q[:, -1] - h / 2, q[:, -1] + h / 2
@@ -865,14 +892,7 @@ class Domain:
         meshes = [c.boundary_points(256) for c in self.components]
         for i in range(len(meshes)):
             for j in range(i + 1, len(meshes)):
-                d = np.min(
-                    np.sqrt(
-                        np.sum(
-                            (meshes[i][:, None, :] - meshes[j][None, :, :]) ** 2,
-                            axis=-1,
-                        )
-                    )
-                )
+                d = np.min(np.sqrt(_sq_dist(meshes[i][:, None, :], meshes[j])))
                 if d <= 2.0 * c1:
                     return False
         return True

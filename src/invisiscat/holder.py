@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
+from .geometry import _sq_dist
 
 __all__ = [
     "PrecondViolated",
@@ -99,9 +100,7 @@ def holder_norm(f: SampledFunction, alpha: float) -> float:
     if np.all(f.values == f.values[0]):
         return sup
     pairs = _pair_indices(f.points, f.spacing)
-    d = np.sqrt(
-        np.sum((f.points[pairs[:, 0]] - f.points[pairs[:, 1]]) ** 2, axis=1)
-    )
+    d = np.sqrt(_sq_dist(f.points[pairs[:, 0]], f.points[pairs[:, 1]]))
     good = d > 0
     num = np.abs(f.values[pairs[good, 0]] - f.values[pairs[good, 1]])
     semi = float(np.max(num / d[good] ** alpha)) if np.any(good) else 0.0

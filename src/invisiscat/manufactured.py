@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _sq_norm
+
 __all__ = ["CapBump", "LensBump"]
 
 
@@ -48,7 +50,7 @@ class CapBump:
         xp, xn = self._split(pts)
         r = xn - self.cap.omega(xp)
         s = self.cap.h - xn
-        grad2 = 1.0 + np.sum(self.cap.omega_grad(xp) ** 2, axis=1)
+        grad2 = 1.0 + _sq_norm(self.cap.omega_grad(xp))
         lap_om = self.cap.omega_laplacian(xp)
         return s * s * (2.0 * grad2 - 2.0 * r * lap_om) + 2.0 * r * r - 8.0 * r * s
 

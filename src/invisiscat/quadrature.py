@@ -197,8 +197,17 @@ _WEIGHTS = {d: _tensor_weights(d) for d in (0, 1, 2, 3)}
 
 
 def _stack(*coords):
-    """Broadcast per-axis coordinate arrays and stack them on a last axis."""
-    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+    """Broadcast per-axis coordinate arrays and stack them on a last axis.
+
+    Each coordinate is written into one preallocated (..., n) array, the
+    bits of ``np.stack(np.broadcast_arrays(*coords), axis=-1)`` without
+    its broadcast views and list.
+    """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    out = np.empty(shape + (len(coords),), dtype=np.result_type(*coords))
+    for j, c in enumerate(coords):
+        out[..., j] = c
+    return out
 
 
 @dataclass

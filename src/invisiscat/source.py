@@ -28,6 +28,8 @@ from .geometry import (
     _ball_nodes,
     _disk_nodes,
     _gauss_legendre,
+    _sq_dist,
+    _sq_norm,
     sphere_directions,
 )
 from .holder import boundary_sup, holder_norm, sample_on_grid
@@ -218,19 +220,30 @@ def solve_field(
 
     The plain quadrature sum runs over the live cells (nonzero f times
     coverage) only, for a block of targets at a time: the (targets,
-    cells) distance array is bounded by ``_BLOCK_ENTRIES`` entries and
-    reduced along the cell axis by a matrix product.  Cells within
+    cells) distance array is bounded by ``_BLOCK_ENTRIES`` entries,
+    summed one coordinate at a time (``geometry._sq_dist``), and reduced
+    along the cell axis by a matrix product.  Cells within
     ``_NEAR_RADIUS_CELLS`` grid cells of a target are left out of its sum,
     and a target that has such a live cell gets polar-coordinate
-    quadrature of the kernel singularity over that ball instead.  The
-    intensity is read only at the centres of the cells the support touches
-    (coverage > 0) and at the polar nodes inside the support: it must be
-    finite at each of those centres, and need not be elsewhere on the
-    grid.  A grid of more than ``kernels._MAX_CELLS`` cells raises
-    NumericalFailure, and an intensity that is not finite at one of those
-    centres raises ConfigError.
+    quadrature of the kernel singularity over that ball instead; a
+    block's near targets are corrected together, in one
+    ``source_values`` call and one row-wise sum (split further only if
+    their polar nodes would exceed ``_BLOCK_ENTRIES``).  The intensity is
+    read only at the centres of the cells the support touches (coverage >
+    0) and at the polar nodes inside the support: it must be finite at
+    each of those centres, and need not be elsewhere on the grid.
+    Evaluation points that are not a finite (m, n) array, n the scene's
+    dimension, raise ConfigError; so does an intensity that is not finite
+    at one of those centres.  A grid of more than ``kernels._MAX_CELLS``
+    cells raises NumericalFailure.
     """
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
+    if eval_points.ndim != 2 or eval_points.shape[1] != scene.n:
+        raise ConfigError(
+            f"evaluation points must be an (m, {scene.n}) array, got shape {eval_points.shape}"
+        )
+    if not np.all(np.isfinite(eval_points)):
+        raise ConfigError("evaluation points must be finite")
     if spacing is None:
         lam = 2.0 * math.pi / scene.k
         spacing = min(lam / 20.0, scene.domain.diameter() / 48.0)
@@ -245,19 +258,22 @@ def solve_field(
     # Polar correction rule on B(0, r_cut) around near targets.
     r, wr = _gauss_legendre(12, 0.0, r_cut)
     offs, wq = _disk_nodes(r, wr, 16) if scene.n == 2 else _ball_nodes(r, wr, 8, 16)
-    ker_w = wq * green_kernel(scene.n, scene.k, np.sqrt(np.sum(offs**2, axis=1)))
+    ker_w = wq * green_kernel(scene.n, scene.k, np.sqrt(_sq_norm(offs)))
     block = max(1, _BLOCK_ENTRIES // max(1, live.size))
+    near_rows = max(1, _BLOCK_ENTRIES // ker_w.size)
     for start in range(0, eval_points.shape[0], block):
         x = eval_points[start : start + block]
-        d = np.sqrt(np.sum((x[:, None, :] - cells[None, :, :]) ** 2, axis=-1))
+        d = np.sqrt(_sq_dist(x[:, None, :], cells))
         far = d > r_cut
         g = np.zeros(d.shape, dtype=complex)
         g[far] = green_kernel(scene.n, scene.k, d[far])
         out[start : start + block] = (g @ f_live) * w_cell
         # Singular ball: integral of G * f over B(x, r_cut) in polar form.
-        for i in np.flatnonzero(~np.all(far, axis=1)):
-            vals = scene.source_values(x[i : i + 1] + offs)
-            out[start + i] += complex(np.sum(ker_w * vals))
+        near = np.flatnonzero(~np.all(far, axis=1))
+        for i in range(0, near.size, near_rows):
+            rows = near[i : i + near_rows]
+            vals = scene.source_values((x[rows, None, :] + offs).reshape(-1, scene.n))
+            out[start + rows] += np.sum(ker_w * vals.reshape(rows.size, -1), axis=1)
     return out
 
 

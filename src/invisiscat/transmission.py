@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import jv, jvp, spherical_jn
 
 from .errors import NumericalFailure
-from .geometry import BallComponent, Domain
+from .geometry import BallComponent, Domain, _sq_norm
 from .holder import holder_norm, sample_on_grid
 from .quadrature import _bisect
 
@@ -183,7 +183,7 @@ def boundary_vanishing_ratio(
         spacing = R / 24.0
 
     def mode(pts):
-        r = np.sqrt(np.sum(pts * pts, axis=1))
+        r = np.sqrt(_sq_norm(pts))
         return pair.u(r) * np.exp(1j * pair.mode * np.arctan2(pts[:, 1], pts[:, 0]))
 
     ball = Domain([BallComponent(np.zeros(pair.itp.n), R, dim=pair.itp.n)])

@@ -15,6 +15,8 @@ from invisiscat.geometry import (
     Domain,
     InadmissiblePerturbation,
     StarComponent,
+    _sq_dist,
+    _sq_norm,
     compute_cn,
     make_curvature_cap,
     nesting_check,
@@ -317,3 +319,29 @@ class TestDomain:
         near = Domain([BallComponent([0.0, 0.0], 0.2), BallComponent([1.0, 0.0], 0.2)])
         assert near.gap_ok(0.25)
         assert not near.gap_ok(0.35)
+
+
+class TestSquaredDistances:
+    """_sq_dist and _sq_norm keep the bits of numpy's short last-axis sum."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((50,), (50,)), ((50,), ()), ((7, 1), (1, 40)), ((0,), ()), ((0, 1), (1, 9))],
+    )
+    def test_sq_dist_is_the_axis_sum(self, n, shape_a, shape_b):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(shape_a + (n,)) * 10.0 ** rng.integers(-8, 8, shape_a + (n,))
+        b = rng.standard_normal(shape_b + (n,))
+        want = np.sum((a - b) ** 2, axis=-1)
+        got = _sq_dist(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(_sq_dist(b, a), np.sum((b - a) ** 2, axis=-1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(200,), (5, 30), (0,)])
+    def test_sq_norm_is_the_axis_sum(self, n, shape):
+        v = np.random.default_rng(10 + n).standard_normal(shape + (n,)) * 1e3
+        assert np.array_equal(_sq_norm(v), np.sum(v * v, axis=-1))
+        assert np.array_equal(_sq_norm(v), np.sum(v**2, axis=-1))

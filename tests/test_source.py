@@ -13,16 +13,20 @@ from scipy.special import spherical_jn, spherical_yn
 from checks import direct_far_field
 
 from invisiscat import source
-from invisiscat.errors import NumericalFailure
+from invisiscat.errors import ConfigError, NumericalFailure
 from invisiscat.geometry import (
     AnnulusComponent,
     BallComponent,
     BoxComponent,
     Domain,
+    StarComponent,
     _antipodes,
+    _ball_nodes,
+    _disk_nodes,
+    _gauss_legendre,
     sphere_directions,
 )
-from invisiscat.kernels import far_field_constant, make_support_grid
+from invisiscat.kernels import far_field_constant, green_kernel, make_support_grid
 from invisiscat.source import (
     FarField,
     SourceScene,
@@ -300,6 +304,124 @@ class TestSolveField:
         u = solve_field(scene, pts)
         single = np.array([solve_field(scene, pts[i : i + 1])[0] for i in range(len(pts))])
         assert np.all(np.abs(u - single) <= 1e-14 * np.abs(single))
+
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.array([[np.nan, 0.0]]),
+            np.array([[0.1, 0.2], [np.inf, 0.0]]),
+            np.zeros((3, 3)),
+            np.zeros((2, 1)),
+            np.array([]),
+            np.zeros((2, 2, 2)),
+        ],
+    )
+    def test_rejects_unusable_points(self, pts):
+        # Unchecked, NaN read exactly 0+0j and the shapes raised numpy's
+        # broadcasting ValueError.
+        with pytest.raises(ConfigError, match="evaluation points"):
+            solve_field(ball_scene(0.5), pts)
+
+    def test_no_points_no_values(self):
+        assert solve_field(ball_scene(0.5), np.zeros((0, 2))).shape == (0,)
+
+
+def _field_by_difference_array(scene, eval_points, spacing):
+    """solve_field as first written: the full (targets, cells, n) difference
+    array reduced by np.sum, and the polar correction one target at a time."""
+    grid = make_support_grid(scene.domain, spacing)
+    f_grid = grid.on_support(scene.intensity)
+    live = np.flatnonzero(f_grid)
+    cells, f_live = grid.points[live], f_grid[live]
+    w_cell = grid.spacing**scene.n
+    r_cut = source._NEAR_RADIUS_CELLS * grid.spacing
+    out = np.empty(eval_points.shape[0], dtype=complex)
+    r, wr = _gauss_legendre(12, 0.0, r_cut)
+    offs, wq = _disk_nodes(r, wr, 16) if scene.n == 2 else _ball_nodes(r, wr, 8, 16)
+    ker_w = wq * green_kernel(scene.n, scene.k, np.sqrt(np.sum(offs**2, axis=1)))
+    block = max(1, source._BLOCK_ENTRIES // max(1, live.size))
+    for start in range(0, eval_points.shape[0], block):
+        x = eval_points[start : start + block]
+        d = np.sqrt(np.sum((x[:, None, :] - cells[None, :, :]) ** 2, axis=-1))
+        far = d > r_cut
+        g = np.zeros(d.shape, dtype=complex)
+        g[far] = green_kernel(scene.n, scene.k, d[far])
+        out[start : start + block] = (g @ f_live) * w_cell
+        for i in np.flatnonzero(~np.all(far, axis=1)):
+            vals = scene.source_values(x[i : i + 1] + offs)
+            out[start + i] += complex(np.sum(ker_w * vals))
+    return out
+
+
+def _shells(center, radii, dirs):
+    return np.concatenate([np.asarray(center) + rad * dirs for rad in radii])
+
+
+class TestSolveFieldBits:
+    """solve_field equals the difference-array formula bit for bit, for
+    targets inside, within r_cut of the boundary on both sides, and far out."""
+
+    def _check(self, scene, pts, spacing):
+        assert pts.shape[0] > source._BLOCK_ENTRIES // np.count_nonzero(
+            make_support_grid(scene.domain, spacing).coverage
+        )
+        got = solve_field(scene, pts, spacing=spacing)
+        assert np.array_equal(got, _field_by_difference_array(scene, pts, spacing))
+
+    def test_disk_with_variable_intensity(self):
+        c, R, h = (0.3, -0.2), 0.6, 0.6 / 24
+        scene = ball_scene(
+            R, k=7.0, center=c, phi=lambda p: 1.0 + p[:, 0] * p[:, 1] + p[:, 0] - 0.5j * p[:, 1]
+        )
+        th = np.linspace(0.0, 2.0 * math.pi, 13, endpoint=False)
+        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        pts = _shells(c, [0.2 * R, R - 1.5 * h, R - 0.3 * h, R + 0.4 * h, R + 1.9 * h, 5.0], ring)
+        self._check(scene, pts, h)
+
+    def test_ball_3d(self):
+        c, R, h = np.array([0.2, -0.1, 0.3]), 0.5, 1.0 / 16
+        scene = SourceScene(
+            Domain([BallComponent(c, R, dim=3)]),
+            lambda p: 2.0 + p[:, 0] * p[:, 1] - 1j * p[:, 2],
+            2.0,
+            3,
+        )
+        dirs, _, _ = sphere_directions(3, 14)
+        pts = _shells(c, [0.3 * R, R - 1.2 * h, R - 0.4 * h, R + 0.5 * h, R + 1.8 * h, 4.0], dirs)
+        self._check(scene, pts, h)
+
+    def test_two_components(self):
+        h = 1.0 / 40
+
+        def radial(th):
+            return 0.3 * (1.0 + 0.1 * np.cos(th) + 0.05 * np.cos(2 * th))
+
+        dom = Domain([BallComponent([-0.6, 0.0], 0.3), StarComponent([0.5, 0.1], radial)])
+        scene = SourceScene(dom, lambda p: np.exp(1j * p[:, 0]) * (1.0 + p[:, 1] ** 2), 3.0, 2)
+        th = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
+        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        star_r = radial(th)[:, None]
+        pts = np.concatenate(
+            [
+                _shells([-0.6, 0.0], [0.1, 0.3 - 0.7 * h, 0.3 + 1.5 * h], ring),
+                np.concatenate([[0.5, 0.1] + f * star_r * ring for f in (0.4, 0.95, 1.05)]),
+                4.0 * ring,
+            ]
+        )
+        self._check(scene, pts, h)
+
+    def test_many_near_targets_over_few_cells(self):
+        # About 20 live cells: a block holds 800+ targets, more than the
+        # 85 whose 192 polar nodes fit in _BLOCK_ENTRIES, so a block's near
+        # targets are corrected in several calls.
+        h = 0.02
+        scene = ball_scene(0.05, k=4.0, phi=lambda p: 1.0 + 3.0 * p[:, 0] + 2j * p[:, 1])
+        axis = np.linspace(-0.09, 0.09, 31)
+        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        live = np.count_nonzero(make_support_grid(scene.domain, h).coverage)
+        assert source._BLOCK_ENTRIES // live > source._BLOCK_ENTRIES // 192
+        self._check(scene, pts, h)
 
 
 def disk_field(k, R, pts):

@@ -73,5 +73,5 @@ for s in (0.0, 0.5, 1.5):
             tol=1e-9,
         )
     )
-    bound = cgo_weighted_cap_bound(tau, K, h, s, n)
+    bound = cgo_weighted_cap_bound(K, h, s, n)
     print(f"  s={s}: integral {val:.5e} <= bound {bound:.5e}")

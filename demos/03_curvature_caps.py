@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from invisiscat.cgo import CgoVector, curvature_estimate_rhs, identity_split_terms
-from invisiscat.geometry import compute_cn, make_curvature_cap, nesting_check
+from invisiscat.geometry import CurvatureCap, compute_cn, nesting_check
 from invisiscat.manufactured import CapBump
 
 print("Degree-3 monomial constant: c_2 =", compute_cn(2), ", c_3 =", compute_cn(3))
@@ -22,7 +22,7 @@ print("Degree-3 monomial constant: c_2 =", compute_cn(2), ", c_3 =", compute_cn(
 print("\nAdmissible caps and their pinching paraboloids:")
 print(f"{'K':>8} {'c3':>6} {'K_-':>10} {'K_+':>10} {'b':>9} {'h':>9} {'violations':>11}")
 for K in (math.e, 10.0, 100.0):
-    cap = make_curvature_cap(K, 0.1 * K, L=1.0, M=2.0, delta=0.5)
+    cap = CurvatureCap(K, 0.1 * K, L=1.0, M=2.0, delta=0.5)
     rep = nesting_check(cap)
     print(
         f"{K:8.3f} {cap.c3:6.2f} {cap.K_minus:10.4f} {cap.K_plus:10.4f} "
@@ -30,7 +30,7 @@ for K in (math.e, 10.0, 100.0):
     )
 
 print("\nSplit identity on the cap window (target: lhs = phi0(I1+I2)+I3+I4):")
-cap = make_curvature_cap(8.0, 0.3, L=1.0, M=2.0, delta=0.5)
+cap = CurvatureCap(8.0, 0.3, L=1.0, M=2.0, delta=0.5)
 bump = CapBump(cap)
 rho = CgoVector.canonical(12.0, 2)
 phi0 = complex(bump.phi(np.zeros((1, 2)), 1.0)[0])
@@ -49,6 +49,6 @@ print(f"  I4  = {i4:.6e}   (lid boundary term)")
 print("\nFour-term visibility bound at tau = 4 K ln sqrt(K) (alpha=delta=3/4):")
 print(f"{'K':>10} {'bound':>12}")
 for K in (math.e, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
-    val = curvature_estimate_rhs(K, 0.75, 0.75, 1.0, 2.0, 2, 1.0)
+    val = curvature_estimate_rhs(K, 0.75, 0.75, 2)
     print(f"{K:10.0f} {val:12.5f}")
 print("(The bound peaks near ln K = (n+3)/min(alpha,delta) and then decays to 0.)")

@@ -11,9 +11,10 @@ which for the canonical vector reduces to
 tau^{-(n+1)/2} (pi/K)^((n-1)/2) exp(-tau/(4K)).  The companion results
 are an upper bound for the tail above a cut height, the exact integral
 over the shell between two nested paraboloids (via the lower incomplete
-gamma function), and a weighted-cap upper bound.  Every constant left
-generic in the derivations is instantiated here with the sharpest value
-the argument yields and regression-locked in the tests:
+gamma function), and a weighted-cap upper bound that holds for every
+tau.  Every constant left generic in the derivations is instantiated
+here with the sharpest value the argument yields and regression-locked
+in the tests:
 
     tail:         C_n = max(1, 2^((n+1)/2 - 2)) max(Gamma((n+1)/2), 1)
                         sigma(S^(n-2)) / (n-1)
@@ -22,9 +23,10 @@ the argument yields and regression-locked in the tests:
 ``identity_split_terms`` assembles the integration-by-parts split of
 phi(0) * (paraboloid integral) into tail + shell-swap + Hoelder + lid
 terms for a manufactured field on a curvature cap, and
-``curvature_estimate_rhs`` evaluates the resulting four-term visibility
-bound at the parameter choice tau = 4 K ln(K^gamma),
-gamma = min(alpha, delta)/2, beta = 1 - min(alpha, delta).
+``curvature_estimate_rhs(K, alpha, delta, n)`` evaluates the resulting
+four-term visibility bound at the parameter choice tau = 4 K ln(K^gamma),
+gamma = min(alpha, delta)/2, beta = 1 - min(alpha, delta); of the cap it
+reads K and delta alone.
 """
 
 from __future__ import annotations
@@ -155,14 +157,14 @@ def cgo_sliced(tau: float, K_minus: float, K_plus: float, h: float, n: int) -> f
     )
 
 
-def cgo_weighted_cap_bound(tau: float, K: float, h: float, s: float, n: int) -> float:
+def cgo_weighted_cap_bound(K: float, h: float, s: float, n: int) -> float:
     """Upper bound for int over {K|x'|^2 < x_n < h} of exp(-tau x_n) |x|^s.
 
-    Independent of tau (the exponential is bounded by one), hence valid
-    uniformly in tau > 0.
+    The exponential is at most one, so the bound holds for every tau > 0
+    and takes no tau.
     """
-    if min(tau, K, h) <= 0 or s < 0:
-        raise ValueError("need tau, K, h > 0 and s >= 0")
+    if min(K, h) <= 0 or s < 0:
+        raise ValueError("need K, h > 0 and s >= 0")
     cns = sphere_measure(n - 2) / (1.0 + s / 2.0)
     return (
         cns
@@ -250,15 +252,7 @@ def identity_split_terms(
     return lhs, i1, i2, i3, i4
 
 
-def curvature_estimate_rhs(
-    K: float,
-    alpha: float,
-    delta: float,
-    L: float,
-    M: float,
-    n: int,
-    k: float,
-) -> float:
+def curvature_estimate_rhs(K: float, alpha: float, delta: float, n: int) -> float:
     """Four-term visibility bound at tau = 4 K ln(K^gamma).
 
     With mu = min(alpha, delta), gamma = mu/2, beta = 1 - mu, the bound is
@@ -274,13 +268,18 @@ def curvature_estimate_rhs(
     strictly decreasing for ln K >= (n+3)/mu: each term (ln K)^p K^(-q)
     with q > 0 decreases once ln K > p/q, and those turning points are
     (n-1)/(3 mu), none for t2, at most 3/mu and (n+3)/mu.
+
+    No term depends on the cap's L and M or on the wavenumber, so the
+    bound takes none of them.  A K that is not finite and >= e (the cap's
+    own rule), an alpha outside (0, 1) or a delta that is not positive
+    raises ``ConfigError``.
     """
-    if K < math.e:
-        raise ValueError("bound is stated for K >= e")
+    if not (math.isfinite(K) and K >= math.e):
+        raise ConfigError(f"bound is stated for finite K >= e, got {K!r}")
     if not (0 < alpha < 1):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if min(delta, L, M, k) <= 0:
-        raise ValueError("delta, L, M, k must be positive")
+    if not delta > 0:
+        raise ConfigError(f"delta must be positive, got {delta!r}")
     mu = min(alpha, delta)
     gamma = mu / 2.0
     beta = 1.0 - mu

@@ -32,10 +32,10 @@ from .geometry import (
     BallComponent,
     BoxComponent,
     CappedComponent,
+    CurvatureCap,
     Domain,
     StarComponent,
     cap_window_columns,
-    make_curvature_cap,
 )
 from .holder import SampledFunction, holder_norm
 from .kernels import far_field_constant
@@ -188,23 +188,18 @@ def run_smallness_source(
     r_bessel = radiationless_radius(k, 2, 1)
     sweep = [(r, False) for r in radii] + [(r_bessel, True), (r_bessel / 2.0, False)]
 
-    def one(item):
-        r, silent = item
+    rows = []
+    for r, silent in sweep:
         scene = SourceScene(Domain([BallComponent([0.0, 0.0], r)]), 1.0, k, 2)
         ratio = visibility_ratio(scene, alpha)
         ff = far_field(scene, n_dirs).sup_norm()
-        return {
+        rows.append({
             "radius": r,
             "ratio": ratio,
             "far_field_sup": ff,
             "radiationless_expected": silent,
-        }
-
-    rows = [one(x) for x in sweep]
-    for row in rows:
-        hypothesis = row["ratio"] >= cal["C_visibility"]
-        silent = row["far_field_sup"] < cal["far_field_floor"]
-        row["counterexample"] = hypothesis and silent
+            "counterexample": ratio >= cal["C_visibility"] and ff < cal["far_field_floor"],
+        })
     # Lower-bound family check: radiationless balls obey
     # diam^alpha >= C_lower * sup/norm (constant intensity: sup/norm = 1).
     lb_ok = True
@@ -220,8 +215,14 @@ def run_smallness_source(
 # ---------------------------------------------------------------------------
 
 
-def _capped_component(K: float, delta: float) -> CappedComponent:
-    cap = make_curvature_cap(K, 0.1 * K, L=1.0, M=2.0, delta=delta)
+# The exponent delta of the suites' caps; ``run_curvature_source`` takes
+# it as a config value, the other suites use it as is.
+_SUITE_DELTA = 0.75
+
+
+def _capped_component(K: float, delta: float = _SUITE_DELTA) -> CappedComponent:
+    """The suites' capped body: cubic 0.1 K and the cap's L, M and n defaults."""
+    cap = CurvatureCap(K, 0.1 * K, delta=delta)
     width = max(0.35, 1.25 * cap.rim_radius)
     return CappedComponent(cap, bulk_width=width, bulk_height=0.5)
 
@@ -229,53 +230,47 @@ def _capped_component(K: float, delta: float) -> CappedComponent:
 def run_curvature_source(
     K_list=(math.e, 10.0, 100.0, 1000.0),
     alpha: float = 0.75,
-    delta: float = 0.75,
+    delta: float = _SUITE_DELTA,
     k: float = 1.0,
     n_dirs: int = 64,
 ) -> SuiteResult:
     """Constant capped sources radiate; manufactured radiationless duals obey
     the apex-intensity envelope with one frozen constant."""
     cal = load_calibration()["curvature_source"]
-
-    def one(K):
+    rows = []
+    for K in K_list:
         comp = _capped_component(K, delta)
-        dom = Domain([comp])
-        scene = SourceScene(dom, 1.0, k, 2)
-        ff_const = far_field(scene, n_dirs).sup_norm()
+        cap, n = comp.cap, comp.cap.n
+        ff_const = far_field(SourceScene(Domain([comp]), 1.0, k, n), n_dirs).sup_norm()
         # Radiationless dual: w in H^2_0(Omega), phi = (Delta+k^2) w has an
         # exactly vanishing far field; its apex intensity obeys the bound.
         # phi vanishes above the lens, so the window column rule, which
         # resolves the graph and lid exactly, is the accurate quadrature.
-        bump = LensBump(comp.cap)
-        lens, lens_w = cap_window_columns(comp.cap, comp.cap.h / 96.0)
+        bump = LensBump(cap)
+        lens, lens_w = cap_window_columns(cap, cap.h / 96.0)
         weighted = lens_w * bump.phi(lens, k)
-        ff_dual = _point_far_field(lens + comp.apex, weighted, k, 2, n_dirs).sup_norm()
-        spacing = comp.cap.h / 48.0
-        wpts, _ = cap_window_columns(comp.cap, spacing)
+        ff_dual = _point_far_field(lens + comp.apex, weighted, k, n, n_dirs).sup_norm()
+        spacing = cap.h / 48.0
+        wpts, _ = cap_window_columns(cap, spacing)
         phi_samples = SampledFunction(
             points=wpts, values=bump.phi(wpts, k).astype(complex), spacing=spacing
         )
         norm_phi = holder_norm(phi_samples, alpha)
-        apex = abs(complex(bump.phi(np.zeros((1, 2)), k)[0]))
+        apex = abs(complex(bump.phi(np.zeros((1, n)), k)[0]))
         ratio = apex / max(1.0, norm_phi)
-        psi = curvature_estimate_rhs(K, alpha, delta, 1.0, 2.0, 2, k)
-        return {
+        psi = curvature_estimate_rhs(K, alpha, cap.delta, n)
+        visible = ff_const > cal["far_field_floor"]
+        dual_ok = ratio <= cal["C_manufactured"] * psi * (1.0 + 1e-9)
+        dual_silent = ff_dual <= cal["dual_far_field_ceiling"]
+        rows.append({
             "K": K,
             "far_field_sup": ff_const,
             "envelope": psi,
             "dual_apex_ratio": ratio,
             "dual_far_field_sup": ff_dual,
             "dual_phi_norm": norm_phi,
-        }
-
-    rows = [one(x) for x in K_list]
-    for row in rows:
-        visible = row["far_field_sup"] > cal["far_field_floor"]
-        dual_ok = row["dual_apex_ratio"] <= cal["C_manufactured"] * row["envelope"] * (
-            1.0 + 1e-9
-        )
-        dual_silent = row["dual_far_field_sup"] <= cal["dual_far_field_ceiling"]
-        row["counterexample"] = not (visible and dual_ok and dual_silent)
+            "counterexample": not (visible and dual_ok and dual_silent),
+        })
     return SuiteResult("curvature_source", rows, cal)
 
 
@@ -304,43 +299,35 @@ def run_medium_visibility(
         + [("disk", r, None) for r in radii]
         + [("capped", None, K) for K in K_list]
     )
-
-    def one(job):
-        kind, r, K = job
+    rows = []
+    for kind, r, K in jobs:
         contrast = 0.0 if kind == "control" else v0
+        envelope = float("nan")
         if kind == "capped":
-            dom = Domain([_capped_component(K, 0.75)])
+            comp = _capped_component(K)
+            dom = Domain([comp])
             area = float(np.sum(dom.quad_nodes(32)[1]))
+            envelope = curvature_estimate_rhs(K, alpha, comp.cap.delta, comp.cap.n)
         else:
             radius = 1.0 if kind == "control" else r
             dom = Domain([BallComponent([0.0, 0.0], radius)])
             area = math.pi * radius * radius
         scene = MediumScene(dom, contrast, k, PlaneWave([1.0, 0.0]))
-        contraction = k * k * c0 * abs(contrast)
         sol = solve_ls(scene, tol=1e-10)
         ff = scattered_far_field(scene, sol, n_dirs).sup_norm()
         comparator = scatter_visibility_ratio(scene, alpha)
-        envelope = (
-            curvature_estimate_rhs(K, alpha, 0.75, 1.0, 2.0, 2, k)
-            if kind == "capped"
-            else float("nan")
-        )
-        return {
+        born = _born_scale(k, contrast, area)
+        rows.append({
             "kind": kind,
             "size": r if r is not None else K,
             "comparator": comparator,
             "far_field_sup": ff,
-            "born_scale": _born_scale(k, contrast, area),
-            "contraction": contraction,
+            "born_scale": born,
+            "contraction": k * k * c0 * abs(contrast),
             "envelope_K": envelope,
-        }
-
-    rows = [one(x) for x in jobs]
-    for row in rows:
-        floor = cal["relative_floor"] * row["born_scale"]
-        hypothesis = row["comparator"] >= cal["C_comparator"]
-        silent = row["far_field_sup"] < floor
-        row["counterexample"] = hypothesis and silent
+            "counterexample": comparator >= cal["C_comparator"]
+            and ff < cal["relative_floor"] * born,
+        })
     return SuiteResult("medium_visibility", rows, cal)
 
 
@@ -446,37 +433,27 @@ def run_schiffer_counting(
         ]
         candidates.append(("count_3", centers))
 
-    def one(item):
-        label, centers = item
+    rows = []
+    best_correct = math.inf
+    for label, centers in candidates:
         if centers is None:
-            return {"candidate": label, "components": 0, "mismatch": 1.0}
-        ok = all(
+            m, mismatch = 0, 1.0
+        elif not all(
             (cx - dx) ** 2 + (cy - dy) ** 2 > (2 * radius) ** 2
             for i, (cx, cy) in enumerate(centers)
             for (dx, dy) in centers[i + 1 :]
-        )
-        if not ok:
-            return {"candidate": label, "components": len(centers), "mismatch": float("nan")}
-        dom = Domain([BallComponent(list(c), radius) for c in centers])
-        ff = _medium_far_field(dom, v0, k)
-        return {
-            "candidate": label,
-            "components": len(centers),
-            "mismatch": ff_true.relative_l2_difference(ff),
-        }
-
-    rows = [one(x) for x in candidates]
-    best_correct = math.inf
-    for row in rows:
-        if math.isnan(row["mismatch"]):
-            row["counterexample"] = False
-            continue
-        if row["components"] != 3:
-            bad = row["mismatch"] <= cal["mismatch_floor"]
+        ):
+            m, mismatch = len(centers), float("nan")  # overlapping: reported, not judged
         else:
-            bad = False
-            best_correct = min(best_correct, row["mismatch"])
-        row["counterexample"] = bad
+            dom = Domain([BallComponent(list(c), radius) for c in centers])
+            ff = _medium_far_field(dom, v0, k)
+            m, mismatch = len(centers), ff_true.relative_l2_difference(ff)
+        if m == 3 and not math.isnan(mismatch):
+            best_correct = min(best_correct, mismatch)
+        bad = m != 3 and mismatch <= cal["mismatch_floor"]
+        rows.append(
+            {"candidate": label, "components": m, "mismatch": mismatch, "counterexample": bad}
+        )
     notes = [f"smallest mismatch among correct-count candidates: {best_correct!r}"]
     return SuiteResult("schiffer_counting", rows, cal, notes)
 
@@ -493,7 +470,7 @@ def run_curvature_uniqueness_demo(
 ) -> SuiteResult:
     """Far-field discrimination of shapes differing by a curvature cap."""
     cal = load_calibration()["curvature_uniqueness"]
-    comp = _capped_component(K, 0.75)
+    comp = _capped_component(K)
     capped = Domain([comp])
     h, hw, hh = comp.cap.h, comp.bulk_width, comp.bulk_height
     bulk_only = Domain([BoxComponent([-hw, h], [hw, h + hh])])
@@ -564,15 +541,16 @@ def calibrate(path=None) -> dict:
         "dual_far_field_ceiling": max(worst_dual_ff * 5.0, 1e-8),
     }
     # Medium comparator: smallest comparator that still scattered.
+    relative_floor = 1e-3
     res = run_medium_visibility()
     visible = [
         row["comparator"]
         for row in res.rows
-        if row["far_field_sup"] > 1e-3 * row["born_scale"]
+        if row["far_field_sup"] > relative_floor * row["born_scale"]
     ]
     cal["medium_visibility"] = {
         "C_comparator": min(visible) * 0.5,
-        "relative_floor": 1e-3,
+        "relative_floor": relative_floor,
     }
     cal["schiffer_separation"] = {
         "C1": 0.8,

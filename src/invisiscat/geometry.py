@@ -12,7 +12,9 @@ K+ - K- is controlled by the cubic perturbation through the constant
 
 and the admissibility budget f(K) <= min((M-1) K^2 / (c_n M^(3/2)),
 L K^(2-delta) / (2 c_n sqrt(M))), where f(K) is the sup of the third
-derivatives of the perturbation.
+derivatives of the perturbation.  ``CurvatureCap(K, c3, L, M, delta, n)``
+is the only constructor and checks admissibility itself, so every cap
+that exists is admissible.
 
 Scatterer supports are unions of components (balls, annuli, star-shaped
 polar graphs, cap-bottomed bodies); every component knows how to test
@@ -46,7 +48,6 @@ __all__ = [
     "InadmissiblePerturbation",
     "CurvatureCap",
     "compute_cn",
-    "make_curvature_cap",
     "nesting_check",
     "NestingReport",
     "cap_window_columns",
@@ -115,34 +116,76 @@ _CUBIC_THIRD_DERIV_SUP = 6.0
 
 @dataclass
 class CurvatureCap:
-    """Admissible curvature point data: graph, pinching paraboloids, scales."""
+    """An admissible K-curvature point: graph, pinching paraboloids, scales.
+
+    The constructor is the one owner of admissibility.  In this order it
+    checks a finite K >= e, then L, delta > 0 and M >= 1, then n in {2, 3},
+    then that K^(2 - delta) and M^(3/2) do not overflow (all
+    ``ConfigError``); then the budget on f = 6 |c3|
+    (``InadmissiblePerturbation``), the pinching invariants the budget
+    implies (``NumericalFailure``) and the lid test h <= K_- b^2
+    (``InadmissiblePerturbation``).
+    """
 
     K: float
-    L: float
-    M: float
-    delta: float
-    c3: float
-    n: int
+    c3: float = 0.0
+    L: float = 1.0
+    M: float = 2.0
+    delta: float = 0.5
+    n: int = 2
     b: float = field(init=False)
     h: float = field(init=False)
     K_minus: float = field(init=False)
     K_plus: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.K > 0 and self.L > 0 and self.delta > 0 and self.M >= 1.0):
+        K, L, M, delta = self.K, self.L, self.M, self.delta
+        if not (math.isfinite(K) and K >= math.e):
+            raise ConfigError(f"curvature parameter must be finite with K >= e, got {K!r}")
+        if not (L > 0 and delta > 0 and M >= 1.0):
             raise ConfigError(
-                f"need K, L, delta > 0 and M >= 1, got K = {self.K!r}, L = {self.L!r}, "
-                f"delta = {self.delta!r}, M = {self.M!r}"
+                f"need K, L, delta > 0 and M >= 1, got K = {K!r}, L = {L!r}, "
+                f"delta = {delta!r}, M = {M!r}"
             )
         if self.n not in (2, 3):
             raise ConfigError("dimensions 2 and 3 supported")
-        self.b = math.sqrt(self.M) / self.K
-        self.h = 1.0 / self.K
+        self.b = math.sqrt(M) / K
+        self.h = 1.0 / K
         cn = compute_cn(self.n)
         f = abs(self.c3) * _CUBIC_THIRD_DERIV_SUP
         spread = cn * f * self.b
-        self.K_minus = self.K - spread
-        self.K_plus = self.K + spread
+        self.K_minus = K - spread
+        self.K_plus = K + spread
+        try:
+            power = K ** (2.0 - delta)
+        except OverflowError:
+            raise ConfigError(f"curvature parameter K = {K!r} overflows K^(2 - delta)") from None
+        try:
+            m_power = M**1.5
+        except OverflowError:
+            raise ConfigError(f"pinching ratio M = {M!r} overflows M^(3/2)") from None
+        budget = min(
+            (M - 1.0) * K * K / (cn * m_power),
+            L * power / (2.0 * cn * math.sqrt(M)),
+        )
+        if f > budget:
+            raise InadmissiblePerturbation(
+                f"third-derivative size {f:.4g} exceeds admissible budget {budget:.4g}"
+            )
+        # Hard invariants of the construction, which the budget above implies.
+        if not (
+            self.K_minus > 0
+            and 1.0 / M - 1e-12 <= self.K_minus / K
+            and self.K_plus / K <= M + 1e-12
+            and self.K_plus - self.K_minus <= L * K ** (1.0 - delta) * (1 + 1e-12)
+        ):
+            raise NumericalFailure(
+                f"pinching curvatures break the admissibility bounds at K = {K!r}"
+            )
+        if self.h > self.K_minus * self.b * self.b * (1 + 1e-12):
+            raise InadmissiblePerturbation(
+                "lid height exceeds K_- b^2; paraboloid would touch the cylinder wall"
+            )
 
     # -- graph and its derivatives (|x'|-radial quadratic + cubic) ----------
 
@@ -173,57 +216,6 @@ class CurvatureCap:
         return float(_bisect(
             lambda r: self.omega(np.array([[x] + pad for x in r])) - self.h, [0.0], [self.b]
         )[0])
-
-
-def make_curvature_cap(
-    K: float,
-    cubic_coeff: float = 0.0,
-    L: float = 1.0,
-    M: float = 2.0,
-    delta: float = 0.5,
-    n: int = 2,
-) -> CurvatureCap:
-    """Build an admissible cap with perturbation cubic_coeff * |x'|^3.
-
-    ``CurvatureCap`` checks L, delta > 0 and M >= 1 before the budget is
-    formed.  Raises ``InadmissiblePerturbation`` when the third-derivative
-    budget f(K) <= min((M-1)K^2/(c_n M^(3/2)), L K^(2-delta)/(2 c_n sqrt M))
-    fails.
-    """
-    if not (math.isfinite(K) and K >= math.e):
-        raise ConfigError(f"curvature parameter must be finite with K >= e, got {K!r}")
-    cap = CurvatureCap(K=K, L=L, M=M, delta=delta, c3=cubic_coeff, n=n)
-    cn = compute_cn(n)
-    f = abs(cubic_coeff) * _CUBIC_THIRD_DERIV_SUP
-    try:
-        power = K ** (2.0 - delta)
-    except OverflowError:
-        raise ConfigError(f"curvature parameter K = {K!r} overflows K^(2 - delta)") from None
-    try:
-        m_power = M**1.5
-    except OverflowError:
-        raise ConfigError(f"pinching ratio M = {M!r} overflows M^(3/2)") from None
-    budget = min(
-        (M - 1.0) * K * K / (cn * m_power),
-        L * power / (2.0 * cn * math.sqrt(M)),
-    )
-    if f > budget:
-        raise InadmissiblePerturbation(
-            f"third-derivative size {f:.4g} exceeds admissible budget {budget:.4g}"
-        )
-    # Hard invariants of the construction, which the budget above implies.
-    if not (
-        cap.K_minus > 0
-        and 1.0 / M - 1e-12 <= cap.K_minus / K
-        and cap.K_plus / K <= M + 1e-12
-        and cap.K_plus - cap.K_minus <= L * K ** (1.0 - delta) * (1 + 1e-12)
-    ):
-        raise NumericalFailure(f"pinching curvatures break the admissibility bounds at K = {K!r}")
-    if cap.h > cap.K_minus * cap.b * cap.b * (1 + 1e-12):
-        raise InadmissiblePerturbation(
-            "lid height exceeds K_- b^2; paraboloid would touch the cylinder wall"
-        )
-    return cap
 
 
 # Points on which nesting_check compares omega with the two paraboloids.

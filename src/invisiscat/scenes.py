@@ -18,7 +18,8 @@ herglotz (density expression in the angle t), cgo (tau > 0).  Every
 numeric value must be a finite JSON number (or an array of them): a
 string or a boolean is rejected, never converted.  Ranges (a positive
 radius or wavenumber, K >= e, M >= 1, ...) are the constructors' rules;
-the loader passes their ``ConfigError`` on as a ``SceneError``.
+the loader passes their ``ConfigError`` on as a ``SceneError``.  So are
+the defaults: an optional key the file leaves out is not passed at all.
 
 Expression grammar (ASCII only):
 
@@ -53,9 +54,9 @@ from .geometry import (
     BallComponent,
     BoxComponent,
     CappedComponent,
+    CurvatureCap,
     Domain,
     StarComponent,
-    make_curvature_cap,
 )
 from .errors import ConfigError
 from .cgo import CgoVector
@@ -206,9 +207,8 @@ def _number(spec: dict, key: str) -> float:
     return float(x)
 
 
-_CAPPED_DEFAULTS = {
-    "cubic": 0.0, "L": 1.0, "M": 2.0, "delta": 0.5, "bulk_width": 0.35, "bulk_height": 0.5,
-}
+# The optional cap numbers of a capped body: scene key -> CurvatureCap argument.
+_CAP_ARGS = {"cubic": "c3", "L": "L", "M": "M", "delta": "delta"}
 
 
 def _component(spec, dim: int):
@@ -239,21 +239,15 @@ def _component(spec, dim: int):
         center = _point(spec, "center", dim) if "center" in spec else np.zeros(dim)
         return StarComponent(center, radial)
     if kind == "capped":
-        spec = {**_CAPPED_DEFAULTS, **spec}
-        cap = make_curvature_cap(
+        cap = CurvatureCap(
             _number(spec, "K"),
-            _number(spec, "cubic"),
-            L=_number(spec, "L"),
-            M=_number(spec, "M"),
-            delta=_number(spec, "delta"),
+            **{arg: _number(spec, key) for key, arg in _CAP_ARGS.items() if key in spec},
             n=dim,
         )
-        return CappedComponent(
-            cap,
-            bulk_width=_number(spec, "bulk_width"),
-            bulk_height=_number(spec, "bulk_height"),
-            apex=None if spec.get("apex") is None else _point(spec, "apex", dim),
-        )
+        body = {key: _number(spec, key) for key in ("bulk_width", "bulk_height") if key in spec}
+        if spec.get("apex") is not None:
+            body["apex"] = _point(spec, "apex", dim)
+        return CappedComponent(cap, **body)
     raise SceneError(f"unknown domain kind {kind!r}")
 
 
@@ -308,10 +302,12 @@ def _incident(spec, dim: int):
     if kind == "plane_wave":
         return PlaneWave(_point(spec, "direction", dim))
     if kind == "herglotz":
-        n_quad = spec.get("n_quad", 256)
-        if isinstance(n_quad, bool) or not (isinstance(n_quad, int) and n_quad >= 1):
-            raise SceneError(f"n_quad must be a positive integer, got {n_quad!r}")
-        return HerglotzWave(parse_angle_expression(spec["density"]), n_quad=n_quad)
+        quad = {}  # HerglotzWave's own n_quad unless the file gives one
+        if "n_quad" in spec:
+            n_quad = quad["n_quad"] = spec["n_quad"]
+            if isinstance(n_quad, bool) or not (isinstance(n_quad, int) and n_quad >= 1):
+                raise SceneError(f"n_quad must be a positive integer, got {n_quad!r}")
+        return HerglotzWave(parse_angle_expression(spec["density"]), **quad)
     if kind == "cgo":
         if spec.get("dimension", dim) != dim:  # so neither 2.7 nor "2" passes for 2
             raise SceneError("cgo incident dimension differs from the scene's")

@@ -417,9 +417,7 @@ def curvature_vanishing_probe(
     if norm == 0:
         return CurvatureProbeReport(0.0, math.inf, 0.0)
     u_apex = abs(complex(np.asarray(u_fn(comp.apex[None, :]))[0])) / norm
-    env = calibration * curvature_estimate_rhs(
-        cap.K, alpha, cap.delta, cap.L, cap.M, cap.n, k
-    )
+    env = calibration * curvature_estimate_rhs(cap.K, alpha, cap.delta, cap.n)
     return CurvatureProbeReport(u_at_apex=u_apex, envelope=env, norm_u=norm)
 
 

@@ -29,7 +29,7 @@ from invisiscat.cgo import (
     curvature_estimate_rhs,
     identity_split_terms,
 )
-from invisiscat.geometry import BallComponent, Domain, make_curvature_cap
+from invisiscat.geometry import BallComponent, CurvatureCap, Domain
 from invisiscat.manufactured import CapBump
 from invisiscat.medium import (
     HerglotzWave,
@@ -128,7 +128,7 @@ class TestCriterion2BoundDomination:
                 return np.exp(-tau * p[:, -1]) * np.sum(p * p, axis=1) ** (s / 2.0)
 
             val = integrate(f, ParaboloidCap(K, h, dim=n), tol=1e-8)
-            if cgo_weighted_cap_bound(tau, K, h, s, n) < abs(val) * (1 - 1e-9):
+            if cgo_weighted_cap_bound(K, h, s, n) < abs(val) * (1 - 1e-9):
                 violations += 1
         assert _report("2", violations == 0, f"{violations} violations in 200 draws")
 
@@ -169,7 +169,7 @@ class TestCriterion4IdentityConvergence:
 
     def test_split_identity_order(self):
         # Perturbed cap keeps the residual sequence well above roundoff.
-        cap = make_curvature_cap(8.0, 0.3, L=1.0, M=2.0, delta=0.5)
+        cap = CurvatureCap(8.0, 0.3, L=1.0, M=2.0, delta=0.5)
         bump = CapBump(cap)
         rho = CgoVector.canonical(12.0, 2)
         phi0 = complex(bump.phi(np.zeros((1, 2)), 1.0)[0])
@@ -256,13 +256,11 @@ class TestCriterion7CurvatureEnvelope:
             # every term decreases, t2 strictly for all K.
             k0 = math.exp((n + 3) / mu)
             grids[n] = [
-                curvature_estimate_rhs(
-                    k0 * 10.0**j, self.ALPHA, self.DELTA, 1.0, 2.0, n, 1.0
-                )
+                curvature_estimate_rhs(k0 * 10.0**j, self.ALPHA, self.DELTA, n)
                 for j in range(5)
             ]
         from_e = [
-            curvature_estimate_rhs(K, self.ALPHA, self.DELTA, 1.0, 2.0, 2, 1.0)
+            curvature_estimate_rhs(K, self.ALPHA, self.DELTA, 2)
             for K in self.GRID
         ]
 
@@ -288,7 +286,7 @@ class TestCriterion7CurvatureEnvelope:
         mu = min(self.ALPHA, self.DELTA)
         ks = np.exp(np.linspace(1.0, math.log(1e6), 400))
         ratios = [
-            curvature_estimate_rhs(K, self.ALPHA, self.DELTA, 1.0, 2.0, 2, 1.0)
+            curvature_estimate_rhs(K, self.ALPHA, self.DELTA, 2)
             / (math.log(K) ** 2.5 * K ** (-mu / 2.0))
             for K in ks
         ]

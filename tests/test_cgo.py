@@ -14,7 +14,8 @@ from invisiscat.cgo import (
     curvature_estimate_rhs,
     identity_split_terms,
 )
-from invisiscat.geometry import make_curvature_cap
+from invisiscat.errors import ConfigError
+from invisiscat.geometry import CurvatureCap
 from invisiscat.holder import PrecondViolated
 from invisiscat.manufactured import CapBump
 from invisiscat.quadrature import (
@@ -249,7 +250,7 @@ class TestWeightedCapBound:
         vol = integrate(
             lambda p: np.ones(p.shape[0]), ParaboloidCap(K, h, dim=n), tol=1e-10
         )
-        assert cgo_weighted_cap_bound(1e-9, K, h, 0.0, n) >= abs(vol)
+        assert cgo_weighted_cap_bound(K, h, 0.0, n) >= abs(vol)
 
     def test_reference_case_dominates(self):
         tau, K, h, s, n = 1.0, 4.0, 0.25, 0.5, 2
@@ -258,10 +259,10 @@ class TestWeightedCapBound:
             return np.exp(-tau * p[:, -1]) * np.sum(p * p, axis=1) ** (s / 2.0)
 
         orc = integrate(f, ParaboloidCap(K, h, dim=n), tol=1e-9)
-        assert cgo_weighted_cap_bound(tau, K, h, s, n) >= abs(orc)
+        assert cgo_weighted_cap_bound(K, h, s, n) >= abs(orc)
 
     def test_monotone_in_h(self):
-        vals = [cgo_weighted_cap_bound(1.0, 2.0, h, 1.0, 2) for h in (0.1, 0.5, 1.0, 2.0)]
+        vals = [cgo_weighted_cap_bound(2.0, h, 1.0, 2) for h in (0.1, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_random_domination(self):
@@ -277,7 +278,7 @@ class TestWeightedCapBound:
                 return np.exp(-tau * p[:, -1]) * np.sum(p * p, axis=1) ** (s / 2.0)
 
             orc = integrate(f, ParaboloidCap(K, h, dim=n), tol=1e-8)
-            assert cgo_weighted_cap_bound(tau, K, h, s, n) >= abs(orc) * (1 - 1e-8)
+            assert cgo_weighted_cap_bound(K, h, s, n) >= abs(orc) * (1 - 1e-8)
 
 
 class TestIdentitySplit:
@@ -292,14 +293,14 @@ class TestIdentitySplit:
             def phi(self, p, k):
                 return np.zeros(p.shape[0])
 
-        cap = make_curvature_cap(5.0, 0.0)
+        cap = CurvatureCap(5.0, 0.0)
         lhs, i1, i2, i3, i4 = identity_split_terms(
             Zero(), cap, CgoVector.canonical(10.0, 2), 1.0
         )
         assert lhs == 0 and i3 == 0 and i4 == 0
 
     def test_pure_paraboloid_identity(self):
-        cap = make_curvature_cap(5.0, 0.0)
+        cap = CurvatureCap(5.0, 0.0)
         bump = CapBump(cap)
         rho = CgoVector.canonical(10.0, 2)
         lhs, i1, i2, i3, i4 = identity_split_terms(
@@ -310,7 +311,7 @@ class TestIdentitySplit:
         assert resid < 1e-6
 
     def test_perturbed_cap_identity(self):
-        cap = make_curvature_cap(8.0, 0.3, L=1.0, M=2.0, delta=0.5)
+        cap = CurvatureCap(8.0, 0.3, L=1.0, M=2.0, delta=0.5)
         bump = CapBump(cap)
         rho = CgoVector.canonical(10.0, 2)
         lhs, i1, i2, i3, i4 = identity_split_terms(
@@ -321,7 +322,7 @@ class TestIdentitySplit:
         assert resid < 1e-5
 
     def test_identity_3d(self):
-        cap = make_curvature_cap(6.0, 0.1, n=3)
+        cap = CurvatureCap(6.0, 0.1, n=3)
         bump = CapBump(cap)
         rho = CgoVector.canonical(8.0, 3)
         lhs, i1, i2, i3, i4 = identity_split_terms(
@@ -332,7 +333,7 @@ class TestIdentitySplit:
         assert resid < 1e-4 * max(1.0, abs(lhs))
 
     def test_precondition_rejects_nonvanishing_w(self):
-        cap = make_curvature_cap(5.0, 0.0)
+        cap = CurvatureCap(5.0, 0.0)
 
         class Bad:
             def value(self, p):
@@ -348,7 +349,7 @@ class TestIdentitySplit:
             identity_split_terms(Bad(), cap, CgoVector.canonical(5.0, 2), 1.0)
 
     def test_refinement_order(self):
-        cap = make_curvature_cap(5.0, 0.0)
+        cap = CurvatureCap(5.0, 0.0)
         bump = CapBump(cap)
         rho = CgoVector.canonical(10.0, 2)
         phi0 = complex(bump.phi(np.zeros((1, 2)), 1.0)[0])
@@ -364,18 +365,23 @@ class TestIdentitySplit:
 
 class TestCurvatureBound:
     def test_regression_lock_at_e(self):
-        got = curvature_estimate_rhs(math.e, 0.5, 0.5, 1.0, 2.0, 2, 1.0)
+        got = curvature_estimate_rhs(math.e, 0.5, 0.5, 2)
         want = math.exp(-0.75) + 3.0 * math.exp(-0.25)
         assert abs(got - want) < 1e-14
         assert abs(got - 2.8087689019552293) < 1e-12
 
     def test_domain_error_below_e(self):
         with pytest.raises(ValueError):
-            curvature_estimate_rhs(2.0, 0.5, 0.5, 1.0, 2.0, 2, 1.0)
+            curvature_estimate_rhs(2.0, 0.5, 0.5, 2)
+
+    @pytest.mark.parametrize("K", [2.0, float("nan"), float("inf")])
+    def test_curvature_below_e_or_nan_is_config_error(self, K):
+        with pytest.raises(ConfigError, match="finite K >= e"):
+            curvature_estimate_rhs(K, 0.5, 0.5, 2)
 
     def test_decay_from_hundred_to_million(self):
-        lo = curvature_estimate_rhs(1e6, 0.75, 0.75, 1.0, 2.0, 2, 1.0)
-        hi = curvature_estimate_rhs(1e2, 0.75, 0.75, 1.0, 2.0, 2, 1.0)
+        lo = curvature_estimate_rhs(1e6, 0.75, 0.75, 2)
+        hi = curvature_estimate_rhs(1e2, 0.75, 0.75, 2)
         assert lo < hi
 
     def test_dominated_by_envelope(self):
@@ -388,6 +394,6 @@ class TestCurvatureBound:
         for K in Ks:
             env = math.log(K) ** ((n + 3) / 2.0) * K ** (-mu / 2.0)
             ratios.append(
-                curvature_estimate_rhs(K, alpha, delta, 1.0, 2.0, n, 1.0) / env
+                curvature_estimate_rhs(K, alpha, delta, n) / env
             )
         assert max(ratios) < 4.0 + 1e-9  # four terms each below the envelope

@@ -18,7 +18,6 @@ from invisiscat.geometry import (
     _sq_dist,
     _sq_norm,
     compute_cn,
-    make_curvature_cap,
     nesting_check,
 )
 from invisiscat.quadrature import integrate
@@ -45,8 +44,10 @@ class TestComputeCn:
 
 
 class TestMakeCurvatureCap:
+    """``CurvatureCap`` builds and checks a cap in one step."""
+
     def test_pure_paraboloid(self):
-        cap = make_curvature_cap(10.0, 0.0, L=1.0, M=2.0, delta=0.5)
+        cap = CurvatureCap(10.0, 0.0, L=1.0, M=2.0, delta=0.5)
         assert cap.K_minus == cap.K_plus == 10.0
         assert abs(cap.b - math.sqrt(2.0) / 10.0) < 1e-15
         assert abs(cap.h - 0.1) < 1e-15
@@ -55,24 +56,31 @@ class TestMakeCurvatureCap:
 
     def test_cubic_spread_matches_formula(self):
         # K=10, 0.1 |x'|^3, n=2, M=2: K_pm = K -/+ c_2 * 0.6 * sqrt(2)/10.
-        cap = make_curvature_cap(10.0, 0.1, L=1.0, M=2.0, delta=0.5, n=2)
+        cap = CurvatureCap(10.0, 0.1, L=1.0, M=2.0, delta=0.5, n=2)
         spread = (1.0 / 6.0) * 0.6 * math.sqrt(2.0) / 10.0
         assert abs(cap.K_minus - (10.0 - spread)) < 1e-12
         assert abs(cap.K_plus - (10.0 + spread)) < 1e-12
 
     def test_inadmissible(self):
-        with pytest.raises(InadmissiblePerturbation):
-            make_curvature_cap(math.e, 1e6, L=1.0, M=2.0, delta=0.5)
+        # Built directly, from K and c3 alone, a cap still meets the
+        # third-derivative budget: the constructor is the only one.
+        with pytest.raises(InadmissiblePerturbation, match="exceeds admissible budget"):
+            CurvatureCap(math.e, 1e6)
+
+    @pytest.mark.parametrize("K", [2.0, float("nan"), float("inf")])
+    def test_curvature_below_e_or_not_finite_is_config_error(self, K):
+        with pytest.raises(ConfigError, match="finite with K >= e"):
+            CurvatureCap(K)
 
     @pytest.mark.parametrize("K, delta", [(1e300, 0.5), (1e160, 0.01)])
     def test_overflowing_power_is_config_error(self, K, delta):
         # K^(2 - delta) overflows a float: a config error, not an OverflowError.
         with pytest.raises(ConfigError, match="overflows"):
-            make_curvature_cap(K, 0.0, delta=delta)
+            CurvatureCap(K, 0.0, delta=delta)
 
     def test_invariants_hold(self):
         for K in [math.e, 10.0, 100.0, 1000.0]:
-            cap = make_curvature_cap(K, 0.05 * K, L=2.0, M=2.0, delta=0.5)
+            cap = CurvatureCap(K, 0.05 * K, L=2.0, M=2.0, delta=0.5)
             assert 1.0 / cap.M <= cap.K_minus / K <= cap.K_plus / K <= cap.M
             assert cap.K_plus - cap.K_minus <= cap.L * K ** (1 - cap.delta) * (1 + 1e-12)
             assert cap.h <= cap.K_minus * cap.b**2 * (1 + 1e-12)
@@ -94,7 +102,7 @@ class TestRimRadius:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_fixed_step_bisection(self, n):
         caps = [
-            make_curvature_cap(float(K), float(ratio * K), n=n)
+            CurvatureCap(float(K), float(ratio * K), n=n)
             for K in np.geomspace(math.e, 1e4, 10)
             for ratio in np.linspace(-0.05, 0.2, 6)
         ]
@@ -102,7 +110,7 @@ class TestRimRadius:
             assert cap.rim_radius == fixed_step_rim(cap)
 
     def test_computed_once_per_cap(self):
-        cap = make_curvature_cap(100.0, 10.0, n=3)
+        cap = CurvatureCap(100.0, 10.0, n=3)
         omega, calls = cap.omega, []
         cap.omega = lambda xp: calls.append(1) or omega(xp)
         rim = cap.rim_radius
@@ -114,13 +122,13 @@ class TestRimRadius:
 
 class TestNesting:
     def test_pure_paraboloid_no_violation(self):
-        cap = make_curvature_cap(5.0, 0.0)
+        cap = CurvatureCap(5.0, 0.0)
         rep = nesting_check(cap)
         assert rep.violations == 0
 
     def test_perturbed_cap_no_violation(self):
         for n in (2, 3):
-            cap = make_curvature_cap(20.0, 0.4, L=1.0, M=2.0, delta=0.5, n=n)
+            cap = CurvatureCap(20.0, 0.4, L=1.0, M=2.0, delta=0.5, n=n)
             rep = nesting_check(cap)
             assert rep.violations == 0
 
@@ -179,8 +187,8 @@ class TestComponents:
             AnnulusComponent([0.2, 0.1], 0.4, 0.9),
             BoxComponent([0.0, -1.0], [1.5, 0.5]),
             StarComponent([0.0, 0.1], lambda th: 1.0 + 0.2 * np.cos(3.0 * th)),
-            CappedComponent(make_curvature_cap(10.0, 1.0, n=2), apex=[0.3, -0.2]),
-            CappedComponent(make_curvature_cap(10.0, 1.0, n=3), apex=[0.3, -0.2, 0.1]),
+            CappedComponent(CurvatureCap(10.0, 1.0, n=2), apex=[0.3, -0.2]),
+            CappedComponent(CurvatureCap(10.0, 1.0, n=3), apex=[0.3, -0.2, 0.1]),
         ],
         ids=["ball2", "ball3", "annulus", "box", "star", "capped2", "capped3"],
     )
@@ -205,7 +213,7 @@ class TestComponents:
         assert list(c.inside(pts)) == [False, True, False]
 
     def test_capped_volume_against_oracle(self):
-        cap = make_curvature_cap(10.0, 0.2, L=1.0, M=2.0, delta=0.5, n=2)
+        cap = CurvatureCap(10.0, 0.2, L=1.0, M=2.0, delta=0.5, n=2)
         comp = CappedComponent(cap, bulk_width=0.35, bulk_height=0.5)
         pts, w = comp.quad_nodes(64)
         vol = float(np.sum(w))
@@ -222,14 +230,14 @@ class TestComponents:
     ])
     def test_capped_bulk_sizes_checked(self, width, height):
         # Finite positive sizes, and a bulk wider than the cap rim (0.0995 here).
-        cap = make_curvature_cap(10.0, 1.0, n=2)
+        cap = CurvatureCap(10.0, 1.0, n=2)
         with pytest.raises(ConfigError):
             CappedComponent(cap, bulk_width=width, bulk_height=height)
 
     @pytest.mark.parametrize("count", [256, 1024])
     def test_capped_lid_sampled(self, count):
         # Shelf halves, walls and lid each get a fifth of the non-graph samples.
-        comp = CappedComponent(make_curvature_cap(10.0, 1.0, n=2), bulk_height=0.5)
+        comp = CappedComponent(CurvatureCap(10.0, 1.0, n=2), bulk_height=0.5)
         local = comp.boundary_points(count) - comp.apex
         on_lid = local[:, 1] == comp.cap.h + comp.bulk_height
         assert np.count_nonzero(on_lid) >= (count - count // 2) // 5
@@ -237,7 +245,7 @@ class TestComponents:
 
     def test_capped_admissibility_window(self):
         # Inside B(0,b) x (-h,h) the body is exactly {omega < x_n < h}.
-        cap = make_curvature_cap(8.0, 0.1, n=2)
+        cap = CurvatureCap(8.0, 0.1, n=2)
         comp = CappedComponent(cap)
         rng = np.random.default_rng(7)
         xp = rng.uniform(-cap.b, cap.b, size=(4000, 1))
@@ -251,7 +259,7 @@ class TestComponents:
         # An admissible negative cubic bends omega back below h far past the
         # rim (|x'| > 0.889 for c3 = -11); the lens ends at the rim all the
         # same, as column_bounds, which the cell coverage reads, says.
-        comp = CappedComponent(make_curvature_cap(10.0, -11.0, n=2))
+        comp = CappedComponent(CurvatureCap(10.0, -11.0, n=2))
         rng = np.random.default_rng(5)
         pts = rng.uniform([-1.2, -0.1], [1.2, 0.7], size=(20000, 2))
         lo, hi, empty = comp.column_bounds(pts[:, :1])
@@ -264,7 +272,7 @@ class TestComponents:
         # and, open like every other component, leaves out the shelf plane
         # x_n = h between the rim and the bulk wall; below the rim x_n = h
         # is interior.
-        cap = make_curvature_cap(10.0, 0.5, n=n)
+        cap = CurvatureCap(10.0, 0.5, n=n)
         shifted = CappedComponent(cap, apex=[0.3, -0.2, 0.1][:n])
         rng = np.random.default_rng(11)
         pts = shifted.apex + rng.uniform(-0.4, 0.7, size=(20000, n))
@@ -296,7 +304,7 @@ class TestConnectivity:
         assert not connected_to_infinity(np.array([0.5, 0.0]), dom)
 
     def test_cap_apex(self):
-        cap = make_curvature_cap(10.0, 0.0)
+        cap = CurvatureCap(10.0, 0.0)
         dom = Domain([CappedComponent(cap)])
         assert connected_to_infinity(np.zeros(2), dom, grid_resolution=192)
 

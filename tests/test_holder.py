@@ -14,7 +14,7 @@ from invisiscat.holder import (
     holder_norm,
     sample_on_grid,
 )
-from invisiscat.geometry import make_curvature_cap
+from invisiscat.geometry import CurvatureCap
 from invisiscat.manufactured import CapBump
 
 from checks import (
@@ -199,7 +199,7 @@ class TestGreenIdentity:
         assert abs(res) < 1e-6
 
     def test_cap_window_with_lid(self):
-        cap = make_curvature_cap(5.0, 0.0)
+        cap = CurvatureCap(5.0, 0.0)
         win = CapWindow(cap)
         bump = CapBump(cap)
         res = green_identity_residual(

@@ -14,9 +14,9 @@ from invisiscat.errors import ConfigError, NumericalFailure
 from invisiscat.geometry import (
     BallComponent,
     CappedComponent,
+    CurvatureCap,
     Domain,
     _coverage_subsample,
-    make_curvature_cap,
 )
 from invisiscat.kernels import (
     GridConvolver,
@@ -424,7 +424,7 @@ class TestCappedCoverage2d:
     """2-d cap-bottomed bodies: 24 strips with the exact vertical extent."""
 
     def test_area_converges_to_oracle(self):
-        cap = make_curvature_cap(10.0, 0.2, n=2)
+        cap = CurvatureCap(10.0, 0.2, n=2)
         comp = CappedComponent(cap, apex=[0.013, -0.021])
         lens = integrate(lambda p: np.ones(p.shape[0]), graph_region(cap), tol=1e-12).real
         want = lens + 2.0 * comp.bulk_width * comp.bulk_height
@@ -437,7 +437,7 @@ class TestCappedCoverage3d:
     """3-d cap-bottomed bodies run the subsample on the cells they may cut only."""
 
     def test_matches_full_subsample(self, monkeypatch):
-        comp, h = CappedComponent(make_curvature_cap(10.0, 0.2, n=3)), 0.04
+        comp, h = CappedComponent(CurvatureCap(10.0, 0.2, n=3)), 0.04
         seen = []
 
         def counted(region, centers, spacing):

@@ -7,7 +7,7 @@ import pytest
 
 from invisiscat.cgo import CgoVector, cgo_over_parabola, cgo_sliced
 from invisiscat.cli import build_parser
-from invisiscat.geometry import make_curvature_cap
+from invisiscat.geometry import CurvatureCap
 from invisiscat.quadrature import (
     AnnularParaboloid,
     BudgetExceeded,
@@ -133,7 +133,7 @@ def _rim_cases():
     th = np.linspace(-math.pi, math.pi, 15)
     dirs = {2: np.array([[1.0], [-1.0]]), 3: np.stack([np.cos(th), np.sin(th)], axis=-1)}
     cases = [
-        (graph_region(make_curvature_cap(float(K), float(ratio * K), n=n)), dirs[n])
+        (graph_region(CurvatureCap(float(K), float(ratio * K), n=n)), dirs[n])
         for n in (2, 3)
         for K in np.geomspace(math.e, 1e4, 8)
         for ratio in np.linspace(-0.05, 0.2, 4)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invisiscat.cgo import CgoVector
+from invisiscat.geometry import CappedComponent, CurvatureCap
 from invisiscat.scenes import (
     SceneError,
     load_domain,
@@ -188,6 +189,20 @@ class TestDomainLoading:
         assert star.components[0].inside(np.array([[0.0, 0.0]]))[0]
         capped = load_domain({"kind": "capped", "K": 10.0, "cubic": 0.1}, 2)
         assert capped.components[0].cap.K == 10.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_capped_defaults_are_the_constructors(self, dim):
+        # A file that gives only K builds the body the constructors build
+        # from K alone.
+        got = load_domain({"kind": "capped", "K": 8}, dim).components[0]
+        want = CappedComponent(CurvatureCap(8, n=dim))
+        for name in ("K_minus", "K_plus", "rim_radius"):
+            assert getattr(got.cap, name) == getattr(want.cap, name), name
+        assert (got.bulk_width, got.bulk_height) == (want.bulk_width, want.bulk_height)
+        h = 0.05
+        axes = [np.arange(-0.5, 0.5, h) + h / 2] * (dim - 1) + [np.arange(-0.1, 0.8, h) + h / 2]
+        centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        assert np.array_equal(got.coverage(centers, h), want.coverage(centers, h))
 
     def test_capped_overflowing_M_is_named(self):
         # M^(3/2) overflows a float; the message names M, not the errno.

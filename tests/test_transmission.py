@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invisiscat import transmission
-from invisiscat.geometry import BallComponent, CappedComponent, Domain, make_curvature_cap
+from invisiscat.geometry import BallComponent, CappedComponent, CurvatureCap, Domain
 from invisiscat.holder import sample_on_grid
 from invisiscat.medium import HerglotzWave, MediumScene, scattered_far_field, solve_ls
 from invisiscat.transmission import (
@@ -265,7 +265,7 @@ class TestNonScatteringConsistency:
 class TestCurvatureProbe:
     def test_manufactured_pair_below_envelope(self):
         for K in (10.0, 100.0, 1000.0):
-            cap = make_curvature_cap(K, 0.0, L=1.0, M=2.0, delta=0.75)
+            cap = CurvatureCap(K, 0.0, L=1.0, M=2.0, delta=0.75)
             comp = CappedComponent(cap)
             u_fn, _ = manufactured_itp_field(comp, 15.0, 1.0)
             rep = curvature_vanishing_probe(comp, 15.0, 1.0, u_fn, alpha=0.75,
@@ -273,7 +273,7 @@ class TestCurvatureProbe:
             assert rep.u_at_apex <= rep.envelope
 
     def test_vanishing_u_trivially_satisfied(self):
-        cap = make_curvature_cap(10.0, 0.0)
+        cap = CurvatureCap(10.0, 0.0)
         comp = CappedComponent(cap)
         u_fn = lambda pts: np.sum((pts - comp.apex) ** 2, axis=1)  # u(p) = 0
         rep = curvature_vanishing_probe(comp, 1.0, 1.0, u_fn, alpha=0.5)
@@ -287,10 +287,10 @@ class TestCurvatureProbe:
         from invisiscat.cgo import curvature_estimate_rhs
 
         vals = [
-            curvature_estimate_rhs(K, 0.75, 0.75, 1.0, 2.0, 2, 1.0)
+            curvature_estimate_rhs(K, 0.75, 0.75, 2)
             for K in (1e3, 1e4, 1e5, 1e6)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert curvature_estimate_rhs(
-            1e6, 0.75, 0.75, 1.0, 2.0, 2, 1.0
-        ) < curvature_estimate_rhs(1e2, 0.75, 0.75, 1.0, 2.0, 2, 1.0)
+        assert curvature_estimate_rhs(1e6, 0.75, 0.75, 2) < curvature_estimate_rhs(
+            1e2, 0.75, 0.75, 2
+        )

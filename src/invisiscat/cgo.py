@@ -123,9 +123,12 @@ def _tail_constant(n: int) -> float:
 
 
 def cgo_tail_bound(tau: float, K: float, h: float, n: int) -> float:
-    """Upper bound for int over {x_n > max(h, K|x'|^2)} of exp(-tau x_n)."""
-    if min(tau, K, h) <= 0:
-        raise ValueError("tau, K, h must be positive")
+    """Upper bound for int over {x_n > max(h, K|x'|^2)} of exp(-tau x_n).
+
+    A tau, K or h that is not positive (NaN included) raises ``ConfigError``.
+    """
+    if not (tau > 0 and K > 0 and h > 0):
+        raise ConfigError(f"tau, K, h must be positive, got {tau!r}, {K!r}, {h!r}")
     return (
         _tail_constant(n)
         * (1.0 + (tau * h) ** ((n - 1) / 2.0))
@@ -161,10 +164,11 @@ def cgo_weighted_cap_bound(K: float, h: float, s: float, n: int) -> float:
     """Upper bound for int over {K|x'|^2 < x_n < h} of exp(-tau x_n) |x|^s.
 
     The exponential is at most one, so the bound holds for every tau > 0
-    and takes no tau.
+    and takes no tau.  A K or h that is not positive, or an s that is not
+    nonnegative (NaN included), raises ``ConfigError``.
     """
-    if min(K, h) <= 0 or s < 0:
-        raise ValueError("need K, h > 0 and s >= 0")
+    if not (K > 0 and h > 0 and s >= 0):
+        raise ConfigError(f"need K, h > 0 and s >= 0, got {K!r}, {h!r}, {s!r}")
     cns = sphere_measure(n - 2) / (1.0 + s / 2.0)
     return (
         cns

@@ -222,16 +222,19 @@ def solve_field(
     coverage) only, for a block of targets at a time: the (targets,
     cells) distance array is bounded by ``_BLOCK_ENTRIES`` entries,
     summed one coordinate at a time (``geometry._sq_dist``), and reduced
-    along the cell axis by a matrix product.  Cells within
-    ``_NEAR_RADIUS_CELLS`` grid cells of a target are left out of its sum,
-    and a target that has such a live cell gets polar-coordinate
-    quadrature of the kernel singularity over that ball instead; a
-    block's near targets are corrected together, in one
-    ``source_values`` call and one row-wise sum (split further only if
-    their polar nodes would exceed ``_BLOCK_ENTRIES``).  The intensity is
-    read only at the centres of the cells the support touches (coverage >
-    0) and at the polar nodes inside the support: it must be finite at
-    each of those centres, and need not be elsewhere on the grid.
+    along the cell axis by a matrix product.  The kernel is evaluated on
+    the whole block, and its entries for cells within
+    ``_NEAR_RADIUS_CELLS`` grid cells of a target are then zeroed, which
+    leaves those cells out of its sum (a target on a cell centre gives
+    inf or nan there, overwritten without a warning).  A target that has
+    such a live cell gets polar-coordinate quadrature of the kernel
+    singularity over that ball instead; a block's near targets are
+    corrected together, in one ``source_values`` call and one row-wise
+    sum (split further only if their polar nodes would exceed
+    ``_BLOCK_ENTRIES``).  The intensity is read only at the centres of
+    the cells the support touches (coverage > 0) and at the polar nodes
+    inside the support: it must be finite at each of those centres, and
+    need not be elsewhere on the grid.
     Evaluation points that are not a finite (m, n) array, n the scene's
     dimension, raise ConfigError; so does an intensity that is not finite
     at one of those centres.  A grid of more than ``kernels._MAX_CELLS``
@@ -264,12 +267,14 @@ def solve_field(
     for start in range(0, eval_points.shape[0], block):
         x = eval_points[start : start + block]
         d = np.sqrt(_sq_dist(x[:, None, :], cells))
-        far = d > r_cut
-        g = np.zeros(d.shape, dtype=complex)
-        g[far] = green_kernel(scene.n, scene.k, d[far])
+        # A target on a node (d = 0) makes inf or nan here; zeroed with the ball.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = green_kernel(scene.n, scene.k, d)
+        in_ball = d <= r_cut
+        np.copyto(g, 0.0, where=in_ball)
         out[start : start + block] = (g @ f_live) * w_cell
         # Singular ball: integral of G * f over B(x, r_cut) in polar form.
-        near = np.flatnonzero(~np.all(far, axis=1))
+        near = np.flatnonzero(np.any(in_ball, axis=1))
         for i in range(0, near.size, near_rows):
             rows = near[i : i + near_rows]
             vals = scene.source_values((x[rows, None, :] + offs).reshape(-1, scene.n))

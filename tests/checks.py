@@ -5,18 +5,22 @@ Green-identity residuals with manufactured fields, an eigenpair's
 matching defect, the transmission eigenfunction's vanishing near a
 high-curvature point, flood-fill connectivity to infinity, the Mie
 series' total field, the far field as a direct complex-exponential sum,
-the ratios of a Lippmann-Schwinger residual log and the inverse of
-``scenes.load_domain``.  No command, suite, demo or
+the ratios of a Lippmann-Schwinger residual log, the inverse of
+``scenes.load_domain`` and the library versions the reference corpus
+(``tests/reference``) was made with.  No command, suite, demo or
 benchmark run needs them, so they live here rather than in the package.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy
 import scipy.ndimage
 from scipy.special import hankel1, jv
 
@@ -560,3 +564,29 @@ def domain_to_spec(domain: Domain) -> dict:
     if len(domain.components) == 1:
         return _component_spec(domain.components[0])
     return {"kind": "union", "components": [_component_spec(c) for c in domain.components]}
+
+
+REFERENCE = Path(__file__).with_name("reference")
+
+
+def _blas(module) -> str:
+    """Name and version of the BLAS the module was built against."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):  # older releases keep no such record
+        return "unknown"
+
+
+def library_versions() -> dict:
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": _blas(np),
+        "scipy_blas": _blas(scipy),
+    }
+
+
+def versions_match_manifest() -> bool:
+    """Whether numpy, scipy and their BLAS are the ones ``reference/manifest.json`` records."""
+    return library_versions() == json.loads((REFERENCE / "manifest.json").read_text())

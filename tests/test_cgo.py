@@ -281,6 +281,26 @@ class TestWeightedCapBound:
             assert cgo_weighted_cap_bound(K, h, s, n) >= abs(orc) * (1 - 1e-8)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "bound, args",
+    [
+        (cgo_weighted_cap_bound, (_NAN, 0.5, 1.0, 2)),
+        (cgo_weighted_cap_bound, (2.0, 0.5, _NAN, 2)),
+        (cgo_tail_bound, (_NAN, 2.0, 0.5, 2)),
+        (cgo_tail_bound, (1.0, 2.0, _NAN, 2)),
+        (cgo_tail_bound, (1.0, -2.0, 0.5, 2)),
+    ],
+    ids=["cap_K_nan", "cap_s_nan", "tail_tau_nan", "tail_h_nan", "tail_K_negative"],
+)
+def test_bound_inputs_that_are_nan_or_negative_are_config_errors(bound, args):
+    # A NaN fails every comparison, so only the `not (x > 0)` form catches it.
+    with pytest.raises(ConfigError):
+        bound(*args)
+
+
 class TestIdentitySplit:
     def test_zero_fields(self):
         class Zero:

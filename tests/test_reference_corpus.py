@@ -1,9 +1,12 @@
-"""The six experiment suites against their committed reference outputs.
+"""The six experiment suites and four CLI runs against their committed reference outputs.
 
 ``tests/reference/suites`` holds the CSV and JSON that
 ``invisiscat experiment NAME --out DIR`` writes for each suite at its
-defaults, and ``tests/reference/manifest.json`` the numpy, scipy and BLAS
-versions they were made with.  The suites rerun in process and are
+defaults; ``tests/reference/cli`` holds the scenes and configs of the
+``COMMANDS`` below and the CSV files they write (``teig`` spectra in 2-D
+and 3-D, ``source`` far fields and fields on a disk and a ball); and
+``tests/reference/manifest.json`` the numpy, scipy and BLAS versions they
+were made with.  The suites and the commands rerun in process and are
 compared with the corpus in one of two modes:
 
 * bytes, where this interpreter's versions equal the manifest's: the
@@ -16,7 +19,8 @@ compared with the corpus in one of two modes:
   digit).
 
 Running this file prints the versions as the manifest records them.  To
-renew the corpus, rerun the six suites into ``tests/reference/suites``
+renew the corpus, rerun the six suites into ``tests/reference/suites`` and
+the commands (from ``tests/reference/cli``) into ``tests/reference/cli``,
 and write that print to the manifest.
 """
 
@@ -30,35 +34,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
+from invisiscat.cli import main
 from invisiscat.experiments import SUITES, write_outputs
 
-REFERENCE = Path(__file__).with_name("reference")
+from checks import REFERENCE, library_versions, versions_match_manifest
+
 CORPUS = REFERENCE / "suites"
 FILES = [f"{name}.{ext}" for name in SUITES for ext in ("csv", "json")]
+CLI_CORPUS = REFERENCE / "cli"
+# The corpus' command lines (the source scenes are CI's disk2 and ball3):
+# the second word is a file in CLI_CORPUS, and each .csv names an output,
+# written by the rerun to a scratch directory and compared with the file
+# of that name in CLI_CORPUS.
+COMMANDS = [
+    ["teig", "itp_2d.json", "--kmax", "4", "--modes", "0,1,2", "--out", "teig_2d.csv"],
+    ["teig", "itp_3d.json", "--kmax", "4", "--modes", "0,1,2", "--out", "teig_3d.csv"],
+    ["source", "disk2.json", "--dirs", "63", "--farfield", "ff_disk2.csv",
+     "--grid", "32", "--fields", "u_disk2.csv"],
+    ["source", "ball3.json", "--dirs", "50", "--farfield", "ff_ball3.csv",
+     "--grid", "8", "--fields", "u_ball3.csv"],
+]
+CLI_FILES = [word for cmd in COMMANDS for word in cmd if word.endswith(".csv")]
 RTOL = 1e-6
 ATOL = 1e-12
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:e[-+]?\d+)?|\bnan\b|-?\binf\b)")
-
-
-def _blas(module) -> str:
-    """Name and version of the BLAS the module was built against."""
-    try:
-        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        return f"{blas['name']} {blas['version']}"
-    except (AttributeError, KeyError, TypeError):  # older releases keep no such record
-        return "unknown"
-
-
-def library_versions() -> dict:
-    return {
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "numpy_blas": _blas(np),
-        "scipy_blas": _blas(scipy),
-    }
 
 
 def _same_text(want: str, got: str) -> bool:
@@ -71,10 +72,10 @@ def _same_text(want: str, got: str) -> bool:
     )
 
 
-def differences(want_dir: Path, got_dir: Path, exact: bool) -> list:
-    """Names of the suite files in which ``got_dir`` differs from ``want_dir``."""
+def differences(want_dir: Path, got_dir: Path, exact: bool, files=FILES) -> list:
+    """Names of the ``files`` (the suites' by default) in which ``got_dir`` differs from ``want_dir``."""
     bad = []
-    for name in FILES:
+    for name in files:
         want, got = want_dir / name, got_dir / name
         if exact:
             same = want.read_bytes() == got.read_bytes()
@@ -93,12 +94,26 @@ def suite_outputs(tmp_path_factory) -> Path:
     return out
 
 
-def test_suites_match_the_reference_corpus(suite_outputs):
-    manifest = json.loads((REFERENCE / "manifest.json").read_text())
-    exact = library_versions() == manifest
+def _mode() -> tuple:
+    """(bytes?, the mode's name), printed with this interpreter's versions."""
+    exact = versions_match_manifest()
     mode = "bytes" if exact else f"tolerance (rel {RTOL:g}, abs {ATOL:g})"
     print(f"reference corpus compared by {mode}; versions {library_versions()}")
+    return exact, mode
+
+
+def test_suites_match_the_reference_corpus(suite_outputs):
+    exact, mode = _mode()
     assert differences(CORPUS, suite_outputs, exact) == [], mode
+
+
+def test_commands_match_the_reference_corpus(tmp_path):
+    for cmd in COMMANDS:
+        argv = [cmd[0], str(CLI_CORPUS / cmd[1])]
+        argv += [str(tmp_path / w) if w.endswith(".csv") else w for w in cmd[2:]]
+        assert main(argv) == 0, argv
+    exact, mode = _mode()
+    assert differences(CLI_CORPUS, tmp_path, exact, CLI_FILES) == [], mode
 
 
 def _mutated(tmp_path: Path, name: str, old: str, new: str) -> Path:

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -275,18 +276,10 @@ class TestSolveField:
         # = 1/x^2 gives A = i a^2 h0'(ka), B = i a^2 j0'(ka)).  Targets
         # within r_cut of the support use the polar near-field rule.
         k, a = 1.0, 0.5
-        ka = k * a
-        h0p = spherical_jn(0, ka, True) + 1j * spherical_yn(0, ka, True)
-        A, B = 1j * a * a * h0p, 1j * a * a * spherical_jn(0, ka, True)
         scene = SourceScene(Domain([BallComponent([0.0, 0.0, 0.0], a, dim=3)]), 1.0, k, 3)
         pts = np.array([[0.1, 0.05, 0.0], [0.0, 0.48, 0.0], [0.0, 0.0, 0.51], [1.2, 0.3, -0.4]])
         u = solve_field(scene, pts, spacing=0.04)
-        kr = k * np.linalg.norm(pts, axis=1)
-        want = np.where(
-            kr < ka,
-            1.0 / k**2 + A * spherical_jn(0, kr),
-            B * (spherical_jn(0, kr) + 1j * spherical_yn(0, kr)),
-        )
+        want = ball_field(k, a, pts)
         assert np.all(np.abs(u - want) < 5e-3 * np.abs(want))
 
     def test_batched_targets_match_single_calls(self):
@@ -434,6 +427,19 @@ def disk_field(k, R, pts):
     return -0.5j * math.pi * np.where(r >= R, outer, inner) / k
 
 
+def ball_field(k, a, pts):
+    """u = int_{|y|<a} G_k(x - y) dy in 3-D: the closed form of ``test_constant_ball_3d_closed_form``."""
+    ka = k * a
+    h0p = spherical_jn(0, ka, True) + 1j * spherical_yn(0, ka, True)
+    A, B = 1j * a * a * h0p, 1j * a * a * spherical_jn(0, ka, True)
+    kr = k * np.linalg.norm(pts, axis=1)
+    return np.where(
+        kr < ka,
+        1.0 / k**2 + A * spherical_jn(0, kr),
+        B * (spherical_jn(0, kr) + 1j * spherical_yn(0, kr)),
+    )
+
+
 class TestSolveFieldAccuracy:
     """Unit disk at k = 2 against Graf's closed form on a 16 x 16 target grid.
 
@@ -457,6 +463,42 @@ class TestSolveFieldAccuracy:
         assert np.all(coarse < [3e-3, 2e-4])
         assert np.all(fine < [1e-3, 5e-5])
         assert np.all(np.log2(coarse / fine) >= 1.0)
+
+
+class TestSolveFieldOnNodes:
+    """A target exactly on a live grid node, and one beside it inside r_cut.
+
+    The cell sum evaluates G_k at every (target, cell) pair, inf or nan at
+    distance 0; such entries lie in the polar rule's ball and are zeroed,
+    so the field is finite, warns nothing, and meets the closed form at
+    ``TestSolveFieldAccuracy``'s interior tolerance (3e-3 of max |u|).
+    """
+
+    @staticmethod
+    def solve(scene, spacing, near, offset):
+        grid = make_support_grid(scene.domain, spacing)
+        live = grid.points[grid.coverage > 0]
+        node = live[np.argmin(np.sum((live - near) ** 2, axis=1))]
+        pts = np.array([node, node + spacing * np.asarray(offset)])
+        assert np.linalg.norm(pts[1] - node) < source._NEAR_RADIUS_CELLS * spacing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = solve_field(scene, pts, spacing=spacing)
+        assert np.all(np.isfinite(u))
+        return pts, u
+
+    def test_disk(self):
+        k = 2.0
+        pts, u = self.solve(ball_scene(1.0, k=k), 1.0 / 24.0, [0.3, 0.2], [0.3, -0.2])
+        want = disk_field(k, 1.0, pts)
+        assert np.max(np.abs(u - want)) < 3e-3 * np.max(np.abs(want))
+
+    def test_ball(self):
+        k, a = 1.0, 0.5
+        scene = SourceScene(Domain([BallComponent([0.0, 0.0, 0.0], a, dim=3)]), 1.0, k, 3)
+        pts, u = self.solve(scene, 0.04, [0.1, 0.05, 0.0], [0.25, -0.25, 0.125])
+        want = ball_field(k, a, pts)
+        assert np.max(np.abs(u - want)) < 3e-3 * np.max(np.abs(want))
 
 
 class TestVisibilityRatio:

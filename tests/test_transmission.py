@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import jv, jvp, spherical_jn
 
 from invisiscat import transmission
 from invisiscat.geometry import BallComponent, CappedComponent, CurvatureCap, Domain
@@ -17,7 +18,12 @@ from invisiscat.transmission import (
     itp_determinant,
 )
 
-from checks import curvature_vanishing_probe, manufactured_itp_field, matching_defect
+from checks import (
+    curvature_vanishing_probe,
+    manufactured_itp_field,
+    matching_defect,
+    versions_match_manifest,
+)
 
 REFERENCE_K1 = 0.993997561886  # first m=0 eigenvalue for R=1, v0=15, n=2
 
@@ -137,6 +143,55 @@ class TestDeterminant:
         pairs = find_eigenvalues(RadialITP(R=1.0, v0=15.0, n=3), 4.0, modes=[0, 1, 2])
         assert len(pairs) == 9
         assert len(calls) <= 64
+
+    @pytest.mark.parametrize(
+        "R, n, k_max, modes",
+        [
+            (1.0, 2, 4.0, [0, 1, 2]),
+            (1.0, 3, 4.0, [0, 1, 2]),
+            (2.0, 2, 2.0, [0]),
+            (1.0, 2, 4.0, [0, 4, 7]),
+            (1.0, 3, 4.0, [0, 4, 7]),
+        ],
+        ids=["scan_2d", "scan_3d", "scan_2d_R2", "2d_modes_0_4_7", "3d_modes_0_4_7"],
+    )
+    def test_matches_scipy_derivative_formula(self, R, n, k_max, modes):
+        # The first three are the benchmark's scans (fields_spectra), on
+        # find_eigenvalues' grid.  With the corpus' numpy and scipy the
+        # values are the bytes of scipy's jv/jvp (spherical_jn with
+        # derivative=True in 3-D); elsewhere within 4 ulps of the terms.
+        itp = RadialITP(R=R, v0=15.0, n=n)
+        ks = np.linspace(k_max / 2048, k_max, 2048)
+        m = np.array(modes)[:, None]
+
+        def radial(x):
+            if n == 2:
+                return jv(m, x), jvp(m, x)
+            return spherical_jn(m, x), spherical_jn(m, x, derivative=True)
+
+        k1 = ks * itp.index_ratio
+        (f, fp), (f1, fp1) = radial(ks * R), radial(k1 * R)
+        a, b = f * k1 * fp1, f1 * ks * fp
+        got = itp_determinant(itp, ks, m)
+        if versions_match_manifest():
+            assert got.tobytes() == (a - b).tobytes()
+        else:
+            assert np.all(np.abs(got - (a - b)) <= 4 * np.finfo(float).eps * (abs(a) + abs(b)))
+
+    def test_scan_sends_each_order_once_to_jv(self, monkeypatch):
+        # Modes 0, 1, 2 need orders 0..3 (J_{-1} = -J_1): 4 orders at the
+        # 2 arguments kR, k1R of each of 2048 wavenumbers, in one call,
+        # where jv and jvp per mode took 18 evaluations per wavenumber.
+        sizes = []
+
+        def counted(order, x):
+            sizes.append(np.broadcast(order, x).size)
+            return jv(order, x)
+
+        monkeypatch.setattr(transmission, "jv", counted)
+        ks = np.linspace(4.0 / 2048, 4.0, 2048)
+        itp_determinant(RadialITP(R=1.0, v0=15.0), ks, np.array([0, 1, 2])[:, None])
+        assert sizes == [4 * 2 * 2048]
 
     def test_duplicate_modes_scanned_once(self):
         itp = RadialITP(R=1.0, v0=15.0)

@@ -1,10 +1,11 @@
-"""The six experiment suites and four CLI runs against their committed reference outputs.
+"""The six experiment suites and five CLI runs against their committed reference outputs.
 
 ``tests/reference/suites`` holds the CSV and JSON that
 ``invisiscat experiment NAME --out DIR`` writes for each suite at its
 defaults; ``tests/reference/cli`` holds the scenes and configs of the
 ``COMMANDS`` below and the CSV files they write (``teig`` spectra in 2-D
-and 3-D, ``source`` far fields and fields on a disk and a ball); and
+and 3-D, ``source`` far fields and fields on a disk and a ball, and the
+``medium`` far field and field of a disk whose Neumann series expands); and
 ``tests/reference/manifest.json`` the numpy, scipy and BLAS versions they
 were made with.  The suites and the commands rerun in process and are
 compared with the corpus in one of two modes:
@@ -18,14 +19,18 @@ compared with the corpus in one of two modes:
   fields sit at roundoff level, where another libm or BLAS changes every
   digit).
 
-Running this file prints the versions as the manifest records them.  To
-renew the corpus, rerun the six suites into ``tests/reference/suites`` and
-the commands (from ``tests/reference/cli``) into ``tests/reference/cli``,
-and write that print to the manifest.
+Running this file prints the versions as the manifest records them;
+``python tests/test_reference_corpus.py --regenerate`` (with ``src`` on
+``PYTHONPATH``) renews the corpus: it reruns the six suites into
+``tests/reference/suites`` and the commands into ``tests/reference/cli``,
+and writes those versions to the manifest.  A change that moves a value
+regenerates the corpus in the same commit, so the corpus diff lists the
+moved values.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -43,7 +48,8 @@ from checks import REFERENCE, library_versions, versions_match_manifest
 CORPUS = REFERENCE / "suites"
 FILES = [f"{name}.{ext}" for name in SUITES for ext in ("csv", "json")]
 CLI_CORPUS = REFERENCE / "cli"
-# The corpus' command lines (the source scenes are CI's disk2 and ball3):
+# The corpus' command lines (the source scenes are CI's disk2 and ball3, the
+# medium scene CI's expanding disk: radius 1, contrast 15, k = 1):
 # the second word is a file in CLI_CORPUS, and each .csv names an output,
 # written by the rerun to a scratch directory and compared with the file
 # of that name in CLI_CORPUS.
@@ -54,6 +60,8 @@ COMMANDS = [
      "--grid", "32", "--fields", "u_disk2.csv"],
     ["source", "ball3.json", "--dirs", "50", "--farfield", "ff_ball3.csv",
      "--grid", "8", "--fields", "u_ball3.csv"],
+    ["medium", "expanding2.json", "--spacing", "0.03125", "--farfield", "ff_expanding2.csv",
+     "--fields", "u_expanding2.csv"],
 ]
 CLI_FILES = [word for cmd in COMMANDS for word in cmd if word.endswith(".csv")]
 RTOL = 1e-6
@@ -107,11 +115,25 @@ def test_suites_match_the_reference_corpus(suite_outputs):
     assert differences(CORPUS, suite_outputs, exact) == [], mode
 
 
-def test_commands_match_the_reference_corpus(tmp_path):
-    for cmd in COMMANDS:
-        argv = [cmd[0], str(CLI_CORPUS / cmd[1])]
-        argv += [str(tmp_path / w) if w.endswith(".csv") else w for w in cmd[2:]]
+def run_commands(scenes: Path, out: Path, commands=COMMANDS) -> None:
+    """Run ``commands`` on the scene files in ``scenes``, writing their CSV files to ``out``."""
+    for cmd in commands:
+        argv = [cmd[0], str(scenes / cmd[1])]
+        argv += [str(out / w) if w.endswith(".csv") else w for w in cmd[2:]]
         assert main(argv) == 0, argv
+
+
+def regenerate(root: Path = REFERENCE, commands=COMMANDS) -> None:
+    """Rewrite the corpus under ``root``: the suites, the ``commands``' outputs and the manifest."""
+    for suite in SUITES.values():
+        write_outputs(suite(), root / "suites")
+    run_commands(root / "cli", root / "cli", commands)
+    versions = json.dumps(library_versions(), indent=1, sort_keys=True)
+    (root / "manifest.json").write_text(versions + "\n")
+
+
+def test_commands_match_the_reference_corpus(tmp_path):
+    run_commands(CLI_CORPUS, tmp_path)
     exact, mode = _mode()
     assert differences(CLI_CORPUS, tmp_path, exact, CLI_FILES) == [], mode
 
@@ -155,5 +177,30 @@ def test_a_flipped_verdict_fails_both_modes(tmp_path, exact, flip):
     assert differences(CORPUS, _mutated(tmp_path, *flip), exact) == [name]
 
 
+def test_regenerate_rewrites_the_corpus(tmp_path):
+    # On a copy whose manifest, one suite file and one command output are
+    # spoiled; one command (the 2-D teig, the cheapest) keeps the test short.
+    root = tmp_path / "reference"
+    shutil.copytree(REFERENCE, root)
+    (root / "manifest.json").write_text("{}\n")
+    (root / "suites" / FILES[0]).write_text("spoiled\n")
+    (root / "cli" / "teig_2d.csv").unlink()
+    regenerate(root, COMMANDS[:1])
+    assert json.loads((root / "manifest.json").read_text()) == library_versions()
+    exact, mode = _mode()
+    assert differences(CORPUS, root / "suites", exact) == [], mode
+    assert differences(CLI_CORPUS, root / "cli", exact, ["teig_2d.csv"]) == [], mode
+
+
 if __name__ == "__main__":
-    print(json.dumps(library_versions(), indent=1, sort_keys=True))
+    parser = argparse.ArgumentParser(
+        description="Print the library versions in the reference manifest's form, or renew the corpus."
+    )
+    parser.add_argument(
+        "--regenerate", action="store_true",
+        help="rewrite tests/reference: the suites, the COMMANDS outputs and the manifest",
+    )
+    if parser.parse_args().regenerate:
+        regenerate()
+    else:
+        print(json.dumps(library_versions(), indent=1, sort_keys=True))

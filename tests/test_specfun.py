@@ -1,8 +1,9 @@
 """Accuracy of the special functions the package calls.
 
 The package evaluates Bessel, Hankel and gamma functions with
-``scipy.special`` and ``math.gamma``, and the planar Helmholtz kernel as
-J_0 + i Y_0 with the real-argument ``j0``/``y0``;
+``scipy.special`` and ``math.gamma``, the planar Helmholtz kernel as
+J_0 + i Y_0 with the real-argument ``j0``/``y0``, and the 2-D
+transmission tables' J_0 and J_1 with ``j0``/``j1``;
 ``quadrature.sphere_measure`` is its own closed form.  Independent references: mpmath's arbitrary
 precision evaluations, direct quadrature of defining integrals, closed
 forms and the Wronskian identity.
@@ -87,6 +88,18 @@ class TestBesselJ:
             ref = mp_jv(nu, x)
             got = scipy.special.jv(nu, x)
             assert abs(got - ref) <= 1e-12 * max(abs(ref), amp(x))
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_cephes_j0_j1_against_mpmath(self, nu):
+        # j0 and j1, which transmission's 2-D tables read, at the sweep's
+        # bound, and near the origin (down to 1e-6) absolutely.
+        fn = (scipy.special.j0, scipy.special.j1)[nu]
+        amp = lambda x: math.sqrt(2.0 / (math.pi * x))
+        for x in np.linspace(0.05, 100.0, 331):
+            ref = mp_jv(nu, x)
+            assert abs(fn(x) - ref) <= 1e-12 * max(abs(ref), amp(x))
+        for x in np.concatenate([np.geomspace(1e-6, 0.05, 101), np.linspace(1e-6, 0.05, 101)]):
+            assert abs(fn(x) - mp_jv(nu, x)) <= 1e-15
 
     def test_quadrature_oracle_integer_order(self):
         # Bessel integral: J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import jv, jvp, spherical_jn
+from scipy.special import j0, j1, jv, spherical_jn
 
 from invisiscat import transmission
 from invisiscat.geometry import BallComponent, CappedComponent, CurvatureCap, Domain
@@ -158,15 +158,23 @@ class TestDeterminant:
     def test_matches_scipy_derivative_formula(self, R, n, k_max, modes):
         # The first three are the benchmark's scans (fields_spectra), on
         # find_eigenvalues' grid.  With the corpus' numpy and scipy the
-        # values are the bytes of scipy's jv/jvp (spherical_jn with
+        # values are the bytes of J_0, J_1 from j0, j1 and higher orders
+        # from jv, with jvp's derivative formulas (spherical_jn with
         # derivative=True in 3-D); elsewhere within 4 ulps of the terms.
         itp = RadialITP(R=R, v0=15.0, n=n)
         ks = np.linspace(k_max / 2048, k_max, 2048)
         m = np.array(modes)[:, None]
 
+        def bessel_j(order, x):
+            return j0(x) if order == 0 else j1(x) if order == 1 else jv(order, x)
+
         def radial(x):
             if n == 2:
-                return jv(m, x), jvp(m, x)
+                f = np.array([bessel_j(o, x) for o in modes])
+                fp = np.array(
+                    [-j1(x) if o == 0 else (bessel_j(o - 1, x) - bessel_j(o + 1, x)) / 2 for o in modes]
+                )
+                return f, fp
             return spherical_jn(m, x), spherical_jn(m, x, derivative=True)
 
         k1 = ks * itp.index_ratio
@@ -179,19 +187,41 @@ class TestDeterminant:
             assert np.all(np.abs(got - (a - b)) <= 4 * np.finfo(float).eps * (abs(a) + abs(b)))
 
     def test_scan_sends_each_order_once_to_jv(self, monkeypatch):
-        # Modes 0, 1, 2 need orders 0..3 (J_{-1} = -J_1): 4 orders at the
-        # 2 arguments kR, k1R of each of 2048 wavenumbers, in one call,
-        # where jv and jvp per mode took 18 evaluations per wavenumber.
-        sizes = []
+        # Modes 0, 1, 2 need orders 0..3 (J_{-1} = -J_1) at the 2
+        # arguments kR, k1R of each of 2048 wavenumbers: orders 0 and 1 go
+        # to j0 and j1, orders 2 and 3 to one jv call.  A mode-0 scan
+        # never calls jv.
+        sizes = {"j0": [], "j1": [], "jv": []}
 
-        def counted(order, x):
-            sizes.append(np.broadcast(order, x).size)
-            return jv(order, x)
+        def counting(name, fn):
+            def counted(*args):
+                sizes[name].append(np.broadcast(*args).size)
+                return fn(*args)
 
-        monkeypatch.setattr(transmission, "jv", counted)
+            return counted
+
+        for name in sizes:
+            monkeypatch.setattr(transmission, name, counting(name, getattr(transmission, name)))
+        itp = RadialITP(R=1.0, v0=15.0)
         ks = np.linspace(4.0 / 2048, 4.0, 2048)
-        itp_determinant(RadialITP(R=1.0, v0=15.0), ks, np.array([0, 1, 2])[:, None])
-        assert sizes == [4 * 2 * 2048]
+        itp_determinant(itp, ks, np.array([0, 1, 2])[:, None])
+        assert sizes == {"j0": [2 * 2048], "j1": [2 * 2048], "jv": [2 * 2 * 2048]}
+        for calls in sizes.values():
+            calls.clear()
+        itp_determinant(itp, ks, np.array([0])[:, None])
+        assert sizes == {"j0": [2 * 2048], "j1": [2 * 2048], "jv": []}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "k",
+        [np.nan, np.inf, np.array([1.0, np.nan]), np.array([1.0, np.inf])],
+        ids=["nan", "inf", "array_nan", "array_inf"],
+    )
+    def test_rejects_non_finite_wavenumber(self, k, n):
+        # A ValueError, as for k <= 0; a RuntimeWarning on the way (an
+        # error under pyproject's filterwarnings) would fail the raises.
+        with pytest.raises(ValueError, match="finite and positive"):
+            itp_determinant(RadialITP(R=1.0, v0=15.0, n=n), k, 0)
 
     def test_duplicate_modes_scanned_once(self):
         itp = RadialITP(R=1.0, v0=15.0)
